@@ -9,9 +9,8 @@ from .analysis import (ConvergenceRow, EnergyLedger, boundedness_bound,
 from .grid import (FieldNorms, Grid1D, as_field, backward_diff, central_diff,
                    inner_product, norms, second_diff, skew_advection)
 from .linalg import (CyclicBlockTriSystem, ScalarCyclicTriSystem,
-                     SingularSystemError, solve_circulant,
-                     solve_cyclic_block_tridiagonal, solve_dense_oracle,
-                     solve_scalar_cyclic)
+                     SingularSystemError, solve_cyclic_block_tridiagonal,
+                     solve_dense_oracle, solve_scalar_cyclic)
 from .scheme import (DivergenceError, RunResult, SchemeParams, SolverFailure,
                      StepperState, TruncationResiduals, advance,
                      assemble_first_step, assemble_interior_step,

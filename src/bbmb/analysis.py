@@ -28,8 +28,6 @@ __all__ = [
     "stability_gap",
 ]
 
-Trajectory = "list[tuple[float, np.ndarray]]"
-
 
 @dataclass
 class EnergyLedger:
@@ -196,7 +194,10 @@ def convergence_table(errors) -> "list[ConvergenceRow]":
 
 
 def fit_order(errors) -> float:
-    """Least-squares slope of log(error) against log(step) over the chain."""
+    """Least-squares slope of log(error) against log(step) over the chain.
+    Needs at least two errors: a line through one point has no slope."""
+    if len(errors) < 2:
+        raise ValueError(f"need at least two errors to fit an order, got {len(errors)}")
     steps = np.array([float(s) for s, _ in errors])
     errs = np.array([float(e) for _, e in errors])
     if np.any(errs <= 0):

@@ -8,10 +8,11 @@ Subcommands
     stability     error sweep over a (tau, h) grid against the exact
                   solution; emit stability.csv
 
-Every subcommand takes --config PATH and optional --out DIR and
---threads N.  Refinement cases run concurrently (bounded by --threads);
-results are merged in a fixed order on the coordinating thread, so the
+Every subcommand takes --config PATH and an optional --out DIR.
+Refinement cases run one after another in a fixed order, so the
 emitted CSV files are byte-identical across reruns on one platform.
+Cases are not run in threads: the work is many short numpy calls that
+hold the interpreter lock, so threads only add lock waits.
 All floats are printed with 15 significant digits.
 
 Exit codes: 0 success, 2 invalid config, 3 solver failure,
@@ -23,8 +24,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-
 
 from .analysis import (boundedness_bound, convergence_table, fit_order,
                        max_norm_error, posterior_spatial_error,
@@ -74,26 +73,36 @@ def _grid(config: ExperimentConfig, m: int, n: int) -> Grid1D:
     return Grid1D(L=config.length, M=m, T=config.T, N=n, x_left=config.x_left)
 
 
-def _run_case(config, m, n, record_trajectory, snapshot_times=None):
+def _trajectory(config, m, n):
+    """Every level of one (M, N) case as (t, u) pairs."""
     return run(config.phi, _grid(config, m, n), config.params(),
-               snapshot_times=snapshot_times, track_energy=config.energy,
-               record_trajectory=record_trajectory)
-
-
-def _run_many(cases, threads):
-    """Run independent (config, M, N) cases concurrently; results come back
-    in submission order."""
-    workers = threads if threads and threads > 0 else len(cases)
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        futures = [pool.submit(_run_case, *case) for case in cases]
-        return [f.result() for f in futures]
+               track_energy=config.energy, record_trajectory=True).trajectory
 
 
 def _conservative(config: ExperimentConfig) -> bool:
     return config.source is None and config.reaction is None and config.nu >= 0
 
 
-def _cmd_run(config: ExperimentConfig, out_dir, threads) -> list:
+def _energy_drift(energy):
+    """Largest departure of the energy series from E(0), as (drift, kind):
+    relative to |E(0)|, or absolute when E(0) = 0 (the zero solution)."""
+    e0 = energy[0][1]
+    drift = max(abs(e - e0) for _, e in energy)
+    if e0 == 0:
+        return drift, "absolute"
+    return drift / abs(e0), "relative"
+
+
+def _boundedness_check(config: ExperimentConfig, grid: Grid1D, trajectory):
+    """Check every recorded level of a conservative run against the
+    a-priori bound computed from the initial data."""
+    state0 = init_state(config.phi, grid, config.params())
+    bound = boundedness_bound(state0.u_curr, state0.v_curr, grid, config.params())
+    worst = max(norms(u, grid.h).l2 for _, u in trajectory)
+    return (worst <= bound, "boundedness", f"max ||u|| = {worst:.6g} vs bound {bound:.6g}")
+
+
+def _cmd_run(config: ExperimentConfig, out_dir) -> list:
     m, n = config.m_values[0], config.n_values[0]
     grid = _grid(config, m, n)
     result = run(config.phi, grid, config.params(),
@@ -109,20 +118,15 @@ def _cmd_run(config: ExperimentConfig, out_dir, threads) -> list:
     if config.energy:
         _write_csv(os.path.join(out_dir, "energy.csv"), ["t", "E"], result.energy)
         if _conservative(config):
-            e0 = result.energy[0][1]
-            drift = max(abs(e - e0) for _, e in result.energy) / abs(e0)
+            drift, kind = _energy_drift(result.energy)
             checks.append((drift <= ENERGY_DRIFT_RTOL, "energy drift",
-                           f"relative drift {drift:.3e} (budget {ENERGY_DRIFT_RTOL:.0e})"))
+                           f"{kind} drift {drift:.3e} (budget {ENERGY_DRIFT_RTOL:.0e})"))
     if _conservative(config):
-        state0 = init_state(config.phi, grid, config.params())
-        bound = boundedness_bound(state0.u_curr, state0.v_curr, grid, config.params())
-        worst = max(norms(u, grid.h).l2 for _, u in result.trajectory)
-        checks.append((worst <= bound, "boundedness",
-                       f"max ||u|| = {worst:.6g} vs bound {bound:.6g}"))
+        checks.append(_boundedness_check(config, grid, result.trajectory))
     return checks
 
 
-def _cmd_convergence(config: ExperimentConfig, out_dir, threads) -> list:
+def _cmd_convergence(config: ExperimentConfig, out_dir) -> list:
     spatial = len(config.m_values) > 1
     temporal = len(config.n_values) > 1
     if spatial and temporal:
@@ -134,31 +138,25 @@ def _cmd_convergence(config: ExperimentConfig, out_dir, threads) -> list:
         raise ConfigError(["no exact solution available: set posterior = on"])
 
     if spatial:
-        chain = config.m_values
-        cases = [(config, m, config.n_values[0], True) for m in chain]
-        steps = [config.length / m for m in chain]
+        sizes = [(m, config.n_values[0]) for m in config.m_values]
+        steps = [config.length / m for m, _ in sizes]
         out_name = "spatial_orders.csv"
         window = SPATIAL_ORDER_WINDOW
     else:
-        chain = config.n_values
-        cases = [(config, config.m_values[0], n, True) for n in chain]
-        steps = [config.T / n for n in chain]
+        sizes = [(config.m_values[0], n) for n in config.n_values]
+        steps = [config.T / n for _, n in sizes]
         out_name = "temporal_orders.csv"
         window = TEMPORAL_ORDER_WINDOW
 
-    results = _run_many(cases, threads)
-    trajectories = [r.trajectory for r in results]
+    trajectories = [_trajectory(config, m, n) for m, n in sizes]
 
     if config.posterior:
         estimator = posterior_spatial_error if spatial else posterior_temporal_error
         errors = [(steps[j], estimator(trajectories[j], trajectories[j + 1]))
-                  for j in range(len(chain) - 1)]
+                  for j in range(len(sizes) - 1)]
     else:
-        errors = []
-        for j, traj in enumerate(trajectories):
-            g = (_grid(config, chain[j], config.n_values[0]) if spatial
-                 else _grid(config, config.m_values[0], chain[j]))
-            errors.append((steps[j], max_norm_error(traj, config.exact, g)))
+        errors = [(step, max_norm_error(traj, config.exact, _grid(config, m, n)))
+                  for step, traj, (m, n) in zip(steps, trajectories, sizes)]
 
     rows = convergence_table(errors)
     _write_csv(os.path.join(out_dir, out_name), ["step", "error", "order"],
@@ -172,7 +170,7 @@ def _cmd_convergence(config: ExperimentConfig, out_dir, threads) -> list:
              f"fitted order {fitted:.4f} in [{lo}, {hi}] over {len(errors)} levels")]
 
 
-def _cmd_invariants(config: ExperimentConfig, out_dir, threads) -> list:
+def _cmd_invariants(config: ExperimentConfig, out_dir) -> list:
     m, n = config.m_values[0], config.n_values[0]
     grid = _grid(config, m, n)
     result = run(config.phi, grid, config.params(), track_energy=True,
@@ -180,36 +178,23 @@ def _cmd_invariants(config: ExperimentConfig, out_dir, threads) -> list:
     _write_csv(os.path.join(out_dir, "energy.csv"), ["t", "E"], result.energy)
 
     checks = []
-    e0 = result.energy[0][1]
-    drift = max(abs(e - e0) for _, e in result.energy) / abs(e0)
+    drift, kind = _energy_drift(result.energy)
     ok = drift <= ENERGY_DRIFT_RTOL if _conservative(config) else True
     checks.append((ok, "energy drift",
-                   f"relative drift {drift:.3e} over t in [0, {config.T}]"
+                   f"{kind} drift {drift:.3e} over t in [0, {config.T}]"
                    + ("" if _conservative(config) else " (not gated: run is forced)")))
     if _conservative(config):
-        state0 = init_state(config.phi, grid, config.params())
-        bound = boundedness_bound(state0.u_curr, state0.v_curr, grid, config.params())
-        worst = max(norms(u, grid.h).l2 for _, u in result.trajectory)
-        checks.append((worst <= bound, "boundedness",
-                       f"max ||u|| = {worst:.6g} vs bound {bound:.6g}"))
+        checks.append(_boundedness_check(config, grid, result.trajectory))
     return checks
 
 
-def _cmd_stability(config: ExperimentConfig, out_dir, threads) -> list:
+def _cmd_stability(config: ExperimentConfig, out_dir) -> list:
     if config.exact is None:
         raise ConfigError(["stability sweep needs an exact solution "
                            "(use the example1 preset)"])
-    cases = [(config, m, n, True)
-             for n in config.n_values for m in config.m_values]
-    results = _run_many(cases, threads)
-
-    table = {}
-    it = iter(results)
-    for n in config.n_values:
-        for m in config.m_values:
-            r = next(it)
-            table[(n, m)] = max_norm_error(r.trajectory, config.exact,
-                                           _grid(config, m, n))
+    table = {(n, m): max_norm_error(_trajectory(config, m, n), config.exact,
+                                    _grid(config, m, n))
+             for n in config.n_values for m in config.m_values}
 
     header = ["h"] + [f"tau={_fmt(config.T / n)}" for n in config.n_values]
     rows = [[config.length / m] + [table[(n, m)] for n in config.n_values]
@@ -243,12 +228,11 @@ _COMMANDS = {
 }
 
 
-def run_experiment(config: ExperimentConfig, mode: str, out_dir: str,
-                   threads=None) -> int:
+def run_experiment(config: ExperimentConfig, mode: str, out_dir: str) -> int:
     """Execute one experiment and write its report; returns an exit code."""
     os.makedirs(out_dir, exist_ok=True)
     try:
-        checks = _COMMANDS[mode](config, out_dir, threads)
+        checks = _COMMANDS[mode](config, out_dir)
     except ConfigError:
         raise
     except (DivergenceError, SolverFailure, SingularSystemError) as exc:
@@ -272,14 +256,12 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to a config file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None,
-                       help="max concurrent runs (default: one per case)")
 
     args = parser.parse_args(argv)
     try:
         config = parse_config(args.config)
         out_dir = args.out or config.out or "bbmb_out"
-        return run_experiment(config, args.command, out_dir, args.threads)
+        return run_experiment(config, args.command, out_dir)
     except ConfigError as exc:
         for line in exc.violations:
             print(f"config error: {line}", file=sys.stderr)

@@ -26,7 +26,6 @@ __all__ = [
     "backward_diff",
     "skew_advection",
     "inner_product",
-    "half_inner_product",
     "norms",
 ]
 
@@ -145,11 +144,6 @@ def inner_product(u, w, h: float) -> float:
     if u.shape != w.shape:
         raise ValueError(f"length mismatch: {u.shape} vs {w.shape}")
     return h * float(np.sum(u * w))
-
-
-def half_inner_product(u, w, h: float) -> float:
-    """Inner product of the half-node differences of u and w."""
-    return inner_product(backward_diff(u, h), backward_diff(w, h), h)
 
 
 def norms(u, h: float) -> FieldNorms:

@@ -2,14 +2,16 @@
 
 The time stepper produces one cyclic block-tridiagonal system per step
 (2x2 blocks coupling the two unknowns at each node, with wrap-around
-corner blocks).  It is solved in O(M) by block Thomas elimination on
-the acyclic core followed by a rank-4 Woodbury correction for the two
-corner blocks.  A scalar variant handles the constant-coefficient
-relation between a field and its curvature, and a dense LU oracle
-backs both in the tests and as a last-resort fallback.
+corner blocks).  It is solved in O(M) by periodic block cyclic
+reduction: each level eliminates the odd-indexed blocks and halves the
+system, with all 2x2 block arithmetic vectorized over the nodes, until
+a small periodic system is left for one dense LU solve.  A scalar
+variant handles the constant-coefficient relation between a field and
+its curvature, and a dense LU oracle backs both in the tests and as a
+last-resort fallback.
 
-The elimination loops run on plain Python floats: per-node 2x2 block
-arithmetic is far cheaper scalarized than as many tiny ndarray ops.
+The scalar solver runs once per case and keeps its elimination loops
+on plain Python floats.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ __all__ = [
     "solve_scalar_cyclic",
     "solve_cyclic_block_tridiagonal",
     "solve_dense_oracle",
-    "solve_circulant",
-    "dft",
     "scalar_system_matrix",
     "block_system_matrix",
     "block_matvec",
@@ -35,6 +35,10 @@ __all__ = [
 
 DENSE_ORACLE_MAX_N = 4096
 
+# Cyclic reduction stops once this many blocks remain; the rest is one
+# dense LU solve of a 2n x 2n matrix.
+REDUCTION_BASE = 32
+
 # Pivot floor: a 2x2 determinant (or scalar pivot) is declared singular
 # below 1e-14 of the natural scale of the system's coefficients.
 PIVOT_RTOL = 1e-14
@@ -42,7 +46,20 @@ PIVOT_RTOL = 1e-14
 
 class SingularSystemError(Exception):
     """Raised when elimination hits a pivot or capacitance matrix that is
-    numerically singular relative to the system's coefficient scale."""
+    numerically singular relative to the system's coefficient scale, or
+    when a dense LU solve meets an exactly singular matrix."""
+
+
+def _check_fields(system, shapes: dict):
+    """Store the named fields of system as float arrays, each of the
+    given shape and finite."""
+    for name, shape in shapes.items():
+        a = np.asarray(getattr(system, name), dtype=float)
+        if a.shape != shape:
+            raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"{name} contains non-finite values")
+        setattr(system, name, a)
 
 
 @dataclass
@@ -60,19 +77,10 @@ class ScalarCyclicTriSystem:
     rhs: np.ndarray
 
     def __post_init__(self):
-        self.sub = np.asarray(self.sub, dtype=float)
-        self.diag = np.asarray(self.diag, dtype=float)
-        self.sup = np.asarray(self.sup, dtype=float)
-        self.rhs = np.asarray(self.rhs, dtype=float)
-        m = self.diag.shape[0]
+        m = np.shape(self.diag)[0]
         if m < 4:
             raise ValueError(f"need M >= 4 rows, got {m}")
-        for name, a in (("sub", self.sub), ("diag", self.diag),
-                        ("sup", self.sup), ("rhs", self.rhs)):
-            if a.shape != (m,):
-                raise ValueError(f"{name} has shape {a.shape}, expected ({m},)")
-            if not np.all(np.isfinite(a)):
-                raise ValueError(f"{name} contains non-finite values")
+        _check_fields(self, dict.fromkeys(("sub", "diag", "sup", "rhs"), (m,)))
 
     @property
     def m(self) -> int:
@@ -92,21 +100,11 @@ class CyclicBlockTriSystem:
     rhs: np.ndarray   # (M, 2)
 
     def __post_init__(self):
-        self.sub = np.asarray(self.sub, dtype=float)
-        self.diag = np.asarray(self.diag, dtype=float)
-        self.sup = np.asarray(self.sup, dtype=float)
-        self.rhs = np.asarray(self.rhs, dtype=float)
-        m = self.diag.shape[0]
+        m = np.shape(self.diag)[0]
         if m < 4:
             raise ValueError(f"need M >= 4 block rows, got {m}")
-        for name, a, shape in (("sub", self.sub, (m, 2, 2)),
-                               ("diag", self.diag, (m, 2, 2)),
-                               ("sup", self.sup, (m, 2, 2)),
-                               ("rhs", self.rhs, (m, 2))):
-            if a.shape != shape:
-                raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
-            if not np.all(np.isfinite(a)):
-                raise ValueError(f"{name} contains non-finite values")
+        _check_fields(self, {"sub": (m, 2, 2), "diag": (m, 2, 2),
+                             "sup": (m, 2, 2), "rhs": (m, 2)})
 
     @property
     def m(self) -> int:
@@ -181,106 +179,86 @@ def solve_scalar_cyclic(system: ScalarCyclicTriSystem) -> np.ndarray:
     return y - w1 * np.asarray(b1) - w2 * np.asarray(b2)
 
 
+# Working layout of the block solver: one (2, 7, n) array per level with
+# the node index last, so each elementwise op runs over all n blocks.
+# Columns 0:2 hold sub[i], 2:4 diag[i], 4:6 sup[i] and 6 rhs[i].
+_OFF_DIAG = [0, 1, 4, 5, 6]
+_BMUL = "ikn,kjn->ijn"  # per-node 2x2 product of (2, 2, n) and (2, j, n)
+_ADJ_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None]
+# Stand-in factors [Pa|Pc|g] for a neighbour that _reduce keeps: Pa = -I
+# (left) or Pc = -I (right), g = 0, so its coupling block passes unchanged.
+_KEEP_LEFT, _KEEP_RIGHT = np.zeros((2, 2, 5, 1))
+_KEEP_LEFT[:, 0:2, 0] = _KEEP_RIGHT[:, 2:4, 0] = -np.eye(2)
+
+
+def _pivot_solve(piv: np.ndarray, cols: np.ndarray, floor: float) -> np.ndarray:
+    """piv^{-1} @ cols per node, for 2x2 pivots piv (2, 2, n)."""
+    det = piv[0, 0] * piv[1, 1] - piv[0, 1] * piv[1, 0]
+    smallest = float(np.abs(det).min())
+    if smallest <= floor:
+        raise SingularSystemError(f"singular 2x2 pivot (|det|={smallest} <= {floor})")
+    adj = piv[::-1, ::-1].swapaxes(0, 1) * _ADJ_SIGN
+    return np.einsum(_BMUL, adj, cols) / det
+
+
+def _reduce(s: np.ndarray, floor: float):
+    """One cyclic-reduction level: eliminate the odd-indexed blocks.
+
+    Each odd block j is solved for x[j] = g - Pa @ x[j-1] - Pc @ x[j+1]
+    and substituted into its even neighbours, which leaves a periodic
+    system in the even blocks alone.  With an odd block count the last
+    block is even too, and it and block 0 keep their direct coupling.
+    Returns that system and the (2, 5, n//2) factors [Pa|Pc|g].
+    """
+    odd, even = s[..., 1::2], s[..., 0::2]
+    p = _pivot_solve(odd[:, 2:4], odd[:, _OFF_DIAG], floor)
+    if s.shape[2] % 2:
+        left = np.concatenate((_KEEP_LEFT, p), axis=-1)
+        right = np.concatenate((p, _KEEP_RIGHT), axis=-1)
+    else:
+        left, right = np.roll(p, 1, axis=-1), p
+    ap = np.einsum(_BMUL, even[:, 0:2], left)
+    cp = np.einsum(_BMUL, even[:, 4:6], right)
+    return np.concatenate((-ap[:, 0:2], even[:, 2:4] - ap[:, 2:4] - cp[:, 0:2],
+                           -cp[:, 2:4], even[:, 6:] - ap[:, 4:] - cp[:, 4:]), axis=1), p
+
+
 def solve_cyclic_block_tridiagonal(system: CyclicBlockTriSystem) -> np.ndarray:
     """Solve a cyclic block-tridiagonal system in O(M); returns (M, 2).
 
-    Block Thomas elimination with per-block 2x2 pivot inversion (no row
-    pivoting across blocks) on the acyclic core, then a rank-4 Woodbury
-    correction for the corner blocks sub[0] and sup[M-1].  The four
-    Woodbury columns ride along as extra right-hand sides, so the core
-    is factored exactly once.
+    Periodic block cyclic reduction (Buzbee, Golub & Nielson 1970;
+    Heller 1976): each level eliminates the odd-indexed blocks and
+    halves the system.  Once REDUCTION_BASE or fewer blocks remain, the
+    periodic system is solved densely by LU with partial pivoting, and
+    the eliminated blocks are recovered level by level.  The 2x2 pivots
+    are not row-pivoted; each must clear PIVOT_RTOL of the squared
+    coefficient scale.
     """
-    m = system.m
-    scale = max(float(np.max(np.abs(system.sub))),
-                float(np.max(np.abs(system.diag))),
-                float(np.max(np.abs(system.sup))))
+    s = np.ascontiguousarray(np.concatenate(
+        (system.sub, system.diag, system.sup, system.rhs[:, :, None]), axis=2).transpose(1, 2, 0))
+    scale = float(np.abs(s[:, :6]).max())
     floor = PIVOT_RTOL * scale * scale  # determinant scale is entries squared
+    levels = []
+    while s.shape[2] > REDUCTION_BASE:
+        s, p = _reduce(s, floor)
+        levels.append(p)
 
-    sb = system.sub.reshape(m, 4).tolist()
-    dg = system.diag.reshape(m, 4).tolist()
-    sp = system.sup.reshape(m, 4).tolist()
-
-    # Per node: columns [rhs, V0, V1, V2, V3] stored as one row of 10
-    # floats (first component of all 5 columns, then second component).
-    bc = [[0.0] * 10 for _ in range(m)]
-    r = system.rhs
-    for i in range(m):
-        bc[i][0] = float(r[i, 0])
-        bc[i][5] = float(r[i, 1])
-    bc[0][1] = sb[0][0]
-    bc[0][2] = sb[0][1]
-    bc[0][6] = sb[0][2]
-    bc[0][7] = sb[0][3]
-    bc[m - 1][3] = sp[m - 1][0]
-    bc[m - 1][4] = sp[m - 1][1]
-    bc[m - 1][8] = sp[m - 1][2]
-    bc[m - 1][9] = sp[m - 1][3]
-
-    inv = [None] * m
-    a, b, c, d = dg[0]
-    det = a * d - b * c
-    if abs(det) <= floor:
-        raise SingularSystemError(f"singular 2x2 pivot in block row 0 (|det|={abs(det)})")
-    inv[0] = (d / det, -b / det, -c / det, a / det)
-
-    for i in range(1, m):
-        ia, ib, ic, id_ = inv[i - 1]
-        la, lb, lc, ld = sb[i]
-        wa = la * ia + lb * ic
-        wb = la * ib + lb * id_
-        wc = lc * ia + ld * ic
-        wd = lc * ib + ld * id_
-        ua, ub, uc, ud = sp[i - 1]
-        a, b, c, d = dg[i]
-        a -= wa * ua + wb * uc
-        b -= wa * ub + wb * ud
-        c -= wc * ua + wd * uc
-        d -= wc * ub + wd * ud
-        det = a * d - b * c
-        if abs(det) <= floor:
-            raise SingularSystemError(
-                f"singular 2x2 pivot in block row {i} (|det|={abs(det)})")
-        inv[i] = (d / det, -b / det, -c / det, a / det)
-        bp = bc[i - 1]
-        bi = bc[i]
-        for j in range(5):
-            r0 = bp[j]
-            r1 = bp[5 + j]
-            bi[j] -= wa * r0 + wb * r1
-            bi[5 + j] -= wc * r0 + wd * r1
-
-    ia, ib, ic, id_ = inv[m - 1]
-    bl = bc[m - 1]
-    for j in range(5):
-        r0 = bl[j]
-        r1 = bl[5 + j]
-        bl[j] = ia * r0 + ib * r1
-        bl[5 + j] = ic * r0 + id_ * r1
-    for i in range(m - 2, -1, -1):
-        ua, ub, uc, ud = sp[i]
-        xn = bc[i + 1]
-        bi = bc[i]
-        ia, ib, ic, id_ = inv[i]
-        for j in range(5):
-            r0 = bi[j] - (ua * xn[j] + ub * xn[5 + j])
-            r1 = bi[5 + j] - (uc * xn[j] + ud * xn[5 + j])
-            bi[j] = ia * r0 + ib * r1
-            bi[5 + j] = ic * r0 + id_ * r1
-
-    sol = np.asarray(bc).reshape(m, 2, 5)
-    y = sol[:, :, 0]
-    z = sol[:, :, 1:]
-
-    # Capacitance C = I4 + W^T Z with W^T picking block rows M-1 then 0.
-    cap = np.eye(4)
-    cap[0:2, :] += z[m - 1]
-    cap[2:4, :] += z[0]
-    g = np.concatenate([y[m - 1], y[0]])
-    capdet = np.linalg.det(cap)
-    if not np.isfinite(capdet) or abs(capdet) <= PIVOT_RTOL * max(1.0, float(np.max(np.abs(cap)))) ** 4:
-        raise SingularSystemError("singular Woodbury capacitance matrix")
-    w = np.linalg.solve(cap, g)
-    return y - z @ w
+    b = s.transpose(2, 0, 1)
+    try:
+        x = np.linalg.solve(_dense_block_matrix(b[..., 0:2], b[..., 2:4], b[..., 4:6]),
+                            b[..., 6].reshape(-1)).reshape(-1, 2).T
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(str(exc)) from exc
+    for p in reversed(levels):
+        # odd block j of a level sits between its even blocks j and j+1
+        k = p.shape[2]
+        x_next = np.concatenate((x[:, 1:], x[:, :1]), axis=-1)[:, :k]
+        full = np.empty((2, x.shape[1] + k))
+        full[:, 0::2] = x
+        full[:, 1::2] = (p[:, 4] - np.einsum("ikn,kn->in", p[:, 0:2], x[:, :k])
+                         - np.einsum("ikn,kn->in", p[:, 2:4], x_next))
+        x = full
+    return np.ascontiguousarray(x.T)
 
 
 def solve_dense_oracle(matrix, rhs) -> np.ndarray:
@@ -302,84 +280,6 @@ def solve_dense_oracle(matrix, rhs) -> np.ndarray:
         raise SingularSystemError(str(exc)) from exc
 
 
-# -- circulant path (constant-coefficient wrap-around systems) ---------------
-
-def dft(x, inverse: bool = False) -> np.ndarray:
-    """Discrete Fourier transform, in-repo.
-
-    Radix-2 Cooley-Tukey when the length is a power of two, otherwise a
-    chunked O(n^2) evaluation (fine at desk scale).  The inverse carries
-    the 1/n normalization.
-    """
-    a = np.asarray(x, dtype=complex)
-    n = a.shape[0]
-    if n == 0:
-        raise ValueError("empty transform")
-    sign = 1.0 if inverse else -1.0
-    if n & (n - 1) == 0:
-        out = _fft_radix2(a, sign)
-    else:
-        out = _dft_naive(a, sign)
-    if inverse:
-        out /= n
-    return out
-
-
-def _fft_radix2(a: np.ndarray, sign: float) -> np.ndarray:
-    n = a.shape[0]
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=int)
-    for b in range(bits):
-        rev |= ((idx >> b) & 1) << (bits - 1 - b)
-    a = a[rev]
-    size = 2
-    while size <= n:
-        half = size // 2
-        tw = np.exp(sign * 2j * np.pi * np.arange(half) / size)
-        a = a.reshape(n // size, size)
-        even = a[:, :half].copy()
-        odd = a[:, half:] * tw
-        a[:, :half] = even + odd
-        a[:, half:] = even - odd
-        a = a.reshape(n)
-        size *= 2
-    return a
-
-
-def _dft_naive(a: np.ndarray, sign: float) -> np.ndarray:
-    n = a.shape[0]
-    out = np.empty(n, dtype=complex)
-    k = np.arange(n)
-    rows = max(1, (1 << 21) // n)  # bound the chunk to a few tens of MB
-    for start in range(0, n, rows):
-        j = np.arange(start, min(start + rows, n))
-        out[j] = np.exp(sign * 2j * np.pi * np.outer(j, k) / n) @ a
-    return out
-
-
-def solve_circulant(sub: float, diag: float, sup: float, rhs) -> np.ndarray:
-    """Solve the constant-coefficient cyclic tridiagonal system
-    sub*x[i-1] + diag*x[i] + sup*x[i+1] = rhs[i] by DFT diagonalization.
-
-    Only valid when the three coefficients are the same in every row
-    (the matrix is then circulant); the wrap-around relation between a
-    field and its curvature has exactly this form.
-    """
-    b = np.asarray(rhs, dtype=float)
-    n = b.shape[0]
-    first_col = np.zeros(n)
-    first_col[0] = diag
-    first_col[1] = sub
-    first_col[-1] = sup
-    lam = dft(first_col)
-    scale = max(abs(sub), abs(diag), abs(sup))
-    if np.min(np.abs(lam)) <= PIVOT_RTOL * max(1.0, scale) * n:
-        raise SingularSystemError("circulant symbol has a (near-)zero eigenvalue")
-    x = dft(dft(b) / lam, inverse=True)
-    return np.real(x)
-
-
 # -- dense assembly and residual helpers (tests, fallback, diagnostics) ------
 
 def scalar_system_matrix(system: ScalarCyclicTriSystem) -> np.ndarray:
@@ -393,18 +293,23 @@ def scalar_system_matrix(system: ScalarCyclicTriSystem) -> np.ndarray:
     return a
 
 
+def _dense_block_matrix(sub, diag, sup) -> np.ndarray:
+    """Full 2n x 2n matrix from (n, 2, 2) block arrays (interleaved
+    unknowns u_0, v_0, u_1, v_1, ...)."""
+    n = diag.shape[0]
+    a = np.zeros((n, 2, n, 2))
+    np.einsum("ipiq->ipq", a)[...] = diag
+    np.einsum("ipiq->ipq", a[1:, :, :-1])[...] = sub[1:]
+    np.einsum("ipiq->ipq", a[:-1, :, 1:])[...] = sup[:-1]
+    a[0, :, -1] += sub[0]
+    a[-1, :, 0] += sup[-1]
+    return a.reshape(2 * n, 2 * n)
+
+
 def block_system_matrix(system: CyclicBlockTriSystem) -> np.ndarray:
     """Assemble the full 2M x 2M matrix of a block cyclic system
     (unknown ordering interleaved: u_0, v_0, u_1, v_1, ...)."""
-    m = system.m
-    a = np.zeros((2 * m, 2 * m))
-    for i in range(m):
-        a[2 * i:2 * i + 2, 2 * i:2 * i + 2] += system.diag[i]
-        jm = (i - 1) % m
-        jp = (i + 1) % m
-        a[2 * i:2 * i + 2, 2 * jm:2 * jm + 2] += system.sub[i]
-        a[2 * i:2 * i + 2, 2 * jp:2 * jp + 2] += system.sup[i]
-    return a
+    return _dense_block_matrix(system.sub, system.diag, system.sup)
 
 
 def block_matvec(system: CyclicBlockTriSystem, x: np.ndarray) -> np.ndarray:

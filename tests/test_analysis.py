@@ -125,6 +125,14 @@ def test_fit_order_recovers_slope():
     assert fit_order(errors) == pytest.approx(4.0, abs=1e-12)
 
 
+def test_fit_order_needs_two_errors():
+    # one point fixes no slope; polyfit would return an arbitrary one
+    with pytest.raises(ValueError, match="at least two"):
+        fit_order([(0.1, 1e-3)])
+    with pytest.raises(ValueError, match="at least two"):
+        fit_order([])
+
+
 # -- stability gap -----------------------------------------------------------------
 
 def test_stability_gap_zero_perturbation():

@@ -55,12 +55,31 @@ def test_convergence_ambiguous_direction_is_config_error(tmp_path):
     assert main(["convergence", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_posterior_two_run_chain_is_config_error(tmp_path):
+    cfg = write(tmp_path, "short.cfg",
+                "experiment = example2\nT = 1\nM = 40 80\nN = 50\nposterior = on\n")
+    out = tmp_path / "o"
+    assert main(["convergence", "--config", cfg, "--out", str(out)]) == 2
+    assert not (out / "report.txt").exists()
+
+
+def test_zero_initial_energy_uses_absolute_drift(tmp_path):
+    cfg = write(tmp_path, "zero.cfg",
+                "experiment = custom\nx_left = 0\nx_right = 1\nmu = 1\nT = 0.1\n"
+                "M = 16\nN = 10\nphi = sine 0 1\n")
+    for mode in ("invariants", "run"):
+        out = tmp_path / mode
+        assert main([mode, "--config", cfg, "--out", str(out)]) == 0
+        report = (out / "report.txt").read_text()
+        assert "PASS  energy drift: absolute drift 0.000e+00" in report
+
+
 def test_invariants_and_determinism(tmp_path):
     cfg = write(tmp_path, "inv.cfg",
                 "experiment = example2\nT = 0.5\nM = 64\nN = 128\n")
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["invariants", "--config", cfg, "--out", str(out1)]) == 0
-    assert main(["invariants", "--config", cfg, "--out", str(out2), "--threads", "2"]) == 0
+    assert main(["invariants", "--config", cfg, "--out", str(out2)]) == 0
     assert (out1 / "energy.csv").read_bytes() == (out2 / "energy.csv").read_bytes()
     e = np.loadtxt(out1 / "energy.csv", delimiter=",", skiprows=1)
     assert np.max(np.abs(e[:, 1] - e[0, 1])) <= 1e-9 * abs(e[0, 1])

@@ -1,12 +1,14 @@
-"""Cyclic solvers against the dense oracle, and the circulant path."""
+"""Cyclic solvers against the dense oracle."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bbmb.linalg import (CyclicBlockTriSystem, ScalarCyclicTriSystem,
-                         SingularSystemError, block_matvec,
-                         block_system_matrix, dft, scalar_system_matrix,
-                         solve_circulant, solve_cyclic_block_tridiagonal,
+from bbmb.linalg import (REDUCTION_BASE, CyclicBlockTriSystem,
+                         ScalarCyclicTriSystem, SingularSystemError,
+                         block_matvec, block_system_matrix,
+                         scalar_system_matrix, solve_cyclic_block_tridiagonal,
                          solve_dense_oracle, solve_scalar_cyclic)
 from bbmb.scheme import advance, assemble_interior_step, init_state
 
@@ -27,6 +29,12 @@ def random_block_system(rng, m, dominance=4.0):
         diag=dominance * np.eye(2) + rng.standard_normal((m, 2, 2)),
         sup=rng.standard_normal((m, 2, 2)),
         rhs=rng.standard_normal((m, 2)))
+
+
+def assert_block_matches_oracle(system):
+    x = solve_cyclic_block_tridiagonal(system).reshape(-1)
+    xd = solve_dense_oracle(block_system_matrix(system), system.rhs.reshape(-1))
+    assert np.max(np.abs(x - xd)) <= 1e-10 * max(1.0, float(np.max(np.abs(xd))))
 
 
 # -- scalar solver -------------------------------------------------------------
@@ -143,6 +151,48 @@ def test_system_validation():
                              sup=np.zeros((6, 2, 2)), rhs=np.zeros((6, 2)))
 
 
+# -- block cyclic reduction (M > REDUCTION_BASE) ---------------------------------
+
+@pytest.mark.parametrize("m", [33, 63, 65, 127, 128, 129, 250, 1001, 2047])
+def test_block_reduction_random_matches_oracle(rng, m):
+    # odd sizes drop a last block at some level; powers of two never do
+    assert m > REDUCTION_BASE
+    assert_block_matches_oracle(random_block_system(rng, m))
+
+
+@pytest.mark.parametrize("m", [250, 1001])
+def test_block_reduction_step_system_matches_oracle(m):
+    grid = example2_grid(m, 50)
+    params = example2_params()
+    state = advance(init_state(example2_phi, grid, params), grid, params)
+    assert_block_matches_oracle(assemble_interior_step(state, grid, params))
+
+
+def test_block_reduction_zero_system_raises():
+    m = 100
+    sys_ = CyclicBlockTriSystem(sub=np.zeros((m, 2, 2)),
+                                diag=np.zeros((m, 2, 2)),
+                                sup=np.zeros((m, 2, 2)),
+                                rhs=np.ones((m, 2)))
+    with pytest.raises(SingularSystemError):
+        solve_cyclic_block_tridiagonal(sys_)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(4, 300), seed=st.integers(0, 2 ** 32 - 1),
+       exponent=st.integers(-6, 6))
+def test_block_solver_property_matches_oracle(m, seed, exponent):
+    # strictly diagonally dominant (diagonal >= 7, off-diagonal row sum
+    # <= 5) at any overall scale, so the pivot floor must scale with it
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** exponent
+    assert_block_matches_oracle(CyclicBlockTriSystem(
+        sub=scale * rng.uniform(-1, 1, (m, 2, 2)),
+        diag=scale * (8 * np.eye(2) + rng.uniform(-1, 1, (m, 2, 2))),
+        sup=scale * rng.uniform(-1, 1, (m, 2, 2)),
+        rhs=rng.standard_normal((m, 2))))
+
+
 # -- dense oracle ----------------------------------------------------------------
 
 def test_dense_oracle_examples(rng):
@@ -162,27 +212,3 @@ def test_dense_oracle_errors():
         solve_dense_oracle(np.eye(3), np.ones(4))
     with pytest.raises(ValueError):
         solve_dense_oracle(np.eye(5000), np.ones(5000))
-
-
-# -- in-repo DFT and the circulant path ------------------------------------------
-
-@pytest.mark.parametrize("n", [8, 64, 45, 100])
-def test_dft_matches_numpy(rng, n):
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    assert np.allclose(dft(x), np.fft.fft(x), atol=1e-10)
-    assert np.allclose(dft(x, inverse=True), np.fft.ifft(x), atol=1e-10)
-
-
-def test_circulant_matches_cyclic_solver(rng):
-    for m in (16, 45, 64):
-        rhs = rng.standard_normal(m)
-        got = solve_circulant(1.0 / 12, 5.0 / 6, 1.0 / 12, rhs)
-        want = solve_scalar_cyclic(ScalarCyclicTriSystem(
-            sub=np.full(m, 1.0 / 12), diag=np.full(m, 5.0 / 6),
-            sup=np.full(m, 1.0 / 12), rhs=rhs))
-        assert np.max(np.abs(got - want)) <= 1e-11 * max(1.0, np.max(np.abs(want)))
-
-
-def test_circulant_singular_symbol():
-    with pytest.raises(SingularSystemError):
-        solve_circulant(-1.0, 2.0, -1.0, np.ones(8))  # annihilates constants
