@@ -14,7 +14,8 @@ from .linalg import (CyclicBlockTriSystem, ScalarCyclicTriSystem,
 from .scheme import (DivergenceError, RunResult, SchemeParams, SolverFailure,
                      StepperState, TruncationResiduals, advance,
                      assemble_first_step, assemble_interior_step,
-                     compact_curvature, init_state, newton_reaction_terms,
-                     run, skew_advection_rows, truncation_residual)
+                     compact_curvature, init_state, march,
+                     newton_reaction_terms, run, skew_advection_rows,
+                     truncation_residual)
 
 __version__ = "0.1.0"

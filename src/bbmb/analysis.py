@@ -107,11 +107,13 @@ def boundedness_bound(u0, v0, grid: Grid1D, params) -> float:
                   - params.mu * (h * h / 144.0) * nv.h1_semi ** 2)
 
 
-def max_norm_error(snapshots, exact, grid: Grid1D) -> float:
-    """Max over recorded nodes and times of |exact(x, t) - numeric|."""
+def max_norm_error(levels, exact, grid: Grid1D) -> float:
+    """Max over nodes and levels of |exact(x, t) - numeric|.  levels is
+    any iterable of (t, u) pairs; a stream is consumed one level at a
+    time."""
     x = grid.nodes()
     worst = 0.0
-    for t, u in snapshots:
+    for t, u in levels:
         err = float(np.max(np.abs(np.asarray(exact(x, t), dtype=float) - u)))
         worst = max(worst, err)
     return worst
@@ -171,7 +173,8 @@ def posterior_temporal_error(coarse, fine) -> float:
 @dataclass(frozen=True)
 class ConvergenceRow:
     """One refinement level: step size, error, and the observed order
-    log2(error_prev / error_curr) (absent on the first row)."""
+    log2(error_prev / error_curr) (absent on the first row, and where
+    either error is 0)."""
 
     step: float
     error: float
@@ -189,7 +192,8 @@ def convergence_table(errors) -> "list[ConvergenceRow]":
             raise ValueError(f"steps must halve: {s0} -> {s1}")
     rows = [ConvergenceRow(step=pairs[0][0], error=pairs[0][1])]
     for (s_prev, e_prev), (s, e) in zip(pairs, pairs[1:]):
-        rows.append(ConvergenceRow(step=s, error=e, order=float(np.log2(e_prev / e))))
+        order = float(np.log2(e_prev / e)) if e_prev > 0 and e > 0 else None
+        rows.append(ConvergenceRow(step=s, error=e, order=order))
     return rows
 
 

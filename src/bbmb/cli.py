@@ -13,6 +13,9 @@ Refinement cases run one after another in a fixed order, so the
 emitted CSV files are byte-identical across reruns on one platform.
 Cases are not run in threads: the work is many short numpy calls that
 hold the interpreter lock, so threads only add lock waits.
+Levels are reduced as they are computed (scheme.march), so every
+subcommand holds O(M) memory per run, except posterior convergence,
+which keeps the levels of two neighbouring runs to compare them.
 All floats are printed with 15 significant digits.
 
 Exit codes: 0 success, 2 invalid config, 3 solver failure,
@@ -29,9 +32,9 @@ from .analysis import (boundedness_bound, convergence_table, fit_order,
                        max_norm_error, posterior_spatial_error,
                        posterior_temporal_error)
 from .config import ConfigError, ExperimentConfig, parse_config
-from .grid import Grid1D, norms
+from .grid import Grid1D
 from .linalg import SingularSystemError
-from .scheme import DivergenceError, SolverFailure, init_state, run
+from .scheme import DivergenceError, SolverFailure, march, run
 
 __all__ = ["main", "run_experiment"]
 
@@ -44,6 +47,9 @@ SPATIAL_ORDER_WINDOW = (3.7, 4.5)
 TEMPORAL_ORDER_WINDOW = (1.9, 2.1)
 ENERGY_DRIFT_RTOL = 1e-9
 PLATEAU_RTOL = 0.05
+# A refinement chain of n runs gives n - 1 posterior errors, and fitting
+# an order takes at least two.
+MIN_POSTERIOR_CHAIN = 3
 
 
 def _fmt(x) -> str:
@@ -73,10 +79,11 @@ def _grid(config: ExperimentConfig, m: int, n: int) -> Grid1D:
     return Grid1D(L=config.length, M=m, T=config.T, N=n, x_left=config.x_left)
 
 
-def _trajectory(config, m, n):
-    """Every level of one (M, N) case as (t, u) pairs."""
-    return run(config.phi, _grid(config, m, n), config.params(),
-               track_energy=config.energy, record_trajectory=True).trajectory
+def _levels(config, m, n):
+    """Stream every level of one (M, N) case as (t, u) pairs."""
+    grid = _grid(config, m, n)
+    return ((st.k * grid.tau, st.u_curr)
+            for st in march(config.phi, grid, config.params()))
 
 
 def _conservative(config: ExperimentConfig) -> bool:
@@ -93,12 +100,12 @@ def _energy_drift(energy):
     return drift / abs(e0), "relative"
 
 
-def _boundedness_check(config: ExperimentConfig, grid: Grid1D, trajectory):
-    """Check every recorded level of a conservative run against the
-    a-priori bound computed from the initial data."""
-    state0 = init_state(config.phi, grid, config.params())
+def _boundedness_check(config: ExperimentConfig, grid: Grid1D, result):
+    """Check the largest level norm of a conservative run against the
+    a-priori bound computed from its initial data."""
+    state0 = result.initial
     bound = boundedness_bound(state0.u_curr, state0.v_curr, grid, config.params())
-    worst = max(norms(u, grid.h).l2 for _, u in trajectory)
+    worst = result.max_l2
     return (worst <= bound, "boundedness", f"max ||u|| = {worst:.6g} vs bound {bound:.6g}")
 
 
@@ -107,7 +114,7 @@ def _cmd_run(config: ExperimentConfig, out_dir) -> list:
     grid = _grid(config, m, n)
     result = run(config.phi, grid, config.params(),
                  snapshot_times=config.snapshot_times or [config.T],
-                 track_energy=config.energy, record_trajectory=True)
+                 track_energy=config.energy)
 
     x = grid.nodes()
     header = ["x"] + [f"t={_fmt(t)}" for t, _ in result.snapshots]
@@ -122,7 +129,7 @@ def _cmd_run(config: ExperimentConfig, out_dir) -> list:
             checks.append((drift <= ENERGY_DRIFT_RTOL, "energy drift",
                            f"{kind} drift {drift:.3e} (budget {ENERGY_DRIFT_RTOL:.0e})"))
     if _conservative(config):
-        checks.append(_boundedness_check(config, grid, result.trajectory))
+        checks.append(_boundedness_check(config, grid, result))
     return checks
 
 
@@ -136,6 +143,12 @@ def _cmd_convergence(config: ExperimentConfig, out_dir) -> list:
         raise ConfigError(["nothing to refine: both M and N are single values"])
     if not config.posterior and config.exact is None:
         raise ConfigError(["no exact solution available: set posterior = on"])
+    chain_key, chain = ("M", config.m_values) if spatial else ("N", config.n_values)
+    if config.posterior and len(chain) < MIN_POSTERIOR_CHAIN:
+        raise ConfigError([
+            f"{chain_key}: {chain} is too short for posterior = on; each posterior "
+            f"error compares two neighbouring runs, so an order fit needs "
+            f"at least {MIN_POSTERIOR_CHAIN} values"])
 
     if spatial:
         sizes = [(m, config.n_values[0]) for m in config.m_values]
@@ -148,24 +161,34 @@ def _cmd_convergence(config: ExperimentConfig, out_dir) -> list:
         out_name = "temporal_orders.csv"
         window = TEMPORAL_ORDER_WINDOW
 
-    trajectories = [_trajectory(config, m, n) for m, n in sizes]
-
     if config.posterior:
+        # each estimate compares two neighbouring runs level by level,
+        # so only the pair being compared is held
         estimator = posterior_spatial_error if spatial else posterior_temporal_error
-        errors = [(steps[j], estimator(trajectories[j], trajectories[j + 1]))
-                  for j in range(len(sizes) - 1)]
+        errors = []
+        coarse = list(_levels(config, *sizes[0]))
+        for step, (m, n) in zip(steps, sizes[1:]):
+            fine = list(_levels(config, m, n))
+            errors.append((step, estimator(coarse, fine)))
+            coarse = fine
     else:
-        errors = [(step, max_norm_error(traj, config.exact, _grid(config, m, n)))
-                  for step, traj, (m, n) in zip(steps, trajectories, sizes)]
+        errors = [(step, max_norm_error(_levels(config, m, n), config.exact,
+                                        _grid(config, m, n)))
+                  for step, (m, n) in zip(steps, sizes)]
 
     rows = convergence_table(errors)
     _write_csv(os.path.join(out_dir, out_name), ["step", "error", "order"],
                [[r.step, r.error, "" if r.order is None else _fmt(r.order)]
                 for r in rows])
 
+    label = "spatial order" if spatial else "temporal order"
+    zero_steps = [step for step, error in errors if error <= 0]
+    if zero_steps:
+        return [(False, label,
+                 f"no order to fit: error is 0 at step {_fmt(zero_steps[0])} "
+                 f"({len(zero_steps)} of {len(errors)} levels)")]
     fitted = fit_order(errors)
     lo, hi = window
-    label = "spatial order" if spatial else "temporal order"
     return [(lo <= fitted <= hi, label,
              f"fitted order {fitted:.4f} in [{lo}, {hi}] over {len(errors)} levels")]
 
@@ -173,8 +196,7 @@ def _cmd_convergence(config: ExperimentConfig, out_dir) -> list:
 def _cmd_invariants(config: ExperimentConfig, out_dir) -> list:
     m, n = config.m_values[0], config.n_values[0]
     grid = _grid(config, m, n)
-    result = run(config.phi, grid, config.params(), track_energy=True,
-                 record_trajectory=True)
+    result = run(config.phi, grid, config.params(), track_energy=True)
     _write_csv(os.path.join(out_dir, "energy.csv"), ["t", "E"], result.energy)
 
     checks = []
@@ -184,7 +206,7 @@ def _cmd_invariants(config: ExperimentConfig, out_dir) -> list:
                    f"{kind} drift {drift:.3e} over t in [0, {config.T}]"
                    + ("" if _conservative(config) else " (not gated: run is forced)")))
     if _conservative(config):
-        checks.append(_boundedness_check(config, grid, result.trajectory))
+        checks.append(_boundedness_check(config, grid, result))
     return checks
 
 
@@ -192,7 +214,7 @@ def _cmd_stability(config: ExperimentConfig, out_dir) -> list:
     if config.exact is None:
         raise ConfigError(["stability sweep needs an exact solution "
                            "(use the example1 preset)"])
-    table = {(n, m): max_norm_error(_trajectory(config, m, n), config.exact,
+    table = {(n, m): max_norm_error(_levels(config, m, n), config.exact,
                                     _grid(config, m, n))
              for n in config.n_values for m in config.m_values}
 

@@ -40,10 +40,6 @@ __all__ = [
 
 EXPERIMENTS = ("example1", "example2", "example3", "custom")
 
-# A refinement chain of n runs gives n - 1 posterior errors, and fitting
-# an order takes at least two.
-MIN_POSTERIOR_CHAIN = 3
-
 _KNOWN_KEYS = {
     "experiment", "T", "M", "N", "x_left", "x_right",
     "mu", "gamma", "kappa", "nu",
@@ -282,11 +278,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
             violations.append(f"{key}: entries too small: {bad}")
         else:
             _check_halving_chain(key, values, violations)
-            if base.get("posterior") and 1 < len(values) < MIN_POSTERIOR_CHAIN:
-                violations.append(
-                    f"{key}: {values} is too short for posterior = on; each posterior "
-                    f"error compares two neighbouring runs, so an order fit needs "
-                    f"at least {MIN_POSTERIOR_CHAIN} values")
     if base.get("T") is not None:
         for t in base.get("snapshot_times") or []:
             if not (0.0 <= t <= base["T"]):

@@ -18,12 +18,12 @@ monotonically accounted (nu > 0).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from .analysis import EnergyLedger, energy_pair, gradient_energy, initial_energy
-from .grid import Grid1D, as_field, central_diff, second_diff, skew_advection
+from .grid import Grid1D, as_field, central_diff, norms, second_diff, skew_advection
 from .linalg import (
     DENSE_ORACLE_MAX_N,
     CyclicBlockTriSystem,
@@ -50,6 +50,7 @@ __all__ = [
     "assemble_interior_step",
     "newton_reaction_terms",
     "advance",
+    "march",
     "run",
     "truncation_residual",
 ]
@@ -117,13 +118,15 @@ class StepperState:
 
 @dataclass
 class RunResult:
-    """Outcome of a full march: requested snapshots, per-step energy
-    series, and (optionally) the entire trajectory as (t, field) pairs."""
+    """Outcome of a full march: requested snapshots as (t, field) pairs,
+    the per-level energy series, the largest discrete L2 norm over all
+    levels, and the k = 0 state, whose (u_curr, v_curr) are the initial
+    data that boundedness_bound takes."""
 
     snapshots: list
     energy: list
-    trajectory: Optional[list]
-    state: StepperState
+    max_l2: float
+    initial: StepperState
 
 
 def skew_advection_rows(a, h: float):
@@ -338,45 +341,48 @@ def advance(state: StepperState, grid: Grid1D, params: SchemeParams) -> StepperS
                         ledger=state.ledger)
 
 
+def march(phi, grid: Grid1D, params: SchemeParams) -> Iterator[StepperState]:
+    """Yield the accepted state at each level k = 0..N, one at a time.
+
+    Only the current state is held, so memory stays O(M) however long
+    the run.  The yielded states share one energy ledger, which is up
+    to date for the state just yielded; read it before advancing.
+    Fields are never modified after they are yielded, so a caller may
+    keep references to them.
+    """
+    state = init_state(phi, grid, params)
+    yield state
+    for _ in range(grid.N):
+        state = advance(state, grid, params)
+        yield state
+
+
 def run(phi, grid: Grid1D, params: SchemeParams, snapshot_times=None,
-        track_energy: bool = True, record_trajectory: bool = False) -> RunResult:
-    """March from t = 0 to t = T.
+        track_energy: bool = True) -> RunResult:
+    """March from t = 0 to t = T and fold the levels into a RunResult.
 
     snapshot_times must each lie within tau/2 of a grid time; snapshots
     are recorded at the nearest grid time without interpolation.  The
     energy series carries one invariant value per level (the t = 0
-    entry is the ledger's initial value).  With record_trajectory the
-    full list of (t, field) levels is kept.
+    entry is the ledger's initial value).  Callers that need every
+    level iterate march() instead.
     """
-    wanted = {}
-    if snapshot_times is not None:
-        for t in snapshot_times:
-            wanted[grid.time_index(t)] = float(t)
-
-    state = init_state(phi, grid, params)
-    snapshots = []
-    energy = []
-    trajectory = [] if record_trajectory else None
-
-    def record(st: StepperState):
+    wanted = (set() if snapshot_times is None
+              else {grid.time_index(t) for t in snapshot_times})
+    snapshots, energy, max_l2 = [], [], 0.0
+    for st in march(phi, grid, params):
         t = st.k * grid.tau
+        if st.k == 0:
+            initial = st
         if st.k in wanted:
-            snapshots.append((t, st.u_curr.copy()))
-        if trajectory is not None:
-            trajectory.append((t, st.u_curr.copy()))
+            snapshots.append((t, st.u_curr))
         if track_energy:
-            if st.k == 0:
-                energy.append((0.0, st.ledger.rhs0))
-            else:
-                energy.append((t, energy_pair(st.u_curr, st.u_prev, st.v_curr,
-                                              st.v_prev, st.ledger, grid, params)))
-
-    record(state)
-    for _ in range(grid.N):
-        state = advance(state, grid, params)
-        record(state)
-    return RunResult(snapshots=snapshots, energy=energy, trajectory=trajectory,
-                     state=state)
+            energy.append((t, st.ledger.rhs0 if st.k == 0 else
+                           energy_pair(st.u_curr, st.u_prev, st.v_curr, st.v_prev,
+                                       st.ledger, grid, params)))
+        max_l2 = max(max_l2, norms(st.u_curr, grid.h).l2)
+    return RunResult(snapshots=snapshots, energy=energy, max_l2=max_l2,
+                     initial=initial)
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,17 @@ import pytest
 
 from bbmb.config import preset_callbacks
 from bbmb.grid import Grid1D
-from bbmb.scheme import SchemeParams
+from bbmb.scheme import SchemeParams, march
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def levels(phi, grid, params):
+    """Every level of one run as a list of (t, u) pairs, built on march."""
+    return [(st.k * grid.tau, st.u_curr) for st in march(phi, grid, params)]
 
 
 def example1_params():

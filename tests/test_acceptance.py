@@ -30,7 +30,7 @@ from bbmb.scheme import (advance, assemble_first_step,
 from conftest import (compact_operator_errors, example1_exact, example1_grid,
                       example1_params, example2_grid, example2_params,
                       example2_phi, example3_grid, example3_params,
-                      example3_phi)
+                      example3_phi, levels)
 
 # frozen verification targets: (step label, max-norm error), plus the
 # observed orders between consecutive rows
@@ -66,9 +66,8 @@ GOLDEN_REACTION_TEMPORAL = [9.7617e-3, 2.9675e-3, 7.5462e-4]
 
 def _forced_sine_error(m, n):
     grid = example1_grid(m, n)
-    result = run(lambda x: example1_exact(x, 0.0), grid, example1_params(),
-                 track_energy=False, record_trajectory=True)
-    return max_norm_error(result.trajectory, example1_exact, grid)
+    trajectory = levels(lambda x: example1_exact(x, 0.0), grid, example1_params())
+    return max_norm_error(trajectory, example1_exact, grid)
 
 
 def test_criterion_1_spatial_orders_forced_sine():
@@ -104,8 +103,7 @@ def test_criterion_3_posterior_spatial_orders_wave():
     t0 = time.monotonic()
     params = example2_params()
     chain = [40, 80, 160, 320, 640, 1280]
-    trajs = [run(example2_phi, example2_grid(m, 2000), params,
-                 track_energy=False, record_trajectory=True).trajectory
+    trajs = [levels(example2_phi, example2_grid(m, 2000), params)
              for m in chain]
     errors = [(50.0 / chain[j], posterior_spatial_error(trajs[j], trajs[j + 1]))
               for j in range(len(chain) - 1)]
@@ -128,8 +126,7 @@ def test_criterion_3_posterior_spatial_orders_wave():
 def test_criterion_4_posterior_temporal_orders_wave():
     params = example2_params()
     chain = [20, 40, 80, 160, 320, 640]
-    trajs = [run(example2_phi, example2_grid(100, n), params,
-                 track_energy=False, record_trajectory=True).trajectory
+    trajs = [levels(example2_phi, example2_grid(100, n), params)
              for n in chain]
     errors = [(1.0 / chain[j], posterior_temporal_error(trajs[j], trajs[j + 1]))
               for j in range(len(chain) - 1)]
@@ -160,8 +157,7 @@ def test_criterion_6_reaction_benchmark_orders():
     # spatial: tau = 1/100, T = 1; the chain that reproduces the frozen
     # error magnitudes starts at 250 nodes
     chain = [250, 500, 1000, 2000]
-    trajs = [run(example3_phi, example3_grid(m, 100), params,
-                 track_energy=False, record_trajectory=True).trajectory
+    trajs = [levels(example3_phi, example3_grid(m, 100), params)
              for m in chain]
     f_vals = [posterior_spatial_error(trajs[j], trajs[j + 1])
               for j in range(len(chain) - 1)]
@@ -175,8 +171,7 @@ def test_criterion_6_reaction_benchmark_orders():
     # depend on the unrecorded final time of the original runs, so they
     # are gated at order-of-magnitude only; the orders carry the check.
     nchain = [10, 20, 40, 80]
-    ttrajs = [run(example3_phi, example3_grid(10000, n), params,
-                  track_energy=False, record_trajectory=True).trajectory
+    ttrajs = [levels(example3_phi, example3_grid(10000, n), params)
               for n in nchain]
     g_vals = [posterior_temporal_error(ttrajs[j], ttrajs[j + 1])
               for j in range(len(nchain) - 1)]
@@ -272,17 +267,17 @@ def test_criterion_7_property_suite():
     grid = example2_grid(100, 128)
     state0 = init_state(example2_phi, grid, params)
     bound = boundedness_bound(state0.u_curr, state0.v_curr, grid, params)
-    result = run(example2_phi, grid, params, record_trajectory=True)
-    assert max(norms(u, grid.h).l2 for _, u in result.trajectory) <= bound
+    trajectory = levels(example2_phi, grid, params)
+    assert max(norms(u, grid.h).l2 for _, u in trajectory) <= bound
 
     # perturbation gap: bounded amplification, linear in the amplitude
     grid = example2_grid(100, 100)
     x = grid.nodes()
-    base = run(example2_phi, grid, params, record_trajectory=True).trajectory
+    base = levels(example2_phi, grid, params)
 
     def gap_ratio(amp):
         phi = lambda xx: example2_phi(xx) + amp * np.sin(2 * np.pi * xx / grid.L)
-        traj = run(phi, grid, params, record_trajectory=True).trajectory
+        traj = levels(phi, grid, params)
         sup = max(v for _, v in stability_gap(base, traj, grid))
         return sup / norms(amp * np.sin(2 * np.pi * x / grid.L), grid.h).h1_semi
 

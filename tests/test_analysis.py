@@ -8,9 +8,9 @@ from bbmb.analysis import (boundedness_bound, convergence_table, fit_order,
                            posterior_spatial_error, posterior_temporal_error,
                            stability_gap)
 from bbmb.grid import Grid1D, norms
-from bbmb.scheme import init_state, run
+from bbmb.scheme import init_state
 
-from conftest import (example2_grid, example2_params, example2_phi)
+from conftest import (example2_grid, example2_params, example2_phi, levels)
 
 
 def test_gradient_energy_nonnegative(rng):
@@ -38,8 +38,7 @@ def test_boundedness_bound_examples():
     assert bound2 > bound1  # monotone in the dispersion coefficient
 
     # and the bound actually holds along a conservative run
-    result = run(example2_phi, grid, params, record_trajectory=True)
-    worst = max(norms(u, grid.h).l2 for _, u in result.trajectory)
+    worst = max(norms(u, grid.h).l2 for _, u in levels(example2_phi, grid, params))
     assert worst <= bound1
 
 
@@ -138,7 +137,7 @@ def test_fit_order_needs_two_errors():
 def test_stability_gap_zero_perturbation():
     grid = example2_grid(50, 20)
     params = example2_params()
-    base = run(example2_phi, grid, params, record_trajectory=True).trajectory
+    base = levels(example2_phi, grid, params)
     series = stability_gap(base, base, grid)
     assert all(v == 0.0 for _, v in series)
 
@@ -156,11 +155,11 @@ def test_stability_gap_linear_scaling():
     grid = example2_grid(100, 100)
     params = example2_params()
     x = grid.nodes()
-    base = run(example2_phi, grid, params, record_trajectory=True).trajectory
+    base = levels(example2_phi, grid, params)
 
     def perturbed(amp):
         phi = lambda xx: example2_phi(xx) + amp * np.sin(2 * np.pi * xx / grid.L)
-        traj = run(phi, grid, params, record_trajectory=True).trajectory
+        traj = levels(phi, grid, params)
         series = stability_gap(base, traj, grid)
         pert0 = norms(amp * np.sin(2 * np.pi * x / grid.L), grid.h).h1_semi
         return max(v for _, v in series) / pert0

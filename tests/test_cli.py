@@ -55,12 +55,41 @@ def test_convergence_ambiguous_direction_is_config_error(tmp_path):
     assert main(["convergence", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
-def test_posterior_two_run_chain_is_config_error(tmp_path):
-    cfg = write(tmp_path, "short.cfg",
-                "experiment = example2\nT = 1\nM = 40 80\nN = 50\nposterior = on\n")
-    out = tmp_path / "o"
-    assert main(["convergence", "--config", cfg, "--out", str(out)]) == 2
-    assert not (out / "report.txt").exists()
+def test_posterior_two_run_chain_is_config_error(tmp_path, capsys):
+    # two runs give one posterior error, too few to fit an order
+    for name, text in (
+            ("spatial", "experiment = example2\nT = 1\nM = 40 80\nN = 50\nposterior = on\n"),
+            ("temporal", "experiment = example3\nT = 1\nM = 40\nN = 10 20\n")):
+        cfg = write(tmp_path, f"{name}.cfg", text)
+        out = tmp_path / name
+        assert main(["convergence", "--config", cfg, "--out", str(out)]) == 2
+        assert not (out / "report.txt").exists()
+        assert "too short for posterior" in capsys.readouterr().err
+
+
+def test_run_and_invariants_accept_two_value_chain(tmp_path):
+    # only convergence refines along a chain; the other commands use the
+    # first M and N and ignore the rest
+    cfg = write(tmp_path, "two.cfg",
+                "experiment = example2\nT = 0.5\nM = 40 80\nN = 20 40\nposterior = on\n")
+    for mode in ("invariants", "run"):
+        out = tmp_path / mode
+        assert main([mode, "--config", cfg, "--out", str(out)]) == 0
+        assert "FAIL" not in (out / "report.txt").read_text()
+
+
+def test_zero_errors_fail_the_order_check(tmp_path):
+    # the zero solution leaves every posterior error at 0: no order can
+    # be fitted, which is a failed check, not a crash
+    cfg = write(tmp_path, "zero.cfg",
+                "experiment = custom\nx_left = 0\nx_right = 1\nmu = 1\nT = 0.1\n"
+                "phi = sine 0 1\nM = 16 32 64\nN = 10\n")
+    out = tmp_path / "out"
+    assert main(["convergence", "--config", cfg, "--out", str(out)]) == 4
+    report = (out / "report.txt").read_text().splitlines()
+    assert len(report) == 1 and report[0].startswith("FAIL  spatial order: ")
+    rows = (out / "spatial_orders.csv").read_text().splitlines()
+    assert rows[1:] == ["0.0625,0,", "0.03125,0,"]
 
 
 def test_zero_initial_energy_uses_absolute_drift(tmp_path):

@@ -24,13 +24,9 @@ def test_non_halving_chain_rejected():
 
 
 def test_posterior_chain_too_short_rejected():
-    # two runs give one posterior error, too few to fit an order
-    for text in ("experiment = example2\nT = 1\nM = 40 80\nN = 100\nposterior = on\n",
-                 "experiment = example3\nT = 1\nM = 40\nN = 10 20\n"):
-        with pytest.raises(ConfigError) as err:
-            parse_config_text(text)
-        assert any("too short for posterior" in v for v in err.value.violations)
-    # exact errors need only two runs, and three runs give two posterior errors
+    # the chain-length rule for posterior orders is a convergence check
+    # (see test_cli); the parser accepts exact-error chains of two runs
+    # and posterior chains of three
     assert parse_config_text("experiment = example1\nT = 1\nM = 8 16\nN = 100\n")
     assert parse_config_text("experiment = example2\nT = 1\nM = 40 80 160\nN = 100\n")
 

@@ -2,19 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bbmb.analysis import energy_pair
 from bbmb.grid import Grid1D, central_diff, norms, second_diff, skew_advection
 from bbmb.linalg import block_system_matrix
 from bbmb.scheme import (DivergenceError, SchemeParams,
                          advance, assemble_first_step, assemble_interior_step,
-                         init_state, newton_reaction_terms,
+                         init_state, march, newton_reaction_terms,
                          run, skew_advection_rows, solve_cyclic_block_tridiagonal,
                          truncation_residual)
 
 from conftest import (example1_exact, example1_grid, example1_params,
                       example2_grid, example2_params, example2_phi,
-                      example3_grid, example3_params, example3_phi)
+                      example3_grid, example3_params, example3_phi, levels)
 
 
 def test_params_validation():
@@ -198,8 +200,7 @@ def test_homogeneous_step_returns_zero(rng, which):
 def test_zero_data_stays_zero():
     grid = Grid1D(L=2.0, M=16, T=1.0, N=10)
     params = SchemeParams(mu=1.0, gamma=1.0, kappa=1.0, nu=1.0)
-    result = run(lambda x: np.zeros_like(x), grid, params, record_trajectory=True)
-    for _, u in result.trajectory:
+    for _, u in levels(lambda x: np.zeros_like(x), grid, params):
         assert np.max(np.abs(u)) == 0.0
 
 
@@ -239,13 +240,47 @@ def test_undamped_stepping_conserves_energy():
     assert drift <= 1e-13
 
 
+@settings(max_examples=60, deadline=None)
+@given(mu=st.floats(0.05, 20.0), gamma=st.floats(0.0, 3.0),
+       kappa=st.floats(-3.0, 3.0), m=st.integers(8, 200), n=st.integers(2, 100),
+       amp=st.one_of(st.just(0.0), st.floats(1e-3, 3.0)))
+def test_undamped_energy_conserved_property(mu, gamma, kappa, m, n, amp):
+    # nu = 0 and no source: the invariant is exact up to roundoff for any
+    # coefficients and resolution; drift is absolute when E(0) = 0
+    grid = Grid1D(L=2.0, M=m, T=1.0, N=n)
+    params = SchemeParams(mu=mu, gamma=gamma, kappa=kappa, nu=0.0)
+    result = run(lambda x: amp * (np.sin(np.pi * x) + 0.5 * np.cos(2 * np.pi * x)),
+                 grid, params)
+    e0 = result.energy[0][1]
+    drift = max(abs(e - e0) for _, e in result.energy)
+    assert drift <= 1e-12 * (abs(e0) if e0 != 0 else 1.0)
+
+
+def test_march_yields_every_level_and_run_folds_it():
+    grid = example2_grid(40, 12)
+    params = example2_params()
+    states = list(march(example2_phi, grid, params))
+    assert [s.k for s in states] == list(range(grid.N + 1))
+    assert states[0].u_prev is None
+    for prev, curr in zip(states, states[1:]):
+        assert curr.u_prev is prev.u_curr  # the previous level, not a copy
+
+    result = run(example2_phi, grid, params, snapshot_times=[0.5, 1.0])
+    assert result.initial.k == 0
+    assert np.array_equal(result.initial.u_curr, states[0].u_curr)
+    assert np.array_equal(result.initial.v_curr, states[0].v_curr)
+    assert result.max_l2 == max(norms(s.u_curr, grid.h).l2 for s in states)
+    assert [t for t, _ in result.snapshots] == [6 * grid.tau, 12 * grid.tau]
+    assert np.array_equal(result.snapshots[1][1], states[-1].u_curr)
+    assert len(result.energy) == grid.N + 1
+
+
 def test_odd_symmetry_is_preserved():
     # reflection through the domain midpoint with a sign flip commutes with
     # the stepper when kappa = 0, so odd data stays odd
     grid = Grid1D(L=2.0, M=64, T=1.0, N=50)
     params = SchemeParams(mu=1.0, gamma=1.5, kappa=0.0, nu=0.5)
-    result = run(lambda x: np.sin(np.pi * x), grid, params, record_trajectory=True)
-    for _, u in result.trajectory:
+    for _, u in levels(lambda x: np.sin(np.pi * x), grid, params):
         mirrored = -np.roll(u[::-1], 1)
         assert np.max(np.abs(u - mirrored)) <= 1e-10
 
@@ -255,9 +290,7 @@ def test_even_symmetry_without_advection():
     # and commutes with the plain reflection, so even data stays even
     grid = Grid1D(L=2.0, M=64, T=1.0, N=50)
     params = SchemeParams(mu=1.0, gamma=0.0, kappa=0.0, nu=0.5)
-    result = run(lambda x: np.cos(np.pi * (x - 1.0)), grid, params,
-                 record_trajectory=True)
-    for _, u in result.trajectory:
+    for _, u in levels(lambda x: np.cos(np.pi * (x - 1.0)), grid, params):
         mirrored = np.roll(u[::-1], 1)
         assert np.max(np.abs(u - mirrored)) <= 1e-10
 
