@@ -214,6 +214,10 @@ def _cmd_stability(config: ExperimentConfig, out_dir) -> list:
     if config.exact is None:
         raise ConfigError(["stability sweep needs an exact solution "
                            "(use the example1 preset)"])
+    if len(config.m_values) < 2:
+        raise ConfigError([f"M: {config.m_values} is too short for a stability sweep; "
+                           "the plateau check compares the last two M values, "
+                           "so at least two are needed"])
     table = {(n, m): max_norm_error(_levels(config, m, n), config.exact,
                                     _grid(config, m, n))
              for n in config.n_values for m in config.m_values}

@@ -139,10 +139,20 @@ def _named_profile(profile_text: str, violations):
         violations.append(f"phi: unknown profile {kind!r}")
         return None
     try:
-        return kind, float(a_text), float(b_text)
+        a, b = float(a_text), float(b_text)
     except ValueError:
         violations.append(f"phi: non-numeric parameters in {profile_text!r}")
         return None
+    if not np.isfinite(a):
+        violations.append(f"phi: amplitude must be finite, got {a_text!r}")
+        return None
+    if kind == "sech2" and not (np.isfinite(b) and b != 0):
+        violations.append(f"phi: sech2 width must be finite and nonzero, got {b_text!r}")
+        return None
+    if kind == "sine" and not np.isfinite(b):
+        violations.append(f"phi: sine mode must be finite, got {b_text!r}")
+        return None
+    return kind, a, b
 
 
 def _parse_float(key, text, violations):
@@ -265,11 +275,21 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if base.get("n_values") is None and "N" not in raw:
         violations.append("N missing")
 
+    for key in ("x_left", "x_right"):
+        if base.get(key) is not None and not np.isfinite(base[key]):
+            violations.append(f"{key} must be finite, got {base[key]}")
     if base.get("x_left") is not None and base.get("x_right") is not None \
             and base["x_right"] <= base["x_left"]:
         violations.append(f"domain is empty: x_left={base['x_left']}, x_right={base['x_right']}")
-    if base.get("T") is not None and base["T"] <= 0:
-        violations.append(f"T must be positive, got {base['T']}")
+    if base.get("T") is not None and not (np.isfinite(base["T"]) and base["T"] > 0):
+        violations.append(f"T must be positive and finite, got {base['T']}")
+    if base.get("mu") is not None:
+        # SchemeParams holds the coefficient rules; report its verdict here
+        try:
+            SchemeParams(mu=base["mu"], gamma=base["gamma"], kappa=base["kappa"],
+                         nu=base["nu"], source=base["source"], reaction=base["reaction"])
+        except ValueError as exc:
+            violations.append(str(exc))
     for key, values in (("M", base.get("m_values")), ("N", base.get("n_values"))):
         if values is None:
             continue

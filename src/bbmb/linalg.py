@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import periodic_shift
+
 __all__ = [
     "SingularSystemError",
     "ScalarCyclicTriSystem",
@@ -57,7 +59,7 @@ def _check_fields(system, shapes: dict):
         a = np.asarray(getattr(system, name), dtype=float)
         if a.shape != shape:
             raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise ValueError(f"{name} contains non-finite values")
         setattr(system, name, a)
 
@@ -216,7 +218,7 @@ def _reduce(s: np.ndarray, floor: float):
         left = np.concatenate((_KEEP_LEFT, p), axis=-1)
         right = np.concatenate((p, _KEEP_RIGHT), axis=-1)
     else:
-        left, right = np.roll(p, 1, axis=-1), p
+        left, right = periodic_shift(p, -1), p
     ap = np.einsum(_BMUL, even[:, 0:2], left)
     cp = np.einsum(_BMUL, even[:, 4:6], right)
     return np.concatenate((-ap[:, 0:2], even[:, 2:4] - ap[:, 2:4] - cp[:, 0:2],
@@ -252,7 +254,7 @@ def solve_cyclic_block_tridiagonal(system: CyclicBlockTriSystem) -> np.ndarray:
     for p in reversed(levels):
         # odd block j of a level sits between its even blocks j and j+1
         k = p.shape[2]
-        x_next = np.concatenate((x[:, 1:], x[:, :1]), axis=-1)[:, :k]
+        x_next = periodic_shift(x, 1)[:, :k]
         full = np.empty((2, x.shape[1] + k))
         full[:, 0::2] = x
         full[:, 1::2] = (p[:, 4] - np.einsum("ikn,kn->in", p[:, 0:2], x[:, :k])
@@ -314,8 +316,8 @@ def block_system_matrix(system: CyclicBlockTriSystem) -> np.ndarray:
 
 def block_matvec(system: CyclicBlockTriSystem, x: np.ndarray) -> np.ndarray:
     """Apply the block cyclic matrix to x of shape (M, 2)."""
-    xm = np.roll(x, 1, axis=0)
-    xp = np.roll(x, -1, axis=0)
+    xm = periodic_shift(x, -1, axis=0)
+    xp = periodic_shift(x, 1, axis=0)
     return (np.einsum("nij,nj->ni", system.diag, x)
             + np.einsum("nij,nj->ni", system.sub, xm)
             + np.einsum("nij,nj->ni", system.sup, xp))
@@ -323,7 +325,7 @@ def block_matvec(system: CyclicBlockTriSystem, x: np.ndarray) -> np.ndarray:
 
 def block_row_sum_norm(system: CyclicBlockTriSystem) -> float:
     """Infinity norm of the assembled matrix (max absolute row sum)."""
-    rows = (np.sum(np.abs(system.sub), axis=2)
-            + np.sum(np.abs(system.diag), axis=2)
-            + np.sum(np.abs(system.sup), axis=2))
-    return float(np.max(rows))
+    rows = (np.abs(system.sub).sum(axis=2)
+            + np.abs(system.diag).sum(axis=2)
+            + np.abs(system.sup).sum(axis=2))
+    return float(rows.max())

@@ -23,7 +23,8 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .analysis import EnergyLedger, energy_pair, gradient_energy, initial_energy
-from .grid import Grid1D, as_field, central_diff, norms, second_diff, skew_advection
+from .grid import (Grid1D, as_field, central_diff, norms, periodic_shift, second_diff,
+                   skew_advection)
 from .linalg import (
     DENSE_ORACLE_MAX_N,
     CyclicBlockTriSystem,
@@ -137,12 +138,12 @@ def skew_advection_rows(a, h: float):
         c_diag[i]  = 0
         c_super[i] =  (a[i] + a[i+1]) / (6*h)
     so that skew_advection(a, b)[i] = c_sub[i]*b[i-1] + c_super[i]*b[i+1]
-    for every b.
+    for every b.  c_sub is c_super shifted one node right, with its sign
+    flipped; a sum is the same in either order, so this is exact.
     """
     a = np.asarray(a, dtype=float)
-    c_sub = -(a + np.roll(a, 1)) / (6.0 * h)
-    c_super = (a + np.roll(a, -1)) / (6.0 * h)
-    return c_sub, np.zeros_like(a), c_super
+    c_super = (a + periodic_shift(a, 1)) / (6.0 * h)
+    return -periodic_shift(c_super, -1), np.zeros_like(a), c_super
 
 
 def compact_curvature(u, h: float) -> np.ndarray:
@@ -276,18 +277,18 @@ def _checked_solve(system: CyclicBlockTriSystem, step: int) -> np.ndarray:
     """Solve a step system and enforce the residual budget; falls back to
     the dense oracle at desk scale if the fast path misses it."""
     x = solve_cyclic_block_tridiagonal(system)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise DivergenceError(step, "solver returned non-finite values")
-    rhs_inf = float(np.max(np.abs(system.rhs)))
+    rhs_inf = float(np.abs(system.rhs).max())
     bound = SOLVE_RESIDUAL_RTOL * (rhs_inf + block_row_sum_norm(system)
-                                   * float(np.max(np.abs(x))))
-    res = float(np.max(np.abs(block_matvec(system, x) - system.rhs)))
+                                   * float(np.abs(x).max()))
+    res = float(np.abs(block_matvec(system, x) - system.rhs).max())
     if res <= bound:
         return x
     if 2 * system.m <= DENSE_ORACLE_MAX_N:
         xd = solve_dense_oracle(block_system_matrix(system), system.rhs.reshape(-1))
         xd = xd.reshape(system.m, 2)
-        res_d = float(np.max(np.abs(block_matvec(system, xd) - system.rhs)))
+        res_d = float(np.abs(block_matvec(system, xd) - system.rhs).max())
         if res_d <= bound:
             return xd
     raise SolverFailure(
@@ -303,9 +304,9 @@ def _check_consistency(u, v, h: float, step: int):
     """
     d2u = second_diff(u, h)
     d2v = second_diff(v, h)
-    res = float(np.max(np.abs(v - d2u + (h * h / 12.0) * d2v)))
-    scale = float((4.0 / (h * h)) * np.max(np.abs(u))
-                  + (4.0 / 3.0) * np.max(np.abs(v)))
+    res = float(np.abs(v - d2u + (h * h / 12.0) * d2v).max())
+    scale = float((4.0 / (h * h)) * np.abs(u).max()
+                  + (4.0 / 3.0) * np.abs(v).max())
     if res > CONSISTENCY_RTOL * max(scale, 1e-30):
         raise SolverFailure(
             f"step {step}: compact relation residual {res:.3e} "
@@ -322,7 +323,7 @@ def advance(state: StepperState, grid: Grid1D, params: SchemeParams) -> StepperS
     x = _checked_solve(system, state.k + 1)
     u_next = x[:, 0].copy()
     v_next = x[:, 1].copy()
-    if not (np.all(np.isfinite(u_next)) and np.all(np.isfinite(v_next))):
+    if not (np.isfinite(u_next).all() and np.isfinite(v_next).all()):
         raise DivergenceError(state.k + 1, "non-finite values in solution")
     _check_consistency(u_next, v_next, grid.h, state.k + 1)
 

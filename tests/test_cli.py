@@ -124,6 +124,27 @@ def test_stability_sweep_small(tmp_path):
     assert len(lines) == 7
 
 
+def test_stability_single_m_is_config_error(tmp_path, capsys):
+    # the plateau check compares the last two M values of each curve
+    cfg = write(tmp_path, "st1.cfg", "experiment = example1\nT = 1\nM = 64\nN = 16 32\n")
+    out = tmp_path / "out"
+    assert main(["stability", "--config", cfg, "--out", str(out)]) == 2
+    assert not (out / "report.txt").exists()
+    assert "at least two are needed" in capsys.readouterr().err
+
+
+def test_bad_custom_coefficient_or_profile_exits_2(tmp_path, capsys):
+    base = ("experiment = custom\nx_left = -10\nx_right = 10\nT = 0.1\n"
+            "M = 16\nN = 4\n")
+    for name, extra, needle in (("mu0", "mu = 0\nphi = sech2 1 4\n", "mu must be > 0"),
+                                ("width0", "mu = 1\nphi = sech2 1 0\n", "width")):
+        cfg = write(tmp_path, f"{name}.cfg", base + extra)
+        out = tmp_path / name
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert not (out / "report.txt").exists()
+        assert needle in capsys.readouterr().err
+
+
 def test_invalid_config_exit_code(tmp_path):
     cfg = write(tmp_path, "bad.cfg", "experiment = example1\nM = 10 30\n")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bbmb.config import ConfigError, parse_config, parse_config_text
+
+CUSTOM = "experiment = custom\nx_left = -10\nx_right = 10\nmu = 1\nT = 1\nM = 32\nN = 16\n"
 
 
 def test_minimal_forced_sine_preset(tmp_path):
@@ -100,3 +104,84 @@ def test_snapshot_times_range_checked():
         parse_config_text("experiment = example2\nT=1\nM=8\nN=10\n"
                           "snapshot_times = 0.5 3.0\n")
     assert any("snapshot_times" in v for v in err.value.violations)
+
+
+@pytest.mark.parametrize("text, needle", [
+    (CUSTOM.replace("mu = 1", "mu = 0") + "phi = sech2 1 4\n", "mu must be > 0"),
+    ("experiment = example1\nT = 1\nM = 8\nN = 10\nmu = 0\n", "mu must be > 0"),
+    ("experiment = example2\nT = 1\nM = 8\nN = 10\ngamma = -1\n", "gamma must be >= 0"),
+    ("experiment = example2\nT = 1\nM = 8\nN = 10\nkappa = inf\n", "kappa must be finite"),
+    ("experiment = example3\nT = 1\nM = 8\nN = 10\nnu = nan\n", "nu must be finite"),
+], ids=["custom-mu-0", "preset-mu-0", "gamma-negative", "kappa-inf", "nu-nan"])
+def test_bad_coefficients_rejected(text, needle):
+    # the coefficient rules are SchemeParams'; the parser reports them
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    assert any(needle in v for v in err.value.violations)
+
+
+@pytest.mark.parametrize("profile, needle", [
+    ("sech2 1 0", "width"),
+    ("sech2 1 nan", "width"),
+    ("sech2 inf 4", "amplitude"),
+    ("sech2 nan 4", "amplitude"),
+    ("sine inf 1", "amplitude"),
+    ("sine 1 nan", "mode"),
+    ("sine 1 -inf", "mode"),
+])
+def test_bad_profile_rejected(profile, needle):
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(CUSTOM + f"phi = {profile}\n")
+    assert any("phi" in v and needle in v for v in err.value.violations)
+
+
+@pytest.mark.parametrize("line", ["T = inf", "T = nan", "x_left = -inf", "x_right = nan"])
+def test_non_finite_domain_or_time_rejected(line):
+    key = line.split()[0]
+    text = "\n".join(ln for ln in CUSTOM.splitlines() if not ln.startswith(key + " "))
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text + f"\n{line}\nphi = sech2 1 4\n")
+    assert any(v.startswith(key) for v in err.value.violations)
+
+
+_NUMBERS = st.one_of(
+    st.sampled_from(["0", "-0", "1", "-1", "2", "4", "8", "16", "0.5", "1e-300",
+                     "1e308", "1e400", "inf", "-inf", "nan", "abc", ""]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10, 10 ** 6).map(str))
+_VALUES = st.one_of(
+    _NUMBERS,
+    st.lists(_NUMBERS, max_size=4).map(" ".join),
+    st.tuples(st.sampled_from(["sech2", "sine", "gauss"]), _NUMBERS, _NUMBERS)
+    .map(" ".join),
+    st.sampled_from(["example1", "example2", "example3", "custom", "on", "off", "maybe"]),
+    st.text(max_size=12))
+_KEYS = st.one_of(
+    st.sampled_from(["experiment", "T", "M", "N", "x_left", "x_right", "mu",
+                     "gamma", "kappa", "nu", "snapshot_times", "energy",
+                     "posterior", "out", "phi"]),
+    st.text(max_size=8))
+_VALID = {"T": "1", "M": "8 16", "N": "10"}
+_VALID_CUSTOM = dict(_VALID, x_left="0", x_right="2", mu="1", phi="sech2 1 1")
+
+
+@settings(max_examples=300, deadline=None)
+@given(experiment=st.sampled_from(["example1", "example2", "example3", "custom", "other"]),
+       overrides=st.dictionaries(_KEYS, _VALUES, max_size=4),
+       junk=st.lists(st.text(max_size=20), max_size=1))
+def test_parse_config_text_raises_only_config_error(experiment, overrides, junk):
+    # a valid config with random keys overridden or added, and perhaps a
+    # random line, either parses into a config whose coefficients and
+    # profile are usable or is rejected with a ConfigError
+    entries = {**(_VALID_CUSTOM if experiment == "custom" else _VALID), **overrides}
+    text = "\n".join([f"experiment = {experiment}"]
+                     + [f"{k} = {v}" for k, v in entries.items()] + junk)
+    try:
+        cfg = parse_config_text(text)
+    except ConfigError:
+        return
+    cfg.params()
+    assert np.isfinite([cfg.x_left, cfg.x_right, cfg.T]).all()
+    x = cfg.x_left + cfg.length * np.linspace(0.0, 1.0, 9)[:-1]
+    with np.errstate(all="ignore"):
+        assert cfg.phi(x).shape == x.shape

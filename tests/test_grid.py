@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from bbmb.grid import (Grid1D, as_field, backward_diff, central_diff,
-                       inner_product, norms, second_diff, skew_advection)
+                       inner_product, norms, periodic_shift, second_diff,
+                       skew_advection)
 
 
 def random_field(rng, m):
@@ -104,6 +105,41 @@ def test_norms_hand_value():
     assert n.max == 1.0
     z = norms(np.zeros(6), 0.3)
     assert (z.l2, z.h1_semi, z.max) == (0.0, 0.0, 0.0)
+
+
+# -- periodic shifts against np.roll --------------------------------------------
+
+SHIFT_SIZES = (4, 5, 8, 33)
+
+
+@pytest.mark.parametrize("m", SHIFT_SIZES)
+def test_periodic_shift_matches_roll(rng, m):
+    stacked = rng.standard_normal((3, m))
+    blocks = rng.standard_normal((m, 2))
+    for offset in (1, -1, 2, -3, 0, m, -m, m + 1):
+        assert np.array_equal(periodic_shift(stacked, offset),
+                              np.roll(stacked, -offset, axis=-1))
+        assert np.array_equal(periodic_shift(stacked[0], offset),
+                              np.roll(stacked[0], -offset))
+        assert np.array_equal(periodic_shift(blocks, offset, axis=0),
+                              np.roll(blocks, -offset, axis=0))
+
+
+@pytest.mark.parametrize("m", SHIFT_SIZES)
+def test_operators_match_roll_reference(rng, m):
+    # the operators as written with np.roll: the shift only moves data,
+    # so the results must agree bit for bit, stacked or not
+    h = 0.37
+    a, b = rng.standard_normal((2, 3, m))
+    right, left = (lambda u: np.roll(u, -1, axis=-1)), (lambda u: np.roll(u, 1, axis=-1))
+    for x, y in ((a, b), (a[1], b[1])):
+        assert np.array_equal(second_diff(x, h),
+                              (right(x) - 2.0 * x + left(x)) / (h * h))
+        assert np.array_equal(central_diff(x, h), (right(x) - left(x)) / (2.0 * h))
+        assert np.array_equal(backward_diff(x, h), (x - left(x)) / h)
+        assert np.array_equal(skew_advection(x, y, h),
+                              (x * (right(y) - left(y)) + right(x) * right(y)
+                               - left(x) * left(y)) / (6.0 * h))
 
 
 # -- algebraic identities on random fields ------------------------------------

@@ -125,11 +125,11 @@ def test_oracle_equivalence_on_random_systems(rng):
 
 
 def test_block_residual_helper(rng):
-    m = 7
-    sys_ = random_block_system(rng, m)
-    x = rng.standard_normal((m, 2))
-    dense = block_system_matrix(sys_) @ x.reshape(-1)
-    assert np.allclose(block_matvec(sys_, x).reshape(-1), dense)
+    for m in (4, 7, 33):
+        sys_ = random_block_system(rng, m)
+        x = rng.standard_normal((m, 2))
+        dense = block_system_matrix(sys_) @ x.reshape(-1)
+        assert np.allclose(block_matvec(sys_, x).reshape(-1), dense, rtol=1e-13, atol=1e-13)
 
 
 def test_block_singular_pivot_raises():

@@ -1,5 +1,7 @@
 """Time stepper: assembly, stepping, conservation, and truncation defects."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,10 @@ def test_skew_advection_rows_reproduce_operator(rng):
         assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
     zero_rows = skew_advection_rows(np.zeros(8), h)
     assert all(np.allclose(r, 0.0) for r in zero_rows)
+    # c_sub is taken as a shift of c_super; it must equal the direct
+    # np.roll formula bit for bit
+    assert np.array_equal(c_sub, -(a + np.roll(a, 1)) / (6.0 * h))
+    assert np.array_equal(c_sup, (a + np.roll(a, -1)) / (6.0 * h))
 
 
 # -- initialization -------------------------------------------------------------
@@ -273,6 +279,36 @@ def test_march_yields_every_level_and_run_folds_it():
     assert [t for t, _ in result.snapshots] == [6 * grid.tau, 12 * grid.tau]
     assert np.array_equal(result.snapshots[1][1], states[-1].u_curr)
     assert len(result.energy) == grid.N + 1
+
+
+# Python and C calls in one interior step at M = 16, the fixed per-step
+# cost that dominates small grids: about 310 with numpy 2.4.  The count
+# is exact for a given numpy, so this guard does not depend on timing.
+MAX_CALLS_PER_STEP = 350
+
+
+@pytest.mark.parametrize("make_grid, make_params, phi", [
+    (example1_grid, example1_params, lambda x: example1_exact(x, 0.0)),
+    (example2_grid, example2_params, example2_phi),
+    (example3_grid, example3_params, example3_phi),
+], ids=["example1", "example2", "example3"])
+def test_interior_step_call_count(make_grid, make_params, phi):
+    grid, params = make_grid(16, 100), make_params()
+    state = advance(advance(init_state(phi, grid, params), grid, params), grid, params)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        advance(state, grid, params)
+    finally:
+        sys.setprofile(previous)
+    assert calls <= MAX_CALLS_PER_STEP, f"{calls} calls in one interior step"
 
 
 def test_odd_symmetry_is_preserved():
