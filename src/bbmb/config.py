@@ -127,9 +127,14 @@ def preset_callbacks(name: str) -> dict:
     raise ValueError(f"unknown preset {name!r}")
 
 
-def _named_profile(profile_text: str, violations):
+def _named_profile(profile_text: str, m_values, violations):
     """Parse ``sech2 AMP WIDTH`` or ``sine AMP MODE`` (MODE periods of a
-    sine over the domain) into a (kind, a, b) triple."""
+    sine over the domain) into a (kind, a, b) triple.
+
+    MODE must be a whole number, or the wrap puts a kink into the data,
+    and |MODE| < min(M)/2, or the coarsest grid cannot represent it
+    (MODE = M/2 samples to zero).  The M check is skipped when M itself
+    is invalid, which is reported on its own."""
     parts = profile_text.split()
     if len(parts) != 3:
         violations.append(f"phi: expected 'sech2 AMP WIDTH' or 'sine AMP MODE', got {profile_text!r}")
@@ -151,6 +156,13 @@ def _named_profile(profile_text: str, violations):
         return None
     if kind == "sine" and not np.isfinite(b):
         violations.append(f"phi: sine mode must be finite, got {b_text!r}")
+        return None
+    if kind == "sine" and not b.is_integer():
+        violations.append(f"phi: sine mode must be a whole number, got {b_text!r}")
+        return None
+    if kind == "sine" and m_values and abs(b) >= min(m_values) / 2:
+        violations.append(f"phi: sine mode {b_text} needs |MODE| < min(M)/2 = "
+                          f"{min(m_values) / 2:g} to be resolved")
         return None
     return kind, a, b
 
@@ -243,17 +255,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
     else:
         base = preset_callbacks(experiment)
 
-    profile = None
     for key, value in raw.items():
         if key in ("x_left", "x_right", "mu", "gamma", "kappa", "nu", "T"):
             parsed = _parse_float(key, value, violations)
             if parsed is not None:
                 base[key] = parsed
-        elif key == "phi":
-            if experiment != "custom":
-                violations.append("phi: only allowed for experiment = custom")
-                continue
-            profile = _named_profile(value, violations)
+        elif key == "phi" and experiment != "custom":
+            violations.append("phi: only allowed for experiment = custom")
         elif key == "M":
             base["m_values"] = _parse_int_list(key, value, violations)
         elif key == "N":
@@ -267,6 +275,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
         elif key == "out":
             base["out"] = value
 
+    profile = None
+    if "phi" in raw and experiment == "custom":
+        profile = _named_profile(raw["phi"], base.get("m_values"), violations)
     for required in ("x_left", "x_right", "mu", "T"):
         if base.get(required) is None:
             violations.append(f"{required} missing")

@@ -2,13 +2,15 @@
 
 The time stepper produces one cyclic block-tridiagonal system per step
 (2x2 blocks coupling the two unknowns at each node, with wrap-around
-corner blocks).  It is solved in O(M) by periodic block cyclic
-reduction: each level eliminates the odd-indexed blocks and halves the
-system, with all 2x2 block arithmetic vectorized over the nodes, until
-a small periodic system is left for one dense LU solve.  A scalar
-variant handles the constant-coefficient relation between a field and
-its curvature, and a dense LU oracle backs both in the tests and as a
-last-resort fallback.
+corner blocks).  The stepper assembles it straight into one (2, 7, M)
+array, node index last, which is the layout the solver, the residual
+helpers and the norm work in; no step converts it.  It is solved in
+O(M) by periodic block cyclic reduction: each level eliminates the
+odd-indexed blocks and halves the system, with all 2x2 block arithmetic
+vectorized over the nodes, until a small periodic system is left for
+one dense LU solve.  A scalar variant handles the constant-coefficient
+relation between a field and its curvature, and a dense LU oracle backs
+both in the tests and as a last-resort fallback.
 
 The scalar solver runs once per case and keeps its elimination loops
 on plain Python floats.
@@ -52,18 +54,6 @@ class SingularSystemError(Exception):
     when a dense LU solve meets an exactly singular matrix."""
 
 
-def _check_fields(system, shapes: dict):
-    """Store the named fields of system as float arrays, each of the
-    given shape and finite."""
-    for name, shape in shapes.items():
-        a = np.asarray(getattr(system, name), dtype=float)
-        if a.shape != shape:
-            raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
-        if not np.isfinite(a).all():
-            raise ValueError(f"{name} contains non-finite values")
-        setattr(system, name, a)
-
-
 @dataclass
 class ScalarCyclicTriSystem:
     """Cyclic tridiagonal system: row i reads
@@ -82,35 +72,91 @@ class ScalarCyclicTriSystem:
         m = np.shape(self.diag)[0]
         if m < 4:
             raise ValueError(f"need M >= 4 rows, got {m}")
-        _check_fields(self, dict.fromkeys(("sub", "diag", "sup", "rhs"), (m,)))
+        for name in ("sub", "diag", "sup", "rhs"):
+            a = np.asarray(getattr(self, name), dtype=float)
+            if a.shape != (m,):
+                raise ValueError(f"{name} has shape {a.shape}, expected ({m},)")
+            if not np.isfinite(a).all():
+                raise ValueError(f"{name} contains non-finite values")
+            setattr(self, name, a)
 
     @property
     def m(self) -> int:
         return self.diag.shape[0]
 
 
-@dataclass
 class CyclicBlockTriSystem:
     """Cyclic block-tridiagonal system with 2x2 blocks: block row i reads
     sub[i] @ x[i-1] + diag[i] @ x[i] + sup[i] @ x[i+1] = rhs[i]  (mod M),
     with x[i] a 2-vector.  sub[0] and sup[M-1] are the corner blocks.
+
+    The system is held in one array, coeffs, of shape (2, 7, M) with the
+    node index last: coeffs[r, 0:2, i] is row r of sub[i], 2:4 of
+    diag[i], 4:6 of sup[i], and coeffs[r, 6, i] is rhs[i][r].  This is
+    the layout the solver works in.  sub, diag and sup are (M, 2, 2)
+    views of it and rhs an (M, 2) view.  The keyword constructor packs
+    the four block arrays; packed() adopts an assembled array as is.
     """
 
-    sub: np.ndarray   # (M, 2, 2)
-    diag: np.ndarray  # (M, 2, 2)
-    sup: np.ndarray   # (M, 2, 2)
-    rhs: np.ndarray   # (M, 2)
+    def __init__(self, *, sub, diag, sup, rhs):
+        m = np.shape(diag)[0]
+        coeffs = np.empty((2, 7, m))
+        for name, value, cols in (("sub", sub, slice(0, 2)), ("diag", diag, slice(2, 4)),
+                                  ("sup", sup, slice(4, 6)), ("rhs", rhs, 6)):
+            a = np.asarray(value, dtype=float)
+            shape = (m, 2) if name == "rhs" else (m, 2, 2)
+            if a.shape != shape:
+                raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+            coeffs[:, cols] = np.moveaxis(a, 0, -1)
+        self.coeffs = _checked_coeffs(coeffs)
 
-    def __post_init__(self):
-        m = np.shape(self.diag)[0]
-        if m < 4:
-            raise ValueError(f"need M >= 4 block rows, got {m}")
-        _check_fields(self, {"sub": (m, 2, 2), "diag": (m, 2, 2),
-                             "sup": (m, 2, 2), "rhs": (m, 2)})
+    @classmethod
+    def packed(cls, coeffs) -> "CyclicBlockTriSystem":
+        """A system holding the given (2, 7, M) array, checked and not copied."""
+        system = cls.__new__(cls)
+        system.coeffs = _checked_coeffs(coeffs)
+        return system
 
     @property
     def m(self) -> int:
-        return self.diag.shape[0]
+        return self.coeffs.shape[2]
+
+    @property
+    def sub(self) -> np.ndarray:
+        return np.moveaxis(self.coeffs[:, 0:2], -1, 0)
+
+    @property
+    def diag(self) -> np.ndarray:
+        return np.moveaxis(self.coeffs[:, 2:4], -1, 0)
+
+    @property
+    def sup(self) -> np.ndarray:
+        return np.moveaxis(self.coeffs[:, 4:6], -1, 0)
+
+    @property
+    def rhs(self) -> np.ndarray:
+        return self.coeffs[:, 6].T
+
+    @rhs.setter
+    def rhs(self, value):
+        a = np.asarray(value, dtype=float)
+        if a.shape != (self.m, 2):
+            raise ValueError(f"rhs has shape {a.shape}, expected {(self.m, 2)}")
+        if not np.isfinite(a).all():
+            raise ValueError("rhs contains non-finite values")
+        self.coeffs[:, 6] = a.T
+
+
+def _checked_coeffs(coeffs) -> np.ndarray:
+    """coeffs as a float (2, 7, M) array with M >= 4 and finite entries."""
+    c = np.asarray(coeffs, dtype=float)
+    if c.ndim != 3 or c.shape[:2] != (2, 7):
+        raise ValueError(f"coeffs has shape {c.shape}, expected (2, 7, M)")
+    if c.shape[2] < 4:
+        raise ValueError(f"need M >= 4 block rows, got {c.shape[2]}")
+    if not np.isfinite(c).all():
+        raise ValueError("block system contains non-finite values")
+    return c
 
 
 def solve_scalar_cyclic(system: ScalarCyclicTriSystem) -> np.ndarray:
@@ -181,9 +227,10 @@ def solve_scalar_cyclic(system: ScalarCyclicTriSystem) -> np.ndarray:
     return y - w1 * np.asarray(b1) - w2 * np.asarray(b2)
 
 
-# Working layout of the block solver: one (2, 7, n) array per level with
-# the node index last, so each elementwise op runs over all n blocks.
-# Columns 0:2 hold sub[i], 2:4 diag[i], 4:6 sup[i] and 6 rhs[i].
+# The block solver works on CyclicBlockTriSystem.coeffs and on one array
+# of the same (2, 7, n) layout per reduction level, node index last, so
+# each elementwise op runs over all n blocks: columns 0:2 hold sub[i],
+# 2:4 diag[i], 4:6 sup[i] and 6 rhs[i].
 _OFF_DIAG = [0, 1, 4, 5, 6]
 _BMUL = "ikn,kjn->ijn"  # per-node 2x2 product of (2, 2, n) and (2, j, n)
 _ADJ_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None]
@@ -226,7 +273,8 @@ def _reduce(s: np.ndarray, floor: float):
 
 
 def solve_cyclic_block_tridiagonal(system: CyclicBlockTriSystem) -> np.ndarray:
-    """Solve a cyclic block-tridiagonal system in O(M); returns (M, 2).
+    """Solve a cyclic block-tridiagonal system in O(M); returns (M, 2),
+    the transpose of a (2, M) array whose rows are the two unknowns.
 
     Periodic block cyclic reduction (Buzbee, Golub & Nielson 1970;
     Heller 1976): each level eliminates the odd-indexed blocks and
@@ -236,8 +284,7 @@ def solve_cyclic_block_tridiagonal(system: CyclicBlockTriSystem) -> np.ndarray:
     are not row-pivoted; each must clear PIVOT_RTOL of the squared
     coefficient scale.
     """
-    s = np.ascontiguousarray(np.concatenate(
-        (system.sub, system.diag, system.sup, system.rhs[:, :, None]), axis=2).transpose(1, 2, 0))
+    s = system.coeffs
     scale = float(np.abs(s[:, :6]).max())
     floor = PIVOT_RTOL * scale * scale  # determinant scale is entries squared
     levels = []
@@ -260,7 +307,7 @@ def solve_cyclic_block_tridiagonal(system: CyclicBlockTriSystem) -> np.ndarray:
         full[:, 1::2] = (p[:, 4] - np.einsum("ikn,kn->in", p[:, 0:2], x[:, :k])
                          - np.einsum("ikn,kn->in", p[:, 2:4], x_next))
         x = full
-    return np.ascontiguousarray(x.T)
+    return x.T
 
 
 def solve_dense_oracle(matrix, rhs) -> np.ndarray:
@@ -315,17 +362,15 @@ def block_system_matrix(system: CyclicBlockTriSystem) -> np.ndarray:
 
 
 def block_matvec(system: CyclicBlockTriSystem, x: np.ndarray) -> np.ndarray:
-    """Apply the block cyclic matrix to x of shape (M, 2)."""
-    xm = periodic_shift(x, -1, axis=0)
-    xp = periodic_shift(x, 1, axis=0)
-    return (np.einsum("nij,nj->ni", system.diag, x)
-            + np.einsum("nij,nj->ni", system.sub, xm)
-            + np.einsum("nij,nj->ni", system.sup, xp))
+    """Apply the block cyclic matrix to x of shape (M, 2); returns (M, 2)."""
+    xt = np.asarray(x).T
+    m = system.m
+    # x[i-1], x[i] and x[i+1] for every node i, side by side: (2, 3M)
+    near = np.concatenate((xt[:, -1:], xt[:, :-1], xt, xt[:, 1:], xt[:, :1]), axis=1)
+    return np.einsum("rbjn,jbn->rn", system.coeffs[:, :6].reshape(2, 3, 2, m),
+                     near.reshape(2, 3, m)).T
 
 
 def block_row_sum_norm(system: CyclicBlockTriSystem) -> float:
     """Infinity norm of the assembled matrix (max absolute row sum)."""
-    rows = (np.abs(system.sub).sum(axis=2)
-            + np.abs(system.diag).sum(axis=2)
-            + np.abs(system.sup).sum(axis=2))
-    return float(rows.max())
+    return float(np.abs(system.coeffs[:, :6]).sum(axis=1).max())

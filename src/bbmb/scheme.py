@@ -63,7 +63,8 @@ CONSISTENCY_RTOL = 1e-11
 
 
 class DivergenceError(Exception):
-    """Solution became non-finite; carries the failing step index."""
+    """A step system or solution became non-finite (finite input can
+    overflow); carries the failing step index, 0 for the initial data."""
 
     def __init__(self, step: int, message: str):
         super().__init__(f"step {step}: {message}")
@@ -138,8 +139,9 @@ def skew_advection_rows(a, h: float):
         c_diag[i]  = 0
         c_super[i] =  (a[i] + a[i+1]) / (6*h)
     so that skew_advection(a, b)[i] = c_sub[i]*b[i-1] + c_super[i]*b[i+1]
-    for every b.  c_sub is c_super shifted one node right, with its sign
-    flipped; a sum is the same in either order, so this is exact.
+    for every b; a stacked (..., M) input gives stacked rows.  c_sub is
+    c_super shifted one node right, with its sign flipped; a sum is the
+    same in either order, so this is exact.
     """
     a = np.asarray(a, dtype=float)
     c_super = (a + periodic_shift(a, 1)) / (6.0 * h)
@@ -168,7 +170,10 @@ def init_state(phi, grid: Grid1D, params: SchemeParams) -> StepperState:
     if u0.shape != x.shape:
         raise ValueError("initial condition callback must be vectorized over x")
     u0 = as_field(u0, grid.M)
-    v0 = compact_curvature(u0, grid.h)
+    try:
+        v0 = compact_curvature(u0, grid.h)
+    except ValueError as exc:  # the second difference of u0 overflowed
+        raise DivergenceError(0, f"initial curvature: {exc}") from exc
     ledger = EnergyLedger(rhs0=initial_energy(u0, v0, grid, params))
     return StepperState(k=0, u_curr=u0, v_curr=v0, u_prev=None, v_prev=None,
                         ledger=ledger)
@@ -194,60 +199,57 @@ def newton_reaction_terms(u_k, params: SchemeParams):
 
 
 def _assemble_step(u_ref, v_ref, u_known, v_known, rate, grid: Grid1D,
-                   params: SchemeParams, t_source: float) -> CyclicBlockTriSystem:
-    """Shared assembly of the per-step system.
+                   params: SchemeParams, t_source: float, step: int) -> CyclicBlockTriSystem:
+    """Shared assembly of the per-step system, straight into the packed
+    (2, 7, M) layout of CyclicBlockTriSystem.
 
     rate is 1/tau for the starting step and 1/(2*tau) for interior
     steps; (u_ref, v_ref) carry the linearization level and
     (u_known, v_known) the mirrored data level.  Block row i couples
     the unknown pair (u[i], v[i]) at the new level to its neighbours:
-    the first equation is the time-discrete PDE, the second the compact
-    relation at the new level.
+    its first equation (coeffs[0]) is the time-discrete PDE, its second
+    (coeffs[1]) the compact relation at the new level.  Non-finite
+    coefficients raise DivergenceError for the given step.
     """
-    m = grid.M
     h = grid.h
     mu, gamma, kappa, nu = params.mu, params.gamma, params.kappa, params.nu
 
-    cs_u, _, cp_u = skew_advection_rows(u_ref, h)
-    cs_v, _, cp_v = skew_advection_rows(v_ref, h)
+    ref = np.array((u_ref, v_ref))
+    c_sub, _, c_sup = skew_advection_rows(ref, h)
+    skew = skew_advection(ref, u_known, h)
+    diff = central_diff(np.array((u_known, v_known)), h)
 
-    sub = np.zeros((m, 2, 2))
-    diag = np.zeros((m, 2, 2))
-    sup = np.zeros((m, 2, 2))
-    rhs = np.zeros((m, 2))
-
-    # evolution equation (block row 0)
-    diag[:, 0, 0] = rate
-    sub[:, 0, 0] = 0.5 * gamma * cs_u - 0.25 * gamma * h * h * cs_v - kappa / (4.0 * h)
-    sup[:, 0, 0] = 0.5 * gamma * cp_u - 0.25 * gamma * h * h * cp_v + kappa / (4.0 * h)
-    diag[:, 0, 1] = -mu * rate - 0.5 * nu
-    sub[:, 0, 1] = kappa * h / 24.0
-    sup[:, 0, 1] = -kappa * h / 24.0
-
-    rhs[:, 0] = (rate * u_known
-                 - mu * rate * v_known
-                 - 0.5 * gamma * skew_advection(u_ref, u_known, h)
-                 + 0.25 * gamma * h * h * skew_advection(v_ref, u_known, h)
-                 - 0.5 * kappa * central_diff(u_known, h)
-                 + kappa * h * h / 12.0 * central_diff(v_known, h)
-                 + 0.5 * nu * v_known)
+    c = np.empty((2, 7, grid.M))
+    # evolution equation: sub, diag and sup blocks' first rows, then rhs
+    c[0, 0] = 0.5 * gamma * c_sub[0] - 0.25 * gamma * h * h * c_sub[1] - kappa / (4.0 * h)
+    c[0, 1] = kappa * h / 24.0
+    c[0, 2] = rate
+    c[0, 3] = -mu * rate - 0.5 * nu
+    c[0, 4] = 0.5 * gamma * c_sup[0] - 0.25 * gamma * h * h * c_sup[1] + kappa / (4.0 * h)
+    c[0, 5] = -kappa * h / 24.0
+    c[0, 6] = (rate * u_known
+               - mu * rate * v_known
+               - 0.5 * gamma * skew[0]
+               + 0.25 * gamma * h * h * skew[1]
+               - 0.5 * kappa * diff[0]
+               + kappa * h * h / 12.0 * diff[1]
+               + 0.5 * nu * v_known)
     if params.source is not None:
-        rhs[:, 0] += np.asarray(params.source(grid.nodes(), t_source), dtype=float)
+        c[0, 6] += np.asarray(params.source(grid.nodes(), t_source), dtype=float)
     if params.reaction is not None:
         diag_coeff, known = newton_reaction_terms(u_ref, params)
-        diag[:, 0, 0] += diag_coeff
-        rhs[:, 0] -= known + diag_coeff * u_known
+        c[0, 2] += diag_coeff
+        c[0, 6] -= known + diag_coeff * u_known
 
-    # compact relation at the new level (block row 1)
+    # compact relation at the new level, with a zero right-hand side
     inv_h2 = 1.0 / (h * h)
-    sub[:, 1, 0] = -inv_h2
-    diag[:, 1, 0] = 2.0 * inv_h2
-    sup[:, 1, 0] = -inv_h2
-    sub[:, 1, 1] = 1.0 / 12.0
-    diag[:, 1, 1] = 5.0 / 6.0
-    sup[:, 1, 1] = 1.0 / 12.0
+    c[1] = [[-inv_h2], [1.0 / 12.0], [2.0 * inv_h2], [5.0 / 6.0],
+            [-inv_h2], [1.0 / 12.0], [0.0]]
 
-    return CyclicBlockTriSystem(sub=sub, diag=diag, sup=sup, rhs=rhs)
+    try:
+        return CyclicBlockTriSystem.packed(c)
+    except ValueError as exc:
+        raise DivergenceError(step, f"step system: {exc}") from exc
 
 
 def assemble_first_step(state: StepperState, grid: Grid1D,
@@ -258,7 +260,7 @@ def assemble_first_step(state: StepperState, grid: Grid1D,
         raise ValueError(f"first step requires k == 0, got k={state.k}")
     return _assemble_step(state.u_curr, state.v_curr, state.u_curr, state.v_curr,
                           rate=1.0 / grid.tau, grid=grid, params=params,
-                          t_source=0.5 * grid.tau)
+                          t_source=0.5 * grid.tau, step=1)
 
 
 def assemble_interior_step(state: StepperState, grid: Grid1D,
@@ -270,40 +272,43 @@ def assemble_interior_step(state: StepperState, grid: Grid1D,
         raise ValueError(f"interior step requires k >= 1, got k={state.k}")
     return _assemble_step(state.u_curr, state.v_curr, state.u_prev, state.v_prev,
                           rate=0.5 / grid.tau, grid=grid, params=params,
-                          t_source=state.k * grid.tau)
+                          t_source=state.k * grid.tau, step=state.k + 1)
 
 
 def _checked_solve(system: CyclicBlockTriSystem, step: int) -> np.ndarray:
     """Solve a step system and enforce the residual budget; falls back to
-    the dense oracle at desk scale if the fast path misses it."""
+    the dense oracle at desk scale if the fast path misses it.  Returns
+    (M, 2), the transpose of the (2, M) rows u and v."""
     x = solve_cyclic_block_tridiagonal(system)
     if not np.isfinite(x).all():
         raise DivergenceError(step, "solver returned non-finite values")
-    rhs_inf = float(np.abs(system.rhs).max())
+    rhs = system.rhs
+    rhs_inf = float(np.abs(rhs).max())
     bound = SOLVE_RESIDUAL_RTOL * (rhs_inf + block_row_sum_norm(system)
                                    * float(np.abs(x).max()))
-    res = float(np.abs(block_matvec(system, x) - system.rhs).max())
+    res = float(np.abs(block_matvec(system, x) - rhs).max())
     if res <= bound:
         return x
     if 2 * system.m <= DENSE_ORACLE_MAX_N:
-        xd = solve_dense_oracle(block_system_matrix(system), system.rhs.reshape(-1))
+        xd = solve_dense_oracle(block_system_matrix(system), rhs.reshape(-1))
         xd = xd.reshape(system.m, 2)
-        res_d = float(np.abs(block_matvec(system, xd) - system.rhs).max())
+        res_d = float(np.abs(block_matvec(system, xd) - rhs).max())
         if res_d <= bound:
             return xd
     raise SolverFailure(
         f"step {step}: solve residual {res:.3e} exceeds budget {bound:.3e}")
 
 
-def _check_consistency(u, v, h: float, step: int):
-    """The second block row enforces the compact relation; verify it held.
+def _check_consistency(uv, h: float, step: int):
+    """The second block row enforces the compact relation; verify it held
+    for the solution rows uv = (u, v).
 
     The scale reflects the stencil terms before cancellation: second
     differences are formed from O(|u|/h^2) quantities, so their roundoff
     floor is eps*4*|u|/h^2 even when the difference itself is tiny.
     """
-    d2u = second_diff(u, h)
-    d2v = second_diff(v, h)
+    u, v = uv
+    d2u, d2v = second_diff(uv, h)
     res = float(np.abs(v - d2u + (h * h / 12.0) * d2v).max())
     scale = float((4.0 / (h * h)) * np.abs(u).max()
                   + (4.0 / 3.0) * np.abs(v).max())
@@ -320,12 +325,11 @@ def advance(state: StepperState, grid: Grid1D, params: SchemeParams) -> StepperS
         system = assemble_first_step(state, grid, params)
     else:
         system = assemble_interior_step(state, grid, params)
-    x = _checked_solve(system, state.k + 1)
-    u_next = x[:, 0].copy()
-    v_next = x[:, 1].copy()
-    if not (np.isfinite(u_next).all() and np.isfinite(v_next).all()):
+    uv = _checked_solve(system, state.k + 1).T
+    if not np.isfinite(uv).all():
         raise DivergenceError(state.k + 1, "non-finite values in solution")
-    _check_consistency(u_next, v_next, grid.h, state.k + 1)
+    _check_consistency(uv, grid.h, state.k + 1)
+    u_next, v_next = uv
 
     nu_tau = params.nu * grid.tau
     if first:

@@ -3,6 +3,7 @@
 import os
 
 import numpy as np
+import pytest
 
 from bbmb.cli import main
 
@@ -143,6 +144,22 @@ def test_bad_custom_coefficient_or_profile_exits_2(tmp_path, capsys):
         assert main(["run", "--config", cfg, "--out", str(out)]) == 2
         assert not (out / "report.txt").exists()
         assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("amplitude, step, needle", [
+    ("1e308", 0, "initial curvature"),  # second difference of u0 overflows
+    ("1e200", 1, "step system"),        # advection products overflow
+])
+def test_overflowing_profile_exits_3(tmp_path, amplitude, step, needle):
+    cfg = write(tmp_path, "big.cfg",
+                "experiment = custom\nx_left = 0\nx_right = 2\nmu = 1\nT = 0.1\n"
+                f"M = 16\nN = 4\nphi = sech2 {amplitude} 1\n")
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    report = (out / "report.txt").read_text().splitlines()
+    assert report[0].startswith("STALE")
+    assert report[1].startswith(f"FAIL  solver: step {step}: {needle}")
 
 
 def test_invalid_config_exit_code(tmp_path):

@@ -128,11 +128,26 @@ def test_bad_coefficients_rejected(text, needle):
     ("sine inf 1", "amplitude"),
     ("sine 1 nan", "mode"),
     ("sine 1 -inf", "mode"),
+    ("sine 1 0.5", "whole number"),  # the wrap would put a kink in the data
+    ("sine 1 1e308", "min(M)/2"),    # 2*pi*MODE would overflow
+    ("sine 1 16", "min(M)/2"),       # samples to zero on M = 32 nodes
 ])
 def test_bad_profile_rejected(profile, needle):
     with pytest.raises(ConfigError) as err:
         parse_config_text(CUSTOM + f"phi = {profile}\n")
     assert any("phi" in v and needle in v for v in err.value.violations)
+
+
+def test_sine_mode_resolved_on_the_coarsest_grid():
+    # |MODE| < min(M)/2: the coarsest grid of the chain decides
+    text = CUSTOM.replace("M = 32", "M = 16 32")
+    for mode in ("8", "-8", "9"):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text + f"phi = sine 1 {mode}\n")
+        assert any("phi" in v and "min(M)/2 = 8" in v for v in err.value.violations)
+    for mode in ("7", "-7", "0", "3.0"):
+        cfg = parse_config_text(text + f"phi = sine 1 {mode}\n")
+        assert np.isfinite(cfg.phi(np.linspace(-10, 10, 16))).all()
 
 
 @pytest.mark.parametrize("line", ["T = inf", "T = nan", "x_left = -inf", "x_right = nan"])

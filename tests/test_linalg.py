@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bbmb.linalg import (REDUCTION_BASE, CyclicBlockTriSystem,
                          ScalarCyclicTriSystem, SingularSystemError,
-                         block_matvec, block_system_matrix,
+                         block_matvec, block_row_sum_norm, block_system_matrix,
                          scalar_system_matrix, solve_cyclic_block_tridiagonal,
                          solve_dense_oracle, solve_scalar_cyclic)
 from bbmb.scheme import advance, assemble_interior_step, init_state
@@ -130,6 +130,45 @@ def test_block_residual_helper(rng):
         x = rng.standard_normal((m, 2))
         dense = block_system_matrix(sys_) @ x.reshape(-1)
         assert np.allclose(block_matvec(sys_, x).reshape(-1), dense, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("m", [4, 5, 16, 33])
+def test_block_row_sum_norm_matches_dense(rng, m):
+    systems = [random_block_system(rng, m)]
+    grid = example2_grid(m, 20)
+    params = example2_params()
+    state = advance(init_state(example2_phi, grid, params), grid, params)
+    systems.append(assemble_interior_step(state, grid, params))
+    for sys_ in systems:
+        dense = np.abs(block_system_matrix(sys_)).sum(axis=1).max()
+        assert block_row_sum_norm(sys_) == pytest.approx(dense, rel=1e-14)
+
+
+def test_block_system_packs_and_round_trips(rng):
+    m = 7
+    sub, diag, sup = (rng.standard_normal((m, 2, 2)) for _ in range(3))
+    rhs = rng.standard_normal((m, 2))
+    sys_ = CyclicBlockTriSystem(sub=sub, diag=diag, sup=sup, rhs=rhs)
+    assert sys_.coeffs.shape == (2, 7, m) and sys_.m == m
+    for got, want in ((sys_.sub, sub), (sys_.diag, diag), (sys_.sup, sup), (sys_.rhs, rhs)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(sys_.coeffs[1, 2:4, 5], diag[5, 1])
+    assert np.array_equal(sys_.coeffs[:, 6, 3], rhs[3])
+    packed = CyclicBlockTriSystem.packed(sys_.coeffs)
+    assert packed.coeffs is sys_.coeffs
+
+    new_rhs = rng.standard_normal((m, 2))
+    sys_.rhs = new_rhs
+    assert np.array_equal(sys_.rhs, new_rhs)
+    for bad in (np.full((m, 2), np.nan), np.ones((m, 3))):
+        with pytest.raises(ValueError):
+            sys_.rhs = bad
+    assert np.array_equal(sys_.rhs, new_rhs)
+    with pytest.raises(ValueError):
+        CyclicBlockTriSystem(sub=sub[:, :1], diag=diag, sup=sup, rhs=rhs)
+    for bad in (np.zeros((2, 6, m)), np.zeros((2, 7, 3)), np.full((2, 7, m), np.inf)):
+        with pytest.raises(ValueError):
+            CyclicBlockTriSystem.packed(bad)
 
 
 def test_block_singular_pivot_raises():
