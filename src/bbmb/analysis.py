@@ -1,9 +1,14 @@
 """Energy bookkeeping, error measurement, and order-of-accuracy tables.
 
-The conserved functional of the time stepper is quadratic in the two
-current levels plus a running dissipation sum; the ledger carries the
-pieces that accumulate across steps so that the whole invariant can be
-re-evaluated at any time level and compared with its value at t = 0.
+Every energy quantity comes from one quadratic form, gradient_energy
+G(u, v) = |u|_1^2 + (h^2/12)*||v||^2 - (h^4/144)*|v|_1^2 >= 0, through
+the level energy e(u, v) = ||u||^2 + mu*G(u, v).  The invariant at the
+levels (k, k+1) is E_k = (e_{k+1} + e_k)/2 + ledger.dissipation, and it
+equals E(0) = e(u^0, v^0).  With nu >= 0 the dissipation is nonnegative,
+so a conservative run has ||u^k||^2 + mu*|u^k|_1^2 <= 2*E(0) at every
+level: ||u^k|| <= sqrt(2*E(0)), and, as ||u||_inf <= ||u||/sqrt(L) +
+sqrt(L)*|u|_1 on a period L, ||u^k||_inf <= sqrt(2*E(0))*(1/sqrt(L) +
+sqrt(L/mu)).
 """
 
 from __future__ import annotations
@@ -12,14 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid1D, norms
+from .grid import Grid1D, backward_diff, norms
 
 __all__ = [
     "EnergyLedger",
     "ConvergenceRow",
     "gradient_energy",
     "energy_pair",
+    "initial_energy",
     "boundedness_bound",
+    "max_norm_bound",
     "max_norm_error",
     "posterior_spatial_error",
     "posterior_temporal_error",
@@ -34,77 +41,64 @@ class EnergyLedger:
     """Accumulated pieces of the discrete energy identity.
 
     rhs0 is the value of the invariant at t = 0 (fixed at
-    initialization); nu_tau_first is the dissipation weight of the
-    two-level starting step; nu_tau_sum accumulates the per-step
-    dissipation of the three-level interior steps.  With a nonnegative
-    diffusion coefficient both accumulators are nondecreasing.
+    initialization); dissipation sums the diffusion terms of every
+    step, nondecreasing when nu >= 0.
     """
 
     rhs0: float
-    nu_tau_first: float = 0.0
-    nu_tau_sum: float = 0.0
+    dissipation: float = 0.0
 
 
 def gradient_energy(u, v, h: float) -> float:
     """|u|_1^2 + (h^2/12)*||v||^2 - (h^4/144)*|v|_1^2.
 
     The compact-weighted gradient energy of a (field, curvature) pair;
-    nonnegative whenever v satisfies the inverse inequality, since
-    (h^4/144)*(2/h)^2 = h^2/36 < h^2/12.
+    nonnegative for any v by the inverse inequality |v|_1 <= (2/h)*||v||,
+    since (h^4/144)*(2/h)^2 = h^2/36 < h^2/12.
     """
-    nu_ = norms(u, h)
-    nv = norms(v, h)
-    return (nu_.h1_semi ** 2
-            + (h * h / 12.0) * nv.l2 ** 2
-            - (h ** 4 / 144.0) * nv.h1_semi ** 2)
+    du = backward_diff(u, h)
+    dv = backward_diff(v, h)
+    return h * float((du * du).sum() + (h * h / 12.0) * (v * v).sum()
+                     - (h ** 4 / 144.0) * (dv * dv).sum())
 
 
-def _two_level_energy(u_next, u_curr, v_next, v_curr, h: float, mu: float) -> float:
-    nn = norms(u_next, h)
-    nc = norms(u_curr, h)
-    vn = norms(v_next, h)
-    vc = norms(v_curr, h)
-    return (0.5 * (nn.l2 ** 2 + nc.l2 ** 2)
-            + 0.5 * mu * ((nn.h1_semi ** 2 + nc.h1_semi ** 2)
-                          + (h * h / 12.0) * (vn.l2 ** 2 + vc.l2 ** 2)
-                          - (h ** 4 / 144.0) * (vn.h1_semi ** 2 + vc.h1_semi ** 2)))
+def _level_energy(u, v, h: float, mu: float) -> float:
+    """e(u, v) = ||u||^2 + mu*G(u, v), one level's share of the invariant."""
+    return h * float((u * u).sum()) + mu * gradient_energy(u, v, h)
 
 
 def energy_pair(u_next, u_curr, v_next, v_curr, ledger: EnergyLedger,
                 grid: Grid1D, params) -> float:
     """Full discrete invariant at a pair of consecutive levels.
 
-    Symmetric two-level functional plus the accumulated dissipation
-    terms; for a conservative run this is constant in k and equal to
+    Symmetric two-level functional plus the accumulated dissipation;
+    for a conservative run this is constant in k and equal to
     ledger.rhs0 up to roundoff.
     """
-    return (_two_level_energy(u_next, u_curr, v_next, v_curr, grid.h, params.mu)
-            + ledger.nu_tau_first + ledger.nu_tau_sum)
+    return (0.5 * (_level_energy(u_next, v_next, grid.h, params.mu)
+                   + _level_energy(u_curr, v_curr, grid.h, params.mu))
+            + ledger.dissipation)
 
 
 def initial_energy(u0, v0, grid: Grid1D, params) -> float:
-    """Value of the invariant at t = 0 (the two-level functional collapses
-    because both levels coincide)."""
-    n0 = norms(u0, grid.h)
-    nv = norms(v0, grid.h)
-    h = grid.h
-    return (n0.l2 ** 2
-            + params.mu * n0.h1_semi ** 2
-            + params.mu * (h * h / 12.0) * nv.l2 ** 2
-            - params.mu * (h ** 4 / 144.0) * nv.h1_semi ** 2)
+    """Value of the invariant at t = 0, E(0) = e(u0, v0): the two-level
+    functional collapses because both levels coincide."""
+    return _level_energy(u0, v0, grid.h, params.mu)
 
 
 def boundedness_bound(u0, v0, grid: Grid1D, params) -> float:
-    """A-priori bound on ||u^k|| for conservative runs, computed from the
-    initial data:  2*(||u0|| + mu*|u0|_1^2 + (mu*h^2/12)*||v0||^2
-    - (mu*h^2/144)*|v0|_1^2)."""
-    n0 = norms(u0, grid.h)
-    nv = norms(v0, grid.h)
-    h = grid.h
-    return 2.0 * (n0.l2
-                  + params.mu * n0.h1_semi ** 2
-                  + params.mu * (h * h / 12.0) * nv.l2 ** 2
-                  - params.mu * (h * h / 144.0) * nv.h1_semi ** 2)
+    """A-priori bound sqrt(2*E(0)) on ||u^k|| for conservative runs with
+    nu >= 0.  E(0) is evaluated on the data divided by a power of two at
+    their largest entry: exact, and no square of tiny data underflows."""
+    scale = np.ldexp(1.0, np.frexp(max(np.abs(u0).max(), np.abs(v0).max()))[1])
+    return float(scale * np.sqrt(2.0 * initial_energy(u0 / scale, v0 / scale, grid, params)))
+
+
+def max_norm_bound(u0, v0, grid: Grid1D, params) -> float:
+    """A-priori bound sqrt(2*E(0))*(1/sqrt(L) + sqrt(L/mu)) on ||u^k||_inf
+    for conservative runs with nu >= 0."""
+    factor = 1.0 / np.sqrt(grid.L) + np.sqrt(grid.L / params.mu)
+    return boundedness_bound(u0, v0, grid, params) * float(factor)
 
 
 def max_norm_error(levels, exact, grid: Grid1D) -> float:

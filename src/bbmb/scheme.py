@@ -22,8 +22,8 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .analysis import EnergyLedger, energy_pair, gradient_energy, initial_energy
-from .grid import (Grid1D, as_field, central_diff, norms, periodic_shift, second_diff,
+from .analysis import EnergyLedger, gradient_energy, initial_energy
+from .grid import (Grid1D, as_field, central_diff, periodic_shift, second_diff,
                    skew_advection)
 from .linalg import (
     DENSE_ORACLE_MAX_N,
@@ -57,9 +57,12 @@ __all__ = [
 ]
 
 # Relative residual budget for every production solve and for the
-# compact-relation consistency of each accepted level.
+# compact-relation consistency of each accepted level.  The solve budget
+# also admits residuals below the smallest normal float: there, data
+# too small for normal floats carry no relative precision to enforce.
 SOLVE_RESIDUAL_RTOL = 1e-11
 CONSISTENCY_RTOL = 1e-11
+_SMALLEST_NORMAL = np.finfo(float).tiny
 
 
 class DivergenceError(Exception):
@@ -121,13 +124,14 @@ class StepperState:
 @dataclass
 class RunResult:
     """Outcome of a full march: requested snapshots as (t, field) pairs,
-    the per-level energy series, the largest discrete L2 norm over all
-    levels, and the k = 0 state, whose (u_curr, v_curr) are the initial
-    data that boundedness_bound takes."""
+    the per-level energy series, the largest L2 norm and largest |u|
+    over all levels, and the k = 0 state, whose (u_curr, v_curr) are
+    the initial data that the analysis bounds take."""
 
     snapshots: list
     energy: list
     max_l2: float
+    max_abs: float
     initial: StepperState
 
 
@@ -285,7 +289,7 @@ def _checked_solve(system: CyclicBlockTriSystem, step: int) -> np.ndarray:
     rhs = system.rhs
     rhs_inf = float(np.abs(rhs).max())
     bound = SOLVE_RESIDUAL_RTOL * (rhs_inf + block_row_sum_norm(system)
-                                   * float(np.abs(x).max()))
+                                   * float(np.abs(x).max())) + _SMALLEST_NORMAL
     res = float(np.abs(block_matvec(system, x) - rhs).max())
     if res <= bound:
         return x
@@ -331,15 +335,11 @@ def advance(state: StepperState, grid: Grid1D, params: SchemeParams) -> StepperS
     _check_consistency(uv, grid.h, state.k + 1)
     u_next, v_next = uv
 
-    nu_tau = params.nu * grid.tau
-    if first:
-        u_half = 0.5 * (state.u_curr + u_next)
-        v_half = 0.5 * (state.v_curr + v_next)
-        state.ledger.nu_tau_first = nu_tau * gradient_energy(u_half, v_half, grid.h)
-    else:
-        u_bar = 0.5 * (state.u_prev + u_next)
-        v_bar = 0.5 * (state.v_prev + v_next)
-        state.ledger.nu_tau_sum += 2.0 * nu_tau * gradient_energy(u_bar, v_bar, grid.h)
+    # diffusion at the average of the new level and the one it mirrors
+    u_old, v_old = (state.u_curr, state.v_curr) if first else (state.u_prev, state.v_prev)
+    weight = (1.0 if first else 2.0) * params.nu * grid.tau
+    state.ledger.dissipation += weight * gradient_energy(
+        0.5 * (u_old + u_next), 0.5 * (v_old + v_next), grid.h)
 
     return StepperState(k=state.k + 1, u_curr=u_next, v_curr=v_next,
                         u_prev=state.u_curr, v_prev=state.v_curr,
@@ -369,25 +369,30 @@ def run(phi, grid: Grid1D, params: SchemeParams, snapshot_times=None,
     snapshot_times must each lie within tau/2 of a grid time; snapshots
     are recorded at the nearest grid time without interpolation.  The
     energy series carries one invariant value per level (the t = 0
-    entry is the ledger's initial value).  Callers that need every
-    level iterate march() instead.
+    entry is the ledger's initial value); each level's energy
+    e = ||u||^2 + mu*G is computed once and reused for the next pair.
+    Callers that need every level iterate march() instead.
     """
     wanted = (set() if snapshot_times is None
               else {grid.time_index(t) for t in snapshot_times})
-    snapshots, energy, max_l2 = [], [], 0.0
+    snapshots, energy, max_l2_sq, max_abs = [], [], 0.0, 0.0
     for st in march(phi, grid, params):
+        u = st.u_curr
         t = st.k * grid.tau
         if st.k == 0:
             initial = st
         if st.k in wanted:
-            snapshots.append((t, st.u_curr))
+            snapshots.append((t, u))
+        l2_sq = grid.h * float((u * u).sum())
         if track_energy:
+            e = l2_sq + params.mu * gradient_energy(u, st.v_curr, grid.h)
             energy.append((t, st.ledger.rhs0 if st.k == 0 else
-                           energy_pair(st.u_curr, st.u_prev, st.v_curr, st.v_prev,
-                                       st.ledger, grid, params)))
-        max_l2 = max(max_l2, norms(st.u_curr, grid.h).l2)
-    return RunResult(snapshots=snapshots, energy=energy, max_l2=max_l2,
-                     initial=initial)
+                           0.5 * (e + e_prev) + st.ledger.dissipation))
+            e_prev = e
+        max_l2_sq = max(max_l2_sq, l2_sq)
+        max_abs = max(max_abs, float(np.abs(u).max()))
+    return RunResult(snapshots=snapshots, energy=energy,
+                     max_l2=float(np.sqrt(max_l2_sq)), max_abs=max_abs, initial=initial)
 
 
 @dataclass(frozen=True)

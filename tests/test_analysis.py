@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bbmb.analysis import (boundedness_bound, convergence_table, fit_order,
-                           gradient_energy, initial_energy, max_norm_error,
-                           posterior_spatial_error, posterior_temporal_error,
-                           stability_gap)
+from bbmb.analysis import (EnergyLedger, boundedness_bound, convergence_table,
+                           energy_pair, fit_order, gradient_energy, initial_energy,
+                           max_norm_bound, max_norm_error, posterior_spatial_error,
+                           posterior_temporal_error, stability_gap)
+from bbmb.config import parse_config_text
 from bbmb.grid import Grid1D, norms
-from bbmb.scheme import init_state
+from bbmb.scheme import SchemeParams, init_state, run
 
 from conftest import (example2_grid, example2_params, example2_phi, levels)
 
@@ -40,6 +43,73 @@ def test_boundedness_bound_examples():
     # and the bound actually holds along a conservative run
     worst = max(norms(u, grid.h).l2 for _, u in levels(example2_phi, grid, params))
     assert worst <= bound1
+
+
+def test_bounds_do_not_underflow():
+    # the squares of data near 1e-280 underflow to a zero E(0); the
+    # bounds are evaluated on scaled data and stay above max |u0|
+    grid = Grid1D(L=1.0, M=4, T=1.0, N=2)
+    params = SchemeParams(mu=1.0)
+    state = init_state(lambda x: 1.68e-280 / np.cosh(x) ** 2, grid, params)
+    u0, v0 = state.u_curr, state.v_curr
+    assert initial_energy(u0, v0, grid, params) == 0.0
+    # ||u0|| >= sqrt(h) * max |u0|, though norms() underflows to 0 here
+    assert boundedness_bound(u0, v0, grid, params) >= np.sqrt(grid.h) * np.abs(u0).max()
+    assert max_norm_bound(u0, v0, grid, params) >= np.abs(u0).max()
+
+
+_POSITIVE = st.floats(0.05, 20.0)
+_COEFFICIENT = st.floats(0.0, 3.0)
+
+
+@st.composite
+def _conservative_config(draw):
+    """Text of a custom config with no source, no reaction and nu >= 0,
+    starting from a sine mode below M/2 or a sech2 profile."""
+    m = draw(st.integers(4, 64))
+    amp = draw(st.floats(-2.0, 2.0))
+    if draw(st.booleans()):
+        phi = f"sine {amp!r} {draw(st.integers(0, (m - 1) // 2))}"
+    else:
+        phi = f"sech2 {amp!r} {draw(st.floats(0.05, 10.0))!r}"
+    x_left = draw(st.floats(-50.0, 50.0))
+    return "\n".join([
+        "experiment = custom",
+        f"x_left = {x_left!r}",
+        f"x_right = {x_left + draw(st.floats(0.5, 100.0))!r}",
+        f"mu = {draw(_POSITIVE)!r}",
+        f"gamma = {draw(_COEFFICIENT)!r}",
+        f"kappa = {draw(_COEFFICIENT)!r}",
+        f"nu = {draw(_COEFFICIENT)!r}",
+        "T = 1",
+        f"M = {m}",
+        f"N = {draw(st.integers(2, 40))}",
+        f"phi = {phi}"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(text=_conservative_config())
+def test_bounds_hold_on_conservative_runs_property(text):
+    # E_k >= e(u^{k+1}, v^{k+1})/2 once nu >= 0, so every level of any
+    # conservative run obeys both a-priori bounds, high sine modes included
+    config = parse_config_text(text)
+    grid = Grid1D(L=config.length, M=config.m_values[0], T=config.T,
+                  N=config.n_values[0], x_left=config.x_left)
+    params = config.params()
+    with np.errstate(over="ignore"):  # cosh of a narrow sech2 far out
+        result = run(config.phi, grid, params)
+    u0, v0 = result.initial.u_curr, result.initial.v_curr
+    e0 = initial_energy(u0, v0, grid, params)
+    bound = boundedness_bound(u0, v0, grid, params)
+    assert result.max_l2 <= bound
+    assert result.max_abs <= max_norm_bound(u0, v0, grid, params)
+    # both quantities are the one level energy e(u0, v0); below the
+    # smallest normal float its sums lose relative precision
+    tiny = np.finfo(float).tiny
+    assert bound ** 2 / 2 == pytest.approx(e0, rel=1e-14, abs=tiny)
+    assert energy_pair(u0, u0, v0, v0, EnergyLedger(rhs0=e0), grid, params) \
+        == pytest.approx(e0, rel=1e-15, abs=tiny)
+    assert result.energy[0][1] == e0
 
 
 def test_max_norm_error_exact_match():

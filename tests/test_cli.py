@@ -146,6 +146,7 @@ def test_bad_custom_coefficient_or_profile_exits_2(tmp_path, capsys):
         assert needle in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")  # the failure is reported, not warned about
 @pytest.mark.parametrize("amplitude, step, needle", [
     ("1e308", 0, "initial curvature"),  # second difference of u0 overflows
     ("1e200", 1, "step system"),        # advection products overflow
@@ -155,11 +156,22 @@ def test_overflowing_profile_exits_3(tmp_path, amplitude, step, needle):
                 "experiment = custom\nx_left = 0\nx_right = 2\nmu = 1\nT = 0.1\n"
                 f"M = 16\nN = 4\nphi = sech2 {amplitude} 1\n")
     out = tmp_path / "out"
-    with np.errstate(all="ignore"):
-        assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 3
     report = (out / "report.txt").read_text().splitlines()
     assert report[0].startswith("STALE")
     assert report[1].startswith(f"FAIL  solver: step {step}: {needle}")
+
+
+def test_high_mode_small_amplitude_run_passes_boundedness(tmp_path):
+    # sqrt(2*E(0)) bounds every level of a conservative run, however
+    # high the mode of its data
+    cfg = write(tmp_path, "sine.cfg",
+                "experiment = custom\nx_left = 0\nx_right = 2\nmu = 1\ngamma = 1\n"
+                "kappa = 0\nnu = 0\nT = 0.5\nM = 64\nN = 50\nphi = sine 0.01 10\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    report = (out / "report.txt").read_text()
+    assert "PASS  boundedness: max ||u|| = 0.01 vs bound 0.443623, max |u|" in report
 
 
 def test_invalid_config_exit_code(tmp_path):
