@@ -97,17 +97,18 @@ def as_field(u, m: int) -> np.ndarray:
     return a
 
 
-def periodic_shift(a, offset: int, axis: int = -1) -> np.ndarray:
+def periodic_shift(a, offset: int, axis: int = -1, out=None) -> np.ndarray:
     """result[..., i, ...] = a[..., (i + offset) % n, ...] along axis.
 
     The same values as np.roll(a, -offset, axis): offset 1 brings each
-    node's right neighbour to it, offset -1 its left neighbour.
+    node's right neighbour to it, offset -1 its left neighbour.  out, if
+    given, is an array of a's shape that receives the result.
     """
     a = np.asarray(a)
     offset %= a.shape[axis]
     lead = (slice(None),) * (axis % a.ndim)
     return np.concatenate((a[lead + (slice(offset, None),)],
-                           a[lead + (slice(None, offset),)]), axis=axis)
+                           a[lead + (slice(None, offset),)]), axis=axis, out=out)
 
 
 def second_diff(u, h: float) -> np.ndarray:

@@ -12,12 +12,18 @@ one dense LU solve.  A scalar variant handles the constant-coefficient
 relation between a field and its curvature, and a dense LU oracle backs
 both in the tests and as a last-resort fallback.
 
+A CyclicReductionSolver is built for one M and owns the buffers of
+every reduction level; the stepper keeps one per case, so a step's
+solve allocates only the (2, M) solution it returns.
+solve_cyclic_block_tridiagonal without a solver builds one for the call.
+
 The scalar solver runs once per case and keeps its elimination loops
 on plain Python floats.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +35,7 @@ __all__ = [
     "ScalarCyclicTriSystem",
     "CyclicBlockTriSystem",
     "solve_scalar_cyclic",
+    "CyclicReductionSolver",
     "solve_cyclic_block_tridiagonal",
     "solve_dense_oracle",
     "scalar_system_matrix",
@@ -231,8 +238,8 @@ def solve_scalar_cyclic(system: ScalarCyclicTriSystem) -> np.ndarray:
 # of the same (2, 7, n) layout per reduction level, node index last, so
 # each elementwise op runs over all n blocks: columns 0:2 hold sub[i],
 # 2:4 diag[i], 4:6 sup[i] and 6 rhs[i].
-_OFF_DIAG = [0, 1, 4, 5, 6]
 _BMUL = "ikn,kjn->ijn"  # per-node 2x2 product of (2, 2, n) and (2, j, n)
+_BVEC = "ikn,kn->in"    # per-node 2x2 block times 2-vector
 _ADJ_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None]
 # Stand-in factors [Pa|Pc|g] for a neighbour that _reduce keeps: Pa = -I
 # (left) or Pc = -I (right), g = 0, so its coupling block passes unchanged.
@@ -240,39 +247,128 @@ _KEEP_LEFT, _KEEP_RIGHT = np.zeros((2, 2, 5, 1))
 _KEEP_LEFT[:, 0:2, 0] = _KEEP_RIGHT[:, 2:4, 0] = -np.eye(2)
 
 
-def _pivot_solve(piv: np.ndarray, cols: np.ndarray, floor: float) -> np.ndarray:
-    """piv^{-1} @ cols per node, for 2x2 pivots piv (2, 2, n)."""
-    det = piv[0, 0] * piv[1, 1] - piv[0, 1] * piv[1, 0]
-    smallest = float(np.abs(det).min())
-    if smallest <= floor:
-        raise SingularSystemError(f"singular 2x2 pivot (|det|={smallest} <= {floor})")
-    adj = piv[::-1, ::-1].swapaxes(0, 1) * _ADJ_SIGN
-    return np.einsum(_BMUL, adj, cols) / det
+def _views(flat: np.ndarray, *shapes) -> list:
+    """Consecutive C-contiguous views of flat with the given shapes."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start:start + size].reshape(shape))
+        start += size
+    return views
 
 
-def _reduce(s: np.ndarray, floor: float):
-    """One cyclic-reduction level: eliminate the odd-indexed blocks.
+class _Level:
+    """Buffers of one reduction level of n blocks, k = n // 2 of them odd.
+
+    The odd blocks' factors p, the reduced system and (below the top
+    level) the level's solution x are its own; the other buffers are
+    views of scratch that every level reuses while it reduces or
+    back-substitutes.
+    """
+
+    def __init__(self, n: int, k: int, scratch: np.ndarray, top: bool):
+        m = n - k
+        self.n, self.k = n, k
+        self.p = np.empty((2, 5, k))
+        self.reduced = np.empty((2, 7, m))
+        self.x = None if top else np.empty((2, n))
+        (self.det, self.tmp, self.adj, self.cols, self.left, self.right, self.ap,
+         self.cp) = _views(scratch, (k,), (k,), (2, 2, k), (2, 5, k), (2, 5, m),
+                           (2, 5, m), (2, 5, m), (2, 5, m))
+        if n % 2 == 0:
+            self.right = self.p  # no block is kept: the right neighbours are p
+        self.x_next, self.vec = _views(scratch, (2, m), (2, k))
+
+
+def _reduce(level: _Level, s: np.ndarray, floor: float) -> np.ndarray:
+    """One cyclic-reduction level: eliminate the odd-indexed blocks of s.
 
     Each odd block j is solved for x[j] = g - Pa @ x[j-1] - Pc @ x[j+1]
     and substituted into its even neighbours, which leaves a periodic
     system in the even blocks alone.  With an odd block count the last
     block is even too, and it and block 0 keep their direct coupling.
-    Returns that system and the (2, 5, n//2) factors [Pa|Pc|g].
+    Fills level.p with the factors [Pa|Pc|g] and returns level.reduced.
     """
     odd, even = s[..., 1::2], s[..., 0::2]
-    p = _pivot_solve(odd[:, 2:4], odd[:, _OFF_DIAG], floor)
+    piv = odd[:, 2:4]
+    det = np.multiply(piv[0, 0], piv[1, 1], out=level.det)
+    det -= np.multiply(piv[0, 1], piv[1, 0], out=level.tmp)
+    smallest = float(np.abs(det, out=level.tmp).min())
+    if smallest <= floor:
+        raise SingularSystemError(f"singular 2x2 pivot (|det|={smallest} <= {floor})")
+    adj = np.multiply(piv[::-1, ::-1].swapaxes(0, 1), _ADJ_SIGN, out=level.adj)
+    cols = np.concatenate((odd[:, 0:2], odd[:, 4:]), axis=1, out=level.cols)
+    p = np.einsum(_BMUL, adj, cols, out=level.p)
+    p /= det
     if s.shape[2] % 2:
-        left = np.concatenate((_KEEP_LEFT, p), axis=-1)
-        right = np.concatenate((p, _KEEP_RIGHT), axis=-1)
+        left = np.concatenate((_KEEP_LEFT, p), axis=-1, out=level.left)
+        right = np.concatenate((p, _KEEP_RIGHT), axis=-1, out=level.right)
     else:
-        left, right = periodic_shift(p, -1), p
-    ap = np.einsum(_BMUL, even[:, 0:2], left)
-    cp = np.einsum(_BMUL, even[:, 4:6], right)
-    return np.concatenate((-ap[:, 0:2], even[:, 2:4] - ap[:, 2:4] - cp[:, 0:2],
-                           -cp[:, 2:4], even[:, 6:] - ap[:, 4:] - cp[:, 4:]), axis=1), p
+        left, right = periodic_shift(p, -1, out=level.left), p
+    ap = np.einsum(_BMUL, even[:, 0:2], left, out=level.ap)
+    cp = np.einsum(_BMUL, even[:, 4:6], right, out=level.cp)
+    r = level.reduced
+    np.negative(ap[:, 0:2], out=r[:, 0:2])
+    np.subtract(even[:, 2:4], ap[:, 2:4], out=r[:, 2:4])
+    r[:, 2:4] -= cp[:, 0:2]
+    np.negative(cp[:, 2:4], out=r[:, 4:6])
+    np.subtract(even[:, 6:], ap[:, 4:], out=r[:, 6:])
+    r[:, 6:] -= cp[:, 4:]
+    return r
 
 
-def solve_cyclic_block_tridiagonal(system: CyclicBlockTriSystem) -> np.ndarray:
+class CyclicReductionSolver:
+    """Periodic block cyclic reduction for systems of m block rows, with
+    every level's buffers allocated once, when the solver is built.
+    solve() overwrites them, so a solver serves one solve at a time.
+    """
+
+    def __init__(self, m: int):
+        if m < 4:
+            raise ValueError(f"need M >= 4 block rows, got {m}")
+        self.m = m
+        sizes, n = [], m
+        while n > REDUCTION_BASE:
+            sizes.append((n, n // 2))
+            n -= n // 2
+        # scratch for level 0's reduce buffers, the most any level uses
+        scratch = np.empty(16 * (m // 2) + 40 * (m - m // 2))
+        self._levels = [_Level(n, k, scratch, top=i == 0)
+                        for i, (n, k) in enumerate(sizes)]
+
+    def solve(self, system: CyclicBlockTriSystem) -> np.ndarray:
+        """Solve system in O(M); returns (M, 2), the transpose of a fresh
+        (2, M) array whose rows are the two unknowns."""
+        s = system.coeffs
+        if s.shape[2] != self.m:
+            raise ValueError(f"solver built for M = {self.m}, system has M = {s.shape[2]}")
+        blocks = s[:, :6]
+        scale = max(float(blocks.max()), -float(blocks.min()))  # max |entry|
+        floor = PIVOT_RTOL * scale * scale  # determinant scale is entries squared
+        for level in self._levels:
+            s = _reduce(level, s, floor)
+
+        b = s.transpose(2, 0, 1)
+        try:
+            x = np.linalg.solve(_dense_block_matrix(b[..., 0:2], b[..., 2:4], b[..., 4:6]),
+                                b[..., 6].reshape(-1)).reshape(-1, 2).T
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(str(exc)) from exc
+        for level in reversed(self._levels):
+            # odd block j of a level sits between its even blocks j and j+1
+            p, k = level.p, level.k
+            x_next = periodic_shift(x, 1, out=level.x_next)[:, :k]
+            full = np.empty((2, level.n)) if level.x is None else level.x
+            full[:, 0::2] = x
+            odd = np.subtract(p[:, 4], np.einsum(_BVEC, p[:, 0:2], x[:, :k], out=level.vec),
+                              out=full[:, 1::2])
+            odd -= np.einsum(_BVEC, p[:, 2:4], x_next, out=level.vec)
+            x = full
+        return x.T
+
+
+def solve_cyclic_block_tridiagonal(system: CyclicBlockTriSystem,
+                                   solver: CyclicReductionSolver | None = None) -> np.ndarray:
     """Solve a cyclic block-tridiagonal system in O(M); returns (M, 2),
     the transpose of a (2, M) array whose rows are the two unknowns.
 
@@ -282,32 +378,12 @@ def solve_cyclic_block_tridiagonal(system: CyclicBlockTriSystem) -> np.ndarray:
     periodic system is solved densely by LU with partial pivoting, and
     the eliminated blocks are recovered level by level.  The 2x2 pivots
     are not row-pivoted; each must clear PIVOT_RTOL of the squared
-    coefficient scale.
+    coefficient scale.  solver, built for the system's M, supplies the
+    level buffers; without one, a solver is built for this call.
     """
-    s = system.coeffs
-    scale = float(np.abs(s[:, :6]).max())
-    floor = PIVOT_RTOL * scale * scale  # determinant scale is entries squared
-    levels = []
-    while s.shape[2] > REDUCTION_BASE:
-        s, p = _reduce(s, floor)
-        levels.append(p)
-
-    b = s.transpose(2, 0, 1)
-    try:
-        x = np.linalg.solve(_dense_block_matrix(b[..., 0:2], b[..., 2:4], b[..., 4:6]),
-                            b[..., 6].reshape(-1)).reshape(-1, 2).T
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(str(exc)) from exc
-    for p in reversed(levels):
-        # odd block j of a level sits between its even blocks j and j+1
-        k = p.shape[2]
-        x_next = periodic_shift(x, 1)[:, :k]
-        full = np.empty((2, x.shape[1] + k))
-        full[:, 0::2] = x
-        full[:, 1::2] = (p[:, 4] - np.einsum("ikn,kn->in", p[:, 0:2], x[:, :k])
-                         - np.einsum("ikn,kn->in", p[:, 2:4], x_next))
-        x = full
-    return x.T
+    if solver is None:
+        solver = CyclicReductionSolver(system.m)
+    return solver.solve(system)
 
 
 def solve_dense_oracle(matrix, rhs) -> np.ndarray:

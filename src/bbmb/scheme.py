@@ -13,6 +13,12 @@ step linearized at the initial data, then three-level steps linearized
 at the middle level, which keeps the advection term skew-symmetric and
 the invariant of the analysis module exactly conserved (nu = 0) or
 monotonically accounted (nu > 0).
+
+Memory: march builds one StepWorkspace per case, which owns the packed
+(2, 7, M) step-system buffer that every step's assembly overwrites and
+the cyclic-reduction solver with its level buffers.  A step then
+allocates only its fresh (u, v) solution, which no later step touches,
+plus temporaries.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .grid import (Grid1D, as_field, central_diff, periodic_shift, second_diff,
 from .linalg import (
     DENSE_ORACLE_MAX_N,
     CyclicBlockTriSystem,
+    CyclicReductionSolver,
     ScalarCyclicTriSystem,
     block_matvec,
     block_row_sum_norm,
@@ -40,6 +47,7 @@ from .linalg import (
 __all__ = [
     "SchemeParams",
     "StepperState",
+    "StepWorkspace",
     "RunResult",
     "TruncationResiduals",
     "DivergenceError",
@@ -119,6 +127,15 @@ class StepperState:
     u_prev: Optional[np.ndarray]
     v_prev: Optional[np.ndarray]
     ledger: EnergyLedger
+
+
+class StepWorkspace:
+    """The buffers one case reuses at every step (see the module
+    docstring); it serves one step at a time."""
+
+    def __init__(self, m: int):
+        self.coeffs = np.empty((2, 7, m))
+        self.solver = CyclicReductionSolver(m)
 
 
 @dataclass
@@ -203,9 +220,12 @@ def newton_reaction_terms(u_k, params: SchemeParams):
 
 
 def _assemble_step(u_ref, v_ref, u_known, v_known, rate, grid: Grid1D,
-                   params: SchemeParams, t_source: float, step: int) -> CyclicBlockTriSystem:
-    """Shared assembly of the per-step system, straight into the packed
-    (2, 7, M) layout of CyclicBlockTriSystem.
+                   params: SchemeParams, t_source: float, step: int,
+                   out: Optional[np.ndarray]) -> CyclicBlockTriSystem:
+    """Shared assembly of the per-step system, straight into out, a
+    (2, 7, M) array in the packed layout of CyclicBlockTriSystem (a
+    fresh one if out is None); every entry is overwritten and the
+    returned system holds the array.
 
     rate is 1/tau for the starting step and 1/(2*tau) for interior
     steps; (u_ref, v_ref) carry the linearization level and
@@ -215,6 +235,10 @@ def _assemble_step(u_ref, v_ref, u_known, v_known, rate, grid: Grid1D,
     (coeffs[1]) the compact relation at the new level.  Non-finite
     coefficients raise DivergenceError for the given step.
     """
+    if out is None:
+        out = np.empty((2, 7, grid.M))
+    elif out.shape != (2, 7, grid.M):
+        raise ValueError(f"out has shape {out.shape}, expected {(2, 7, grid.M)}")
     h = grid.h
     mu, gamma, kappa, nu = params.mu, params.gamma, params.kappa, params.nu
 
@@ -223,7 +247,7 @@ def _assemble_step(u_ref, v_ref, u_known, v_known, rate, grid: Grid1D,
     skew = skew_advection(ref, u_known, h)
     diff = central_diff(np.array((u_known, v_known)), h)
 
-    c = np.empty((2, 7, grid.M))
+    c = out
     # evolution equation: sub, diag and sup blocks' first rows, then rhs
     c[0, 0] = 0.5 * gamma * c_sub[0] - 0.25 * gamma * h * h * c_sub[1] - kappa / (4.0 * h)
     c[0, 1] = kappa * h / 24.0
@@ -256,34 +280,38 @@ def _assemble_step(u_ref, v_ref, u_known, v_known, rate, grid: Grid1D,
         raise DivergenceError(step, f"step system: {exc}") from exc
 
 
-def assemble_first_step(state: StepperState, grid: Grid1D,
-                        params: SchemeParams) -> CyclicBlockTriSystem:
+def assemble_first_step(state: StepperState, grid: Grid1D, params: SchemeParams,
+                        out: Optional[np.ndarray] = None) -> CyclicBlockTriSystem:
     """System for the two-level starting step (unknowns at level 1),
-    linearized at the initial data; the source is taken at t = tau/2."""
+    linearized at the initial data; the source is taken at t = tau/2.
+    It is written into out (2, 7, M) if given, else into a fresh array."""
     if state.k != 0:
         raise ValueError(f"first step requires k == 0, got k={state.k}")
     return _assemble_step(state.u_curr, state.v_curr, state.u_curr, state.v_curr,
                           rate=1.0 / grid.tau, grid=grid, params=params,
-                          t_source=0.5 * grid.tau, step=1)
+                          t_source=0.5 * grid.tau, step=1, out=out)
 
 
-def assemble_interior_step(state: StepperState, grid: Grid1D,
-                           params: SchemeParams) -> CyclicBlockTriSystem:
+def assemble_interior_step(state: StepperState, grid: Grid1D, params: SchemeParams,
+                           out: Optional[np.ndarray] = None) -> CyclicBlockTriSystem:
     """System for a three-level interior step (unknowns at level k+1),
     linearized at level k with level k-1 mirrored to the right-hand
-    side; the source is taken at t_k."""
+    side; the source is taken at t_k.  It is written into out (2, 7, M)
+    if given, else into a fresh array."""
     if state.k < 1 or state.u_prev is None:
         raise ValueError(f"interior step requires k >= 1, got k={state.k}")
     return _assemble_step(state.u_curr, state.v_curr, state.u_prev, state.v_prev,
                           rate=0.5 / grid.tau, grid=grid, params=params,
-                          t_source=state.k * grid.tau, step=state.k + 1)
+                          t_source=state.k * grid.tau, step=state.k + 1, out=out)
 
 
-def _checked_solve(system: CyclicBlockTriSystem, step: int) -> np.ndarray:
-    """Solve a step system and enforce the residual budget; falls back to
-    the dense oracle at desk scale if the fast path misses it.  Returns
-    (M, 2), the transpose of the (2, M) rows u and v."""
-    x = solve_cyclic_block_tridiagonal(system)
+def _checked_solve(system: CyclicBlockTriSystem, step: int,
+                   solver: CyclicReductionSolver) -> np.ndarray:
+    """Solve a step system with the case's solver and enforce the
+    residual budget; falls back to the dense oracle at desk scale if the
+    fast path misses it.  Returns (M, 2), the transpose of the (2, M)
+    rows u and v."""
+    x = solve_cyclic_block_tridiagonal(system, solver)
     if not np.isfinite(x).all():
         raise DivergenceError(step, "solver returned non-finite values")
     rhs = system.rhs
@@ -322,14 +350,22 @@ def _check_consistency(uv, h: float, step: int):
             f"exceeds {CONSISTENCY_RTOL:.0e} * {scale:.3e}")
 
 
-def advance(state: StepperState, grid: Grid1D, params: SchemeParams) -> StepperState:
-    """Take one time step; returns the new state and updates the ledger."""
+def advance(state: StepperState, grid: Grid1D, params: SchemeParams,
+            work: Optional[StepWorkspace] = None) -> StepperState:
+    """Take one time step; returns the new state and updates the ledger.
+
+    The step system is assembled into work's buffer and solved with its
+    solver; without a workspace, one is built for this step.  The new
+    state's u and v are the rows of a fresh (2, M) array.
+    """
+    if work is None:
+        work = StepWorkspace(grid.M)
     first = state.k == 0
     if first:
-        system = assemble_first_step(state, grid, params)
+        system = assemble_first_step(state, grid, params, out=work.coeffs)
     else:
-        system = assemble_interior_step(state, grid, params)
-    uv = _checked_solve(system, state.k + 1).T
+        system = assemble_interior_step(state, grid, params, out=work.coeffs)
+    uv = _checked_solve(system, state.k + 1, work.solver).T
     if not np.isfinite(uv).all():
         raise DivergenceError(state.k + 1, "non-finite values in solution")
     _check_consistency(uv, grid.h, state.k + 1)
@@ -350,15 +386,17 @@ def march(phi, grid: Grid1D, params: SchemeParams) -> Iterator[StepperState]:
     """Yield the accepted state at each level k = 0..N, one at a time.
 
     Only the current state is held, so memory stays O(M) however long
-    the run.  The yielded states share one energy ledger, which is up
-    to date for the state just yielded; read it before advancing.
-    Fields are never modified after they are yielded, so a caller may
-    keep references to them.
+    the run.  One StepWorkspace serves every step of the run and is
+    dropped with the generator.  The yielded states share one energy
+    ledger, which is up to date for the state just yielded; read it
+    before advancing.  Fields are fresh arrays that are never modified
+    after they are yielded, so a caller may keep references to them.
     """
     state = init_state(phi, grid, params)
     yield state
+    work = StepWorkspace(grid.M)
     for _ in range(grid.N):
-        state = advance(state, grid, params)
+        state = advance(state, grid, params, work)
         yield state
 
 

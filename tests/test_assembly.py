@@ -85,3 +85,22 @@ def test_assembly_matches_block_reference_bitwise(case, m):
         got = (system.sub, system.diag, system.sup, system.rhs)
         for name, g, w in zip(("sub", "diag", "sup", "rhs"), got, want):
             assert np.array_equal(g, w), f"{case} M={m}: {name} differs"
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_assembly_into_a_used_buffer_overwrites_every_entry(case):
+    # a case's workspace buffer still holds the previous step's system
+    # (here: NaN) when the next step is assembled into it
+    make_grid, make_params, phi = CASES[case]
+    grid, params = make_grid(16, 20), make_params()
+    state = init_state(phi, grid, params)
+    buffer = np.full((2, 7, grid.M), np.nan)
+    first = assemble_first_step(state, grid, params, out=buffer)
+    assert first.coeffs is buffer
+    assert np.array_equal(buffer, assemble_first_step(state, grid, params).coeffs)
+    state = advance(state, grid, params)
+    interior = assemble_interior_step(state, grid, params, out=buffer)
+    assert interior.coeffs is buffer
+    assert np.array_equal(buffer, assemble_interior_step(state, grid, params).coeffs)
+    with pytest.raises(ValueError):
+        assemble_interior_step(state, grid, params, out=np.empty((2, 7, grid.M + 1)))

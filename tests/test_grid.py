@@ -123,6 +123,9 @@ def test_periodic_shift_matches_roll(rng, m):
                               np.roll(stacked[0], -offset))
         assert np.array_equal(periodic_shift(blocks, offset, axis=0),
                               np.roll(blocks, -offset, axis=0))
+        out = np.empty_like(stacked)
+        assert periodic_shift(stacked, offset, out=out) is out
+        assert np.array_equal(out, np.roll(stacked, -offset, axis=-1))
 
 
 @pytest.mark.parametrize("m", SHIFT_SIZES)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bbmb.linalg import (REDUCTION_BASE, CyclicBlockTriSystem,
-                         ScalarCyclicTriSystem, SingularSystemError,
+                         CyclicReductionSolver, ScalarCyclicTriSystem,
+                         SingularSystemError,
                          block_matvec, block_row_sum_norm, block_system_matrix,
                          scalar_system_matrix, solve_cyclic_block_tridiagonal,
                          solve_dense_oracle, solve_scalar_cyclic)
@@ -215,6 +216,30 @@ def test_block_reduction_zero_system_raises():
                                 rhs=np.ones((m, 2)))
     with pytest.raises(SingularSystemError):
         solve_cyclic_block_tridiagonal(sys_)
+
+
+@pytest.mark.parametrize("m", [5, 32, 33, 64, 65, 250, 1001])
+def test_reused_solver_matches_fresh_solver_bitwise(rng, m):
+    # the level buffers are overwritten by every solve: nothing may carry
+    # over from one system to the next, and each solution is a fresh array
+    solver = CyclicReductionSolver(m)
+    solutions = []
+    for _ in range(3):
+        system = random_block_system(rng, m)
+        x = solve_cyclic_block_tridiagonal(system, solver)
+        assert np.array_equal(x, CyclicReductionSolver(m).solve(system))
+        assert np.array_equal(x, solve_cyclic_block_tridiagonal(system))
+        solutions.append((x, x.copy()))
+    for x, kept in solutions:
+        assert np.array_equal(x, kept)
+    assert not np.shares_memory(solutions[0][0], solutions[1][0])
+
+
+def test_solver_rejects_other_sizes(rng):
+    with pytest.raises(ValueError):
+        CyclicReductionSolver(3)
+    with pytest.raises(ValueError):
+        CyclicReductionSolver(64).solve(random_block_system(rng, 65))
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbmb.analysis import energy_pair
+from bbmb.analysis import energy_pair, fit_order, max_norm_error
+from bbmb.config import preset_callbacks
 from bbmb.grid import Grid1D, central_diff, norms, second_diff, skew_advection
 from bbmb.linalg import block_system_matrix
 from bbmb.scheme import (DivergenceError, SchemeParams,
@@ -281,18 +282,23 @@ def test_march_yields_every_level_and_run_folds_it():
     assert len(result.energy) == grid.N + 1
 
 
+EXAMPLES = {
+    "example1": (example1_grid, example1_params, lambda x: example1_exact(x, 0.0)),
+    "example2": (example2_grid, example2_params, example2_phi),
+    "example3": (example3_grid, example3_params, example3_phi),
+}
+
+
 # Python and C calls in one interior step at M = 16, the fixed per-step
-# cost that dominates small grids: 191-197 with numpy 2.4.  The count is
+# cost that dominates small grids: 200-206 with numpy 2.4, of which 5 build
+# the step's workspace (a march step reuses its case's).  The count is
 # exact for a given numpy, so this guard does not depend on timing.
 MAX_CALLS_PER_STEP = 235
 
 
-@pytest.mark.parametrize("make_grid, make_params, phi", [
-    (example1_grid, example1_params, lambda x: example1_exact(x, 0.0)),
-    (example2_grid, example2_params, example2_phi),
-    (example3_grid, example3_params, example3_phi),
-], ids=["example1", "example2", "example3"])
-def test_interior_step_call_count(make_grid, make_params, phi):
+@pytest.mark.parametrize("example", sorted(EXAMPLES))
+def test_interior_step_call_count(example):
+    make_grid, make_params, phi = EXAMPLES[example]
     grid, params = make_grid(16, 100), make_params()
     state = advance(advance(init_state(phi, grid, params), grid, params), grid, params)
     calls = 0
@@ -309,6 +315,27 @@ def test_interior_step_call_count(make_grid, make_params, phi):
     finally:
         sys.setprofile(previous)
     assert calls <= MAX_CALLS_PER_STEP, f"{calls} calls in one interior step"
+
+
+@pytest.mark.parametrize("m", [5, 33, 64, 65, 250, 1001])
+@pytest.mark.parametrize("example", sorted(EXAMPLES))
+def test_march_levels_match_advance_and_stay_intact(example, m):
+    # march reuses one workspace for every step; the public advance builds
+    # a fresh one per step.  Both must give the same bits, and no level
+    # march yields may be overwritten by a later step.
+    make_grid, make_params, phi = EXAMPLES[example]
+    grid, params = make_grid(m, 6), make_params()
+    kept = [(st.u_curr, st.v_curr, st.u_curr.copy(), st.v_curr.copy())
+            for st in march(phi, grid, params)]
+    state = init_state(phi, grid, params)
+    reference = [(state.u_curr, state.v_curr)]
+    for _ in range(grid.N):
+        state = advance(state, grid, params)
+        reference.append((state.u_curr, state.v_curr))
+    assert len(kept) == len(reference) == grid.N + 1
+    for (u, v, u_copy, v_copy), (u_ref, v_ref) in zip(kept, reference):
+        assert np.array_equal(u, u_ref) and np.array_equal(v, v_ref)
+        assert np.array_equal(u, u_copy) and np.array_equal(v, v_copy)
 
 
 def test_odd_symmetry_is_preserved():
@@ -378,6 +405,53 @@ def test_reaction_linearization_defect_is_quadratic():
     delta = np.max(np.abs(ub - uk))
     # |F'''| <= 6*max|u| on the relevant range; allow slack for the solve residual
     assert np.max(np.abs(res)) <= 5.0 * delta ** 2 + 1e-10
+
+
+# The reaction against an exact solution: u = exp(t)*sin(pi*x) on [0, 2]
+# with example1's coefficients and F'(u) = u^3 - u, so the source is
+# example1's plus F'(u).
+
+def _reaction_params():
+    p = preset_callbacks("example1")
+    fprime, fsecond = example3_params().reaction
+
+    def source(x, t):
+        return p["source"](x, t) + fprime(example1_exact(x, t))
+
+    return SchemeParams(mu=p["mu"], gamma=p["gamma"], kappa=p["kappa"], nu=p["nu"],
+                        source=source, reaction=(fprime, fsecond))
+
+
+def _reaction_error(m, n):
+    grid = example1_grid(m, n)
+    return max_norm_error(levels(lambda x: example1_exact(x, 0.0), grid,
+                                 _reaction_params()), example1_exact, grid)
+
+
+def test_reaction_exact_solution_orders():
+    # tau = 1e-3 keeps the time error to a few per cent of the finest
+    # spatial error, and M = 64 the space error to about 1 % of the
+    # finest time error
+    spatial = fit_order([(2.0 / m, _reaction_error(m, 1000)) for m in (8, 16, 32)])
+    assert 3.7 <= spatial <= 4.5, f"spatial order {spatial:.3f}"
+    temporal = fit_order([(1.0 / n, _reaction_error(64, n)) for n in (20, 40, 80)])
+    assert 1.9 <= temporal <= 2.1, f"temporal order {temporal:.3f}"
+
+
+def test_reaction_truncation_defects_decay():
+    params = _reaction_params()
+
+    def exact_xx(x, t):
+        return -np.pi ** 2 * example1_exact(x, t)
+
+    def defects(m, n):
+        return truncation_residual(example1_exact, exact_xx, example1_grid(m, n), params)
+
+    coarse, fine = defects(16, 2000), defects(32, 2000)  # halving h, tau^2 negligible
+    assert 12.0 <= coarse.compact / fine.compact <= 20.0
+    assert 12.0 <= coarse.interior / fine.interior <= 20.0
+    coarse, fine = defects(128, 20), defects(128, 40)    # halving tau, h^4 negligible
+    assert 3.4 <= coarse.interior / fine.interior <= 4.6
 
 
 # -- driver ---------------------------------------------------------------------
