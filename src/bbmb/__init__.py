@@ -4,9 +4,10 @@ on a periodic interval, with a verification CLI."""
 from .analysis import (ConvergenceRow, EnergyLedger, boundedness_bound,
                        convergence_table, energy_pair, fit_order,
                        gradient_energy, initial_energy, max_norm_bound,
-                       max_norm_error, posterior_spatial_error,
-                       posterior_temporal_error, stability_gap)
-from .grid import (FieldNorms, Grid1D, as_field, backward_diff, central_diff,
+                       max_norm_error, max_norm_errors, posterior_spatial_error,
+                       posterior_spatial_errors, posterior_temporal_error,
+                       stability_gap)
+from .grid import (Batch, FieldNorms, Grid1D, as_field, backward_diff, central_diff,
                    inner_product, norms, second_diff, skew_advection)
 from .linalg import (CyclicBlockTriSystem, ScalarCyclicTriSystem,
                      SingularSystemError, solve_cyclic_block_tridiagonal,

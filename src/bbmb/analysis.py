@@ -17,18 +17,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid1D, backward_diff, norms
+from .grid import Batch, Grid1D, backward_diff, norms
 
 __all__ = [
     "EnergyLedger",
     "ConvergenceRow",
     "gradient_energy",
+    "gradient_energies",
     "energy_pair",
     "initial_energy",
     "boundedness_bound",
     "max_norm_bound",
     "max_norm_error",
+    "max_norm_errors",
     "posterior_spatial_error",
+    "posterior_spatial_errors",
     "posterior_temporal_error",
     "convergence_table",
     "fit_order",
@@ -56,8 +59,23 @@ def gradient_energy(u, v, h: float) -> float:
     nonnegative for any v by the inverse inequality |v|_1 <= (2/h)*||v||,
     since (h^4/144)*(2/h)^2 = h^2/36 < h^2/12.
     """
-    du = backward_diff(u, h)
-    dv = backward_diff(v, h)
+    return _gradient_form(backward_diff(u, h), v, backward_diff(v, h), h)
+
+
+def gradient_energies(u, v, batch: Batch) -> list:
+    """gradient_energy of each case of a batch, for fields spanning its
+    nodes: the differences are taken once for all cases and the sums
+    over each case's slice, so every value has the bits of
+    gradient_energy on that case alone."""
+    du = backward_diff(u, batch.h, batch.shift)
+    dv = backward_diff(v, batch.h, batch.shift)
+    return [_gradient_form(du[start:stop], v[start:stop], dv[start:stop], g.h)
+            for g, (start, stop) in zip(batch.grids, batch.bounds)]
+
+
+def _gradient_form(du, v, dv, h: float) -> float:
+    """The quadratic form of gradient_energy from one case's backward
+    differences du and dv of u and v."""
     return h * float((du * du).sum() + (h * h / 12.0) * (v * v).sum()
                      - (h ** 4 / 144.0) * (dv * dv).sum())
 
@@ -105,12 +123,19 @@ def max_norm_error(levels, exact, grid: Grid1D) -> float:
     """Max over nodes and levels of |exact(x, t) - numeric|.  levels is
     any iterable of (t, u) pairs; a stream is consumed one level at a
     time."""
-    x = grid.nodes()
-    worst = 0.0
+    return max_norm_errors(levels, exact, Batch.of(grid))[0]
+
+
+def max_norm_errors(levels, exact, batch: Batch) -> list:
+    """max_norm_error of each case of a batch marched in lockstep.
+    levels is any iterable of (t, u) pairs with u spanning the batch's
+    nodes; exact is called once per level, on all nodes at once."""
+    x = batch.nodes()
+    worst = np.zeros(len(batch.grids))
     for t, u in levels:
-        err = float(np.max(np.abs(np.asarray(exact(x, t), dtype=float) - u)))
-        worst = max(worst, err)
-    return worst
+        err = np.abs(np.asarray(exact(x, t), dtype=float) - u)
+        worst = np.maximum(worst, batch.case_max(err))
+    return worst.tolist()
 
 
 def _check_times_match(coarse, fine, stride: int):
@@ -136,14 +161,31 @@ def posterior_spatial_error(coarse, fine) -> float:
         raise ValueError(
             f"runs record different numbers of levels: {len(coarse)} vs {len(fine)}")
     _check_times_match(coarse, fine, stride=1)
-    mc = len(coarse[0][1])
-    mf = len(fine[0][1])
-    if mf != 2 * mc:
-        raise ValueError(f"fine grid must have exactly 2M nodes: {mc} vs {mf}")
-    worst = 0.0
-    for (_, uc), (_, uf) in zip(coarse, fine):
-        worst = max(worst, float(np.max(np.abs(uc - uf[::2]))))
-    return worst
+    return posterior_spatial_errors((uc, uf) for (_, uc), (_, uf) in zip(coarse, fine))[0]
+
+
+def posterior_spatial_errors(levels) -> list:
+    """Grid-halving spatial error estimates along a refinement chain of
+    runs that share the time grid, such as a lockstep batch.
+
+    levels is any iterable of per-level sequences (u_0, ..., u_n), one
+    field per run; run j+1 has exactly twice the nodes of run j, and
+    node i of run j coincides with its node 2i.  Returns, for
+    j = 0..n-1, the max over shared nodes and levels of |u_j - u_{j+1}|.
+    A stream is consumed one level at a time.
+    """
+    worst = None
+    for fields in levels:
+        pairs = list(zip(fields, fields[1:]))
+        if worst is None:
+            for uc, uf in pairs:
+                if len(uf) != 2 * len(uc):
+                    raise ValueError(
+                        f"fine grid must have exactly 2M nodes: {len(uc)} vs {len(uf)}")
+            worst = [0.0] * len(pairs)
+        worst = [max(w, float(np.max(np.abs(uc - uf[::2]))))
+                 for w, (uc, uf) in zip(worst, pairs)]
+    return [] if worst is None else worst
 
 
 def posterior_temporal_error(coarse, fine) -> float:

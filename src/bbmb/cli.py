@@ -9,13 +9,18 @@ Subcommands
                   solution; emit stability.csv
 
 Every subcommand takes --config PATH and an optional --out DIR.
-Refinement cases run one after another in a fixed order, so the
+Cases that share a time grid (the M values of one N) march in
+lockstep, as one grid.Batch: a spatial refinement chain and each N of
+a stability sweep advance together, so each step's fixed cost is paid
+once for all their cases, and their errors are folded level by level.
+Each case's arithmetic is the same as when it runs alone, so the
 emitted CSV files are byte-identical across reruns on one platform.
 Cases are not run in threads: the work is many short numpy calls that
 hold the interpreter lock, so threads only add lock waits.
 Levels are reduced as they are computed (scheme.march), so every
-subcommand holds O(M) memory per run, except posterior convergence,
-which keeps the levels of two neighbouring runs to compare them.
+subcommand holds O(M) memory per case, except posterior temporal
+convergence, which keeps the levels of two neighbouring runs to
+compare them.
 All floats are printed with 15 significant digits.
 
 Exit codes: 0 success, 2 invalid config, 3 solver failure,
@@ -31,10 +36,10 @@ import sys
 import numpy as np
 
 from .analysis import (boundedness_bound, convergence_table, fit_order,
-                       max_norm_bound, max_norm_error, posterior_spatial_error,
+                       max_norm_bound, max_norm_errors, posterior_spatial_errors,
                        posterior_temporal_error)
 from .config import ConfigError, ExperimentConfig, parse_config
-from .grid import Grid1D
+from .grid import Batch, Grid1D
 from .linalg import SingularSystemError
 from .scheme import DivergenceError, SolverFailure, march, run
 
@@ -81,11 +86,27 @@ def _grid(config: ExperimentConfig, m: int, n: int) -> Grid1D:
     return Grid1D(L=config.length, M=m, T=config.T, N=n, x_left=config.x_left)
 
 
-def _levels(config, m, n):
-    """Stream every level of one (M, N) case as (t, u) pairs."""
-    grid = _grid(config, m, n)
-    return ((st.k * grid.tau, st.u_curr)
-            for st in march(config.phi, grid, config.params()))
+def _batch(config: ExperimentConfig, sizes) -> Batch:
+    """The lockstep batch of the (M, N) cases in sizes, which share N."""
+    return Batch(_grid(config, m, n) for m, n in sizes)
+
+
+def _levels(config, batch: Batch):
+    """Stream every level of a batch's cases, marched in lockstep, as
+    (t, u) pairs; u spans the batch's nodes."""
+    return ((st.k * batch.tau, st.u_curr)
+            for st in march(config.phi, batch, config.params()))
+
+
+def _exact_errors(config: ExperimentConfig, sizes) -> dict:
+    """Max-norm error against the exact solution of each (M, N) case in
+    sizes; the cases of each N march in lockstep."""
+    errors = {}
+    for n in dict.fromkeys(n for _, n in sizes):
+        group = [size for size in sizes if size[1] == n]
+        batch = _batch(config, group)
+        errors.update(zip(group, max_norm_errors(_levels(config, batch), config.exact, batch)))
+    return errors
 
 
 def _conservative(config: ExperimentConfig) -> bool:
@@ -167,20 +188,24 @@ def _cmd_convergence(config: ExperimentConfig, out_dir) -> list:
         out_name = "temporal_orders.csv"
         window = TEMPORAL_ORDER_WINDOW
 
-    if config.posterior:
+    if config.posterior and spatial:
+        # the chain marches in lockstep; neighbouring cases are compared
+        # level by level as the levels arrive
+        batch = _batch(config, sizes)
+        errors = list(zip(steps, posterior_spatial_errors(
+            batch.split(u) for _, u in _levels(config, batch))))
+    elif config.posterior:
         # each estimate compares two neighbouring runs level by level,
         # so only the pair being compared is held
-        estimator = posterior_spatial_error if spatial else posterior_temporal_error
         errors = []
-        coarse = list(_levels(config, *sizes[0]))
-        for step, (m, n) in zip(steps, sizes[1:]):
-            fine = list(_levels(config, m, n))
-            errors.append((step, estimator(coarse, fine)))
+        coarse = list(_levels(config, _batch(config, sizes[:1])))
+        for step, size in zip(steps, sizes[1:]):
+            fine = list(_levels(config, _batch(config, [size])))
+            errors.append((step, posterior_temporal_error(coarse, fine)))
             coarse = fine
     else:
-        errors = [(step, max_norm_error(_levels(config, m, n), config.exact,
-                                        _grid(config, m, n)))
-                  for step, (m, n) in zip(steps, sizes)]
+        table = _exact_errors(config, sizes)
+        errors = [(step, table[size]) for step, size in zip(steps, sizes)]
 
     rows = convergence_table(errors)
     _write_csv(os.path.join(out_dir, out_name), ["step", "error", "order"],
@@ -224,18 +249,17 @@ def _cmd_stability(config: ExperimentConfig, out_dir) -> list:
         raise ConfigError([f"M: {config.m_values} is too short for a stability sweep; "
                            "the plateau check compares the last two M values, "
                            "so at least two are needed"])
-    table = {(n, m): max_norm_error(_levels(config, m, n), config.exact,
-                                    _grid(config, m, n))
-             for n in config.n_values for m in config.m_values}
+    table = _exact_errors(config, [(m, n) for n in config.n_values
+                                   for m in config.m_values])
 
     header = ["h"] + [f"tau={_fmt(config.T / n)}" for n in config.n_values]
-    rows = [[config.length / m] + [table[(n, m)] for n in config.n_values]
+    rows = [[config.length / m] + [table[(m, n)] for n in config.n_values]
             for m in config.m_values]
     _write_csv(os.path.join(out_dir, "stability.csv"), header, rows)
 
     checks = []
     for n in config.n_values:
-        curve = [table[(n, m)] for m in config.m_values]
+        curve = [table[(m, n)] for m in config.m_values]
         # The curve approaches its time-limited plateau; near the
         # space/time error crossover it may dip below the plateau and
         # come back up, so monotonicity is required of the distance to

@@ -8,6 +8,12 @@ arrays of a time step.  All operators accept stacked inputs of shape
 (..., M) and act along the last axis, so whole trajectories can be
 processed at once.
 
+A Batch lays the grids of several cases that share one time grid end
+to end on one node array, so the cases can be marched in lockstep.  The
+operators take its h, one value per node, and its shift, which wraps
+inside each case.  A batch of one keeps the grid's float h and
+periodic_shift, so it does the arithmetic of the plain grid.
+
 Reductions (inner products, norms) are numpy sums (np.sum, or the
 array's .sum in per-step code: the same reduction), which use pairwise
 summation for float64; this keeps them clean enough for the 1e-10-scale
@@ -22,6 +28,7 @@ import numpy as np
 
 __all__ = [
     "Grid1D",
+    "Batch",
     "FieldNorms",
     "as_field",
     "periodic_shift",
@@ -78,6 +85,80 @@ class Grid1D:
         return k
 
 
+class Batch:
+    """The grids of cases that share one time grid (N and T), laid end to
+    end on one node array of M = sum of the cases' M nodes.
+
+    Case j owns the nodes bounds[j] = (start, stop) and has the grid
+    step case_h[j].  h holds each node's grid step and shift(a, offset)
+    brings each node the value offset nodes to its right (offset = +-1),
+    wrapping inside the node's own case: one np.take through
+    precomputed indices.  A batch of one keeps the grid's float step as
+    h and case_h and uses periodic_shift, so it computes what the plain
+    grid would, with no per-node arrays.
+    """
+
+    def __init__(self, grids):
+        self.grids = tuple(grids)
+        if not self.grids:
+            raise ValueError("a batch needs at least one grid")
+        first = self.grids[0]
+        for g in self.grids[1:]:
+            if (g.N, g.T) != (first.N, first.T):
+                raise ValueError(f"batched grids must share N and T: "
+                                 f"{(first.N, first.T)} vs {(g.N, g.T)}")
+        self.N, self.T, self.tau = first.N, first.T, first.tau
+        if len(self.grids) == 1:
+            self.M = first.M
+            self.bounds = ((0, first.M),)
+            self.h = self.case_h = first.h
+            self.shift = periodic_shift
+            self.starts = self.stencil = None
+            self._x = first.nodes()
+            return
+        sizes = np.array([g.M for g in self.grids])
+        stops = np.cumsum(sizes)
+        starts = stops - sizes
+        self.M = int(stops[-1])
+        self.bounds = tuple(zip(starts.tolist(), stops.tolist()))
+        self.case_h = np.array([g.h for g in self.grids])
+        self.h = np.repeat(self.case_h, sizes)
+        self.shift = self._take
+        self.starts = starts
+        node = np.arange(self.M)
+        right, left = node + 1, node - 1
+        right[stops - 1] = starts
+        left[starts] = stops - 1
+        self._neighbour = {1: right, -1: left}
+        # left neighbours, the nodes, right neighbours: block_matvec's order
+        self.stencil = np.concatenate((left, node, right))
+        self._x = np.concatenate([g.nodes() for g in self.grids])
+
+    @classmethod
+    def of(cls, grid) -> "Batch":
+        """grid itself if it is a Batch, else the batch of one Grid1D."""
+        return grid if isinstance(grid, cls) else cls((grid,))
+
+    def _take(self, a, offset: int) -> np.ndarray:
+        return a.take(self._neighbour[offset], axis=-1)
+
+    def nodes(self) -> np.ndarray:
+        """The cases' node coordinates, end to end (one shared array)."""
+        return self._x
+
+    def split(self, a) -> list:
+        """Each case's view of a (..., M) array."""
+        return [a[..., start:stop] for start, stop in self.bounds]
+
+    def case_max(self, a):
+        """Largest entry of each case in a (..., M) array, over the
+        leading axes too: one value per case (a scalar for one case)."""
+        if self.stencil is None:
+            return a.max()
+        per_case = np.maximum.reduceat(a, self.starts, axis=-1)
+        return per_case.reshape(-1, len(self.grids)).max(axis=0)
+
+
 @dataclass(frozen=True)
 class FieldNorms:
     """Discrete L2 norm, H1 seminorm and max norm of one field."""
@@ -111,29 +192,32 @@ def periodic_shift(a, offset: int, axis: int = -1, out=None) -> np.ndarray:
                            a[lead + (slice(None, offset),)]), axis=axis, out=out)
 
 
-def second_diff(u, h: float) -> np.ndarray:
-    """Periodic second difference (u[i+1] - 2*u[i] + u[i-1]) / h**2."""
+def second_diff(u, h, shift=periodic_shift) -> np.ndarray:
+    """Periodic second difference (u[i+1] - 2*u[i] + u[i-1]) / h**2.
+
+    shift(a, offset) supplies the neighbours (a Batch's wraps inside each
+    case); h may then be an array with one value per node."""
     u = np.asarray(u, dtype=float)
-    return (periodic_shift(u, 1) - 2.0 * u + periodic_shift(u, -1)) / (h * h)
+    return (shift(u, 1) - 2.0 * u + shift(u, -1)) / (h * h)
 
 
-def central_diff(u, h: float) -> np.ndarray:
+def central_diff(u, h, shift=periodic_shift) -> np.ndarray:
     """Periodic centered first difference (u[i+1] - u[i-1]) / (2*h)."""
     u = np.asarray(u, dtype=float)
-    return (periodic_shift(u, 1) - periodic_shift(u, -1)) / (2.0 * h)
+    return (shift(u, 1) - shift(u, -1)) / (2.0 * h)
 
 
-def backward_diff(u, h: float) -> np.ndarray:
+def backward_diff(u, h, shift=periodic_shift) -> np.ndarray:
     """Half-node differences: entry i holds (u[i] - u[i-1]) / h.
 
     These are the slopes on the M cells ending at each node; the H1
     seminorm and the summation-by-parts identity are built from them.
     """
     u = np.asarray(u, dtype=float)
-    return (u - periodic_shift(u, -1)) / h
+    return (u - shift(u, -1)) / h
 
 
-def skew_advection(a, b, h: float) -> np.ndarray:
+def skew_advection(a, b, h, shift=periodic_shift) -> np.ndarray:
     """Skew-symmetric product rule for a * db/dx on the periodic grid.
 
     result[i] = (a[i]*(b[i+1] - b[i-1]) + a[i+1]*b[i+1] - a[i-1]*b[i-1]) / (6*h)
@@ -148,10 +232,10 @@ def skew_advection(a, b, h: float) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if a.shape[-1] != b.shape[-1]:
         raise ValueError(f"length mismatch: {a.shape[-1]} vs {b.shape[-1]}")
-    ap = periodic_shift(a, 1)
-    am = periodic_shift(a, -1)
-    bp = periodic_shift(b, 1)
-    bm = periodic_shift(b, -1)
+    ap = shift(a, 1)
+    am = shift(a, -1)
+    bp = shift(b, 1)
+    bm = shift(b, -1)
     return (a * (bp - bm) + ap * bp - am * bm) / (6.0 * h)
 
 

@@ -14,8 +14,14 @@ both in the tests and as a last-resort fallback.
 
 A CyclicReductionSolver is built for one M and owns the buffers of
 every reduction level; the stepper keeps one per case, so a step's
-solve allocates only the (2, M) solution it returns.
-solve_cyclic_block_tridiagonal without a solver builds one for the call.
+solve allocates nothing but the (2, M) solution it returns, or writes
+it into a given array.  solve_cyclic_block_tridiagonal without a solver
+builds one for the call.
+
+Cases marched in lockstep share one (2, 7, sum of M) array, their
+systems end to end: segments() gives each case's system as a view, and
+block_matvec applies all of them at once through a stencil index that
+wraps inside each case.
 
 The scalar solver runs once per case and keeps its elimination loops
 on plain Python floats.
@@ -127,6 +133,21 @@ class CyclicBlockTriSystem:
     @property
     def m(self) -> int:
         return self.coeffs.shape[2]
+
+    def segments(self, bounds) -> list:
+        """The systems of block rows start:stop for each (start, stop)
+        in the tuple bounds, each holding a view of coeffs whose entries
+        were checked with this system (the system itself for the one
+        segment of all rows).  Each is a cyclic system of its own: its
+        corner blocks couple its first and last rows."""
+        if bounds == ((0, self.m),):
+            return [self]
+        segments = []
+        for start, stop in bounds:
+            system = type(self).__new__(type(self))
+            system.coeffs = self.coeffs[:, :, start:stop]
+            segments.append(system)
+        return segments
 
     @property
     def sub(self) -> np.ndarray:
@@ -336,12 +357,15 @@ class CyclicReductionSolver:
         self._levels = [_Level(n, k, scratch, top=i == 0)
                         for i, (n, k) in enumerate(sizes)]
 
-    def solve(self, system: CyclicBlockTriSystem) -> np.ndarray:
-        """Solve system in O(M); returns (M, 2), the transpose of a fresh
-        (2, M) array whose rows are the two unknowns."""
+    def solve(self, system: CyclicBlockTriSystem, out=None) -> np.ndarray:
+        """Solve system in O(M); returns (M, 2), the transpose of a (2, M)
+        array whose rows are the two unknowns: out if given, else a
+        fresh one."""
         s = system.coeffs
         if s.shape[2] != self.m:
             raise ValueError(f"solver built for M = {self.m}, system has M = {s.shape[2]}")
+        if out is None:
+            out = np.empty((2, self.m))
         blocks = s[:, :6]
         scale = max(float(blocks.max()), -float(blocks.min()))  # max |entry|
         floor = PIVOT_RTOL * scale * scale  # determinant scale is entries squared
@@ -358,19 +382,23 @@ class CyclicReductionSolver:
             # odd block j of a level sits between its even blocks j and j+1
             p, k = level.p, level.k
             x_next = periodic_shift(x, 1, out=level.x_next)[:, :k]
-            full = np.empty((2, level.n)) if level.x is None else level.x
+            full = out if level.x is None else level.x
             full[:, 0::2] = x
             odd = np.subtract(p[:, 4], np.einsum(_BVEC, p[:, 0:2], x[:, :k], out=level.vec),
                               out=full[:, 1::2])
             odd -= np.einsum(_BVEC, p[:, 2:4], x_next, out=level.vec)
             x = full
-        return x.T
+        if x is not out:  # no reduction level: x is the base solve's
+            out[...] = x
+        return out.T
 
 
 def solve_cyclic_block_tridiagonal(system: CyclicBlockTriSystem,
-                                   solver: CyclicReductionSolver | None = None) -> np.ndarray:
+                                   solver: CyclicReductionSolver | None = None,
+                                   out=None) -> np.ndarray:
     """Solve a cyclic block-tridiagonal system in O(M); returns (M, 2),
-    the transpose of a (2, M) array whose rows are the two unknowns.
+    the transpose of a (2, M) array whose rows are the two unknowns
+    (out, if given).
 
     Periodic block cyclic reduction (Buzbee, Golub & Nielson 1970;
     Heller 1976): each level eliminates the odd-indexed blocks and
@@ -383,7 +411,7 @@ def solve_cyclic_block_tridiagonal(system: CyclicBlockTriSystem,
     """
     if solver is None:
         solver = CyclicReductionSolver(system.m)
-    return solver.solve(system)
+    return solver.solve(system, out)
 
 
 def solve_dense_oracle(matrix, rhs) -> np.ndarray:
@@ -437,16 +465,29 @@ def block_system_matrix(system: CyclicBlockTriSystem) -> np.ndarray:
     return _dense_block_matrix(system.sub, system.diag, system.sup)
 
 
-def block_matvec(system: CyclicBlockTriSystem, x: np.ndarray) -> np.ndarray:
-    """Apply the block cyclic matrix to x of shape (M, 2); returns (M, 2)."""
+def block_matvec(system: CyclicBlockTriSystem, x: np.ndarray, stencil=None) -> np.ndarray:
+    """Apply the block cyclic matrix to x of shape (M, 2); returns (M, 2).
+
+    stencil, if given, is a (3M,) index array: each row's left
+    neighbour, the row itself, then its right neighbour.  A Batch's
+    stencil applies the systems of all its cases at once, each wrapping
+    inside its own rows; without one, the rows wrap as one system.
+    """
     xt = np.asarray(x).T
     m = system.m
     # x[i-1], x[i] and x[i+1] for every node i, side by side: (2, 3M)
-    near = np.concatenate((xt[:, -1:], xt[:, :-1], xt, xt[:, 1:], xt[:, :1]), axis=1)
+    if stencil is None:
+        near = np.concatenate((xt[:, -1:], xt[:, :-1], xt, xt[:, 1:], xt[:, :1]), axis=1)
+    else:
+        near = np.take(xt, stencil, axis=1)
     return np.einsum("rbjn,jbn->rn", system.coeffs[:, :6].reshape(2, 3, 2, m),
                      near.reshape(2, 3, m)).T
 
 
-def block_row_sum_norm(system: CyclicBlockTriSystem) -> float:
-    """Infinity norm of the assembled matrix (max absolute row sum)."""
-    return float(np.abs(system.coeffs[:, :6]).sum(axis=1).max())
+def block_row_sum_norm(system: CyclicBlockTriSystem, reduce=np.max):
+    """Infinity norm of the assembled matrix (max absolute row sum).
+
+    reduce takes the (2, M) absolute row sums; Batch.case_max gives the
+    norm of each case of a batch's system.
+    """
+    return reduce(np.abs(system.coeffs[:, :6]).sum(axis=1))

@@ -14,9 +14,16 @@ at the middle level, which keeps the advection term skew-symmetric and
 the invariant of the analysis module exactly conserved (nu = 0) or
 monotonically accounted (nu > 0).
 
-Memory: march builds one StepWorkspace per case, which owns the packed
+Lockstep: cases that share a time grid (N and T) march together as one
+grid.Batch, their nodes end to end on one array.  A step assembles one
+packed system for all of them, solves each case's block of it with the
+case's own solver, and checks every case against its own budgets in one
+pass over the batch; each case keeps its own energy ledger.  A single
+grid is a batch of one and does the same arithmetic as on its own.
+
+Memory: march builds one StepWorkspace per batch, which owns the packed
 (2, 7, M) step-system buffer that every step's assembly overwrites and
-the cyclic-reduction solver with its level buffers.  A step then
+each case's cyclic-reduction solver with its level buffers.  A step then
 allocates only its fresh (u, v) solution, which no later step touches,
 plus temporaries.
 """
@@ -28,9 +35,9 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .analysis import EnergyLedger, gradient_energy, initial_energy
-from .grid import (Grid1D, as_field, central_diff, periodic_shift, second_diff,
-                   skew_advection)
+from .analysis import EnergyLedger, gradient_energies, gradient_energy, initial_energy
+from .grid import (Batch, Grid1D, as_field, central_diff, periodic_shift,
+                   second_diff, skew_advection)
 from .linalg import (
     DENSE_ORACLE_MAX_N,
     CyclicBlockTriSystem,
@@ -68,14 +75,22 @@ __all__ = [
 # compact-relation consistency of each accepted level.  The solve budget
 # also admits residuals below the smallest normal float: there, data
 # too small for normal floats carry no relative precision to enforce.
+# The compact relation is the second block row of the step system, so
+# its budget is also never below the case's solve budget: what the
+# solve could not reach, the relation cannot hold either.
 SOLVE_RESIDUAL_RTOL = 1e-11
 CONSISTENCY_RTOL = 1e-11
 _SMALLEST_NORMAL = np.finfo(float).tiny
+# Entries of the compact relation's row: u's and v's three coefficients
+# (times 1/h^2 for u) for the left neighbour, the node, the right one
+_COMPACT_U = np.array([-1.0, 2.0, -1.0])[:, None]
+_COMPACT_V = np.array([1.0 / 12.0, 5.0 / 6.0, 1.0 / 12.0])[:, None]
 
 
 class DivergenceError(Exception):
     """A step system or solution became non-finite (finite input can
-    overflow); carries the failing step index, 0 for the initial data."""
+    overflow); carries the failing step index, 0 for the initial data.
+    The message names the failing case's M."""
 
     def __init__(self, step: int, message: str):
         super().__init__(f"step {step}: {message}")
@@ -83,7 +98,8 @@ class DivergenceError(Exception):
 
 
 class SolverFailure(Exception):
-    """A production solve missed its residual budget and no fallback applied."""
+    """A production solve missed its residual budget and no fallback
+    applied; the message names the step and the failing case's M."""
 
 
 @dataclass
@@ -118,7 +134,8 @@ class SchemeParams:
 
 @dataclass
 class StepperState:
-    """Two consecutive levels of (u, v) plus the running energy ledger.
+    """Two consecutive levels of (u, v) plus one running energy ledger
+    per case.  The fields span the batch's nodes, its cases end to end.
     At k = 0 there is no previous level and u_prev/v_prev are None."""
 
     k: int
@@ -126,16 +143,31 @@ class StepperState:
     v_curr: np.ndarray
     u_prev: Optional[np.ndarray]
     v_prev: Optional[np.ndarray]
-    ledger: EnergyLedger
+    ledgers: tuple
+
+    @property
+    def ledger(self) -> EnergyLedger:
+        """The energy ledger of a one-case state."""
+        if len(self.ledgers) != 1:
+            raise ValueError(f"a state of {len(self.ledgers)} cases has one ledger per case")
+        return self.ledgers[0]
 
 
 class StepWorkspace:
-    """The buffers one case reuses at every step (see the module
-    docstring); it serves one step at a time."""
+    """The buffers one batch reuses at every step (see the module
+    docstring): the packed system of all its cases and one solver per
+    case.  grid is a Grid1D or a Batch; it serves one step at a time."""
 
-    def __init__(self, m: int):
-        self.coeffs = np.empty((2, 7, m))
-        self.solver = CyclicReductionSolver(m)
+    def __init__(self, grid):
+        self.batch = Batch.of(grid)
+        self.coeffs = np.empty((2, 7, self.batch.M))
+        self.solvers = [CyclicReductionSolver(g.M) for g in self.batch.grids]
+
+
+def _failing_case(batch: Batch, failed) -> str:
+    """' (case M = m)' for the first case whose flag is set in failed,
+    per-case flags as Batch.case_max gives them."""
+    return f" (case M = {batch.grids[int(np.argmax(failed))].M})"
 
 
 @dataclass
@@ -152,21 +184,21 @@ class RunResult:
     initial: StepperState
 
 
-def skew_advection_rows(a, h: float):
+def skew_advection_rows(a, h, shift=periodic_shift):
     """Per-node stencil coefficients of b -> skew_advection(a, b).
 
-    Returns (c_sub, c_diag, c_super) with
+    Returns (c_sub, c_super) with
         c_sub[i]   = -(a[i] + a[i-1]) / (6*h)
-        c_diag[i]  = 0
         c_super[i] =  (a[i] + a[i+1]) / (6*h)
     so that skew_advection(a, b)[i] = c_sub[i]*b[i-1] + c_super[i]*b[i+1]
-    for every b; a stacked (..., M) input gives stacked rows.  c_sub is
-    c_super shifted one node right, with its sign flipped; a sum is the
-    same in either order, so this is exact.
+    for every b (the diagonal coefficient is 0); a stacked (..., M)
+    input gives stacked rows.  c_sub is c_super shifted one node right,
+    with its sign flipped; a sum is the same in either order, so this is
+    exact.  shift and a per-node h serve a Batch, as in the grid module.
     """
     a = np.asarray(a, dtype=float)
-    c_super = (a + periodic_shift(a, 1)) / (6.0 * h)
-    return -periodic_shift(c_super, -1), np.zeros_like(a), c_super
+    c_super = (a + shift(a, 1)) / (6.0 * h)
+    return -shift(c_super, -1), c_super
 
 
 def compact_curvature(u, h: float) -> np.ndarray:
@@ -183,21 +215,26 @@ def compact_curvature(u, h: float) -> np.ndarray:
     return solve_scalar_cyclic(system)
 
 
-def init_state(phi, grid: Grid1D, params: SchemeParams) -> StepperState:
-    """Sample the initial condition, solve for its compact curvature, and
-    open the energy ledger."""
-    x = grid.nodes()
+def init_state(phi, grid, params: SchemeParams) -> StepperState:
+    """Sample the initial condition, solve each case's compact curvature,
+    and open each case's energy ledger.  grid is a Grid1D or a Batch."""
+    batch = Batch.of(grid)
+    x = batch.nodes()
     u0 = np.asarray(phi(x), dtype=float)
     if u0.shape != x.shape:
         raise ValueError("initial condition callback must be vectorized over x")
-    u0 = as_field(u0, grid.M)
-    try:
-        v0 = compact_curvature(u0, grid.h)
-    except ValueError as exc:  # the second difference of u0 overflowed
-        raise DivergenceError(0, f"initial curvature: {exc}") from exc
-    ledger = EnergyLedger(rhs0=initial_energy(u0, v0, grid, params))
+    u0 = as_field(u0, batch.M)
+    v0, ledgers = [], []
+    for g, u in zip(batch.grids, batch.split(u0)):
+        try:
+            v = compact_curvature(u, g.h)
+        except ValueError as exc:  # the second difference of u0 overflowed
+            raise DivergenceError(0, f"initial curvature: {exc} (case M = {g.M})") from exc
+        v0.append(v)
+        ledgers.append(EnergyLedger(rhs0=initial_energy(u, v, g, params)))
+    v0 = v0[0] if len(v0) == 1 else np.concatenate(v0)
     return StepperState(k=0, u_curr=u0, v_curr=v0, u_prev=None, v_prev=None,
-                        ledger=ledger)
+                        ledgers=tuple(ledgers))
 
 
 def newton_reaction_terms(u_k, params: SchemeParams):
@@ -219,13 +256,13 @@ def newton_reaction_terms(u_k, params: SchemeParams):
     return 0.5 * fpp, fp - fpp * u_k
 
 
-def _assemble_step(u_ref, v_ref, u_known, v_known, rate, grid: Grid1D,
+def _assemble_step(u_ref, v_ref, u_known, v_known, rate, batch: Batch,
                    params: SchemeParams, t_source: float, step: int,
                    out: Optional[np.ndarray]) -> CyclicBlockTriSystem:
-    """Shared assembly of the per-step system, straight into out, a
-    (2, 7, M) array in the packed layout of CyclicBlockTriSystem (a
-    fresh one if out is None); every entry is overwritten and the
-    returned system holds the array.
+    """Shared assembly of the per-step system of every case of the
+    batch, straight into out, a (2, 7, M) array in the packed layout of
+    CyclicBlockTriSystem (a fresh one if out is None); every entry is
+    overwritten and the returned system holds the array.
 
     rate is 1/tau for the starting step and 1/(2*tau) for interior
     steps; (u_ref, v_ref) carry the linearization level and
@@ -236,16 +273,16 @@ def _assemble_step(u_ref, v_ref, u_known, v_known, rate, grid: Grid1D,
     coefficients raise DivergenceError for the given step.
     """
     if out is None:
-        out = np.empty((2, 7, grid.M))
-    elif out.shape != (2, 7, grid.M):
-        raise ValueError(f"out has shape {out.shape}, expected {(2, 7, grid.M)}")
-    h = grid.h
+        out = np.empty((2, 7, batch.M))
+    elif out.shape != (2, 7, batch.M):
+        raise ValueError(f"out has shape {out.shape}, expected {(2, 7, batch.M)}")
+    h, shift = batch.h, batch.shift
     mu, gamma, kappa, nu = params.mu, params.gamma, params.kappa, params.nu
 
     ref = np.array((u_ref, v_ref))
-    c_sub, _, c_sup = skew_advection_rows(ref, h)
-    skew = skew_advection(ref, u_known, h)
-    diff = central_diff(np.array((u_known, v_known)), h)
+    c_sub, c_sup = skew_advection_rows(ref, h, shift)
+    skew = skew_advection(ref, u_known, h, shift)
+    diff = central_diff(np.array((u_known, v_known)), h, shift)
 
     c = out
     # evolution equation: sub, diag and sup blocks' first rows, then rhs
@@ -263,146 +300,184 @@ def _assemble_step(u_ref, v_ref, u_known, v_known, rate, grid: Grid1D,
                + kappa * h * h / 12.0 * diff[1]
                + 0.5 * nu * v_known)
     if params.source is not None:
-        c[0, 6] += np.asarray(params.source(grid.nodes(), t_source), dtype=float)
+        c[0, 6] += np.asarray(params.source(batch.nodes(), t_source), dtype=float)
     if params.reaction is not None:
         diag_coeff, known = newton_reaction_terms(u_ref, params)
         c[0, 2] += diag_coeff
         c[0, 6] -= known + diag_coeff * u_known
 
     # compact relation at the new level, with a zero right-hand side
-    inv_h2 = 1.0 / (h * h)
-    c[1] = [[-inv_h2], [1.0 / 12.0], [2.0 * inv_h2], [5.0 / 6.0],
-            [-inv_h2], [1.0 / 12.0], [0.0]]
+    c[1, 0:6:2] = _COMPACT_U * (1.0 / (h * h))
+    c[1, 1:6:2] = _COMPACT_V
+    c[1, 6] = 0.0
 
     try:
         return CyclicBlockTriSystem.packed(c)
     except ValueError as exc:
-        raise DivergenceError(step, f"step system: {exc}") from exc
+        where = _failing_case(batch, batch.case_max(~np.isfinite(c)))
+        raise DivergenceError(step, f"step system: {exc}{where}") from exc
 
 
-def assemble_first_step(state: StepperState, grid: Grid1D, params: SchemeParams,
+def assemble_first_step(state: StepperState, grid, params: SchemeParams,
                         out: Optional[np.ndarray] = None) -> CyclicBlockTriSystem:
     """System for the two-level starting step (unknowns at level 1),
     linearized at the initial data; the source is taken at t = tau/2.
-    It is written into out (2, 7, M) if given, else into a fresh array."""
+    grid is a Grid1D or a Batch.  It is written into out (2, 7, M) if
+    given, else into a fresh array."""
     if state.k != 0:
         raise ValueError(f"first step requires k == 0, got k={state.k}")
     return _assemble_step(state.u_curr, state.v_curr, state.u_curr, state.v_curr,
-                          rate=1.0 / grid.tau, grid=grid, params=params,
+                          rate=1.0 / grid.tau, batch=Batch.of(grid), params=params,
                           t_source=0.5 * grid.tau, step=1, out=out)
 
 
-def assemble_interior_step(state: StepperState, grid: Grid1D, params: SchemeParams,
+def assemble_interior_step(state: StepperState, grid, params: SchemeParams,
                            out: Optional[np.ndarray] = None) -> CyclicBlockTriSystem:
     """System for a three-level interior step (unknowns at level k+1),
     linearized at level k with level k-1 mirrored to the right-hand
-    side; the source is taken at t_k.  It is written into out (2, 7, M)
-    if given, else into a fresh array."""
+    side; the source is taken at t_k.  grid is a Grid1D or a Batch.  It
+    is written into out (2, 7, M) if given, else into a fresh array."""
     if state.k < 1 or state.u_prev is None:
         raise ValueError(f"interior step requires k >= 1, got k={state.k}")
     return _assemble_step(state.u_curr, state.v_curr, state.u_prev, state.v_prev,
-                          rate=0.5 / grid.tau, grid=grid, params=params,
+                          rate=0.5 / grid.tau, batch=Batch.of(grid), params=params,
                           t_source=state.k * grid.tau, step=state.k + 1, out=out)
 
 
-def _checked_solve(system: CyclicBlockTriSystem, step: int,
-                   solver: CyclicReductionSolver) -> np.ndarray:
-    """Solve a step system with the case's solver and enforce the
-    residual budget; falls back to the dense oracle at desk scale if the
-    fast path misses it.  Returns (M, 2), the transpose of the (2, M)
-    rows u and v."""
-    x = solve_cyclic_block_tridiagonal(system, solver)
-    if not np.isfinite(x).all():
-        raise DivergenceError(step, "solver returned non-finite values")
-    rhs = system.rhs
-    rhs_inf = float(np.abs(rhs).max())
-    bound = SOLVE_RESIDUAL_RTOL * (rhs_inf + block_row_sum_norm(system)
-                                   * float(np.abs(x).max())) + _SMALLEST_NORMAL
-    res = float(np.abs(block_matvec(system, x) - rhs).max())
-    if res <= bound:
-        return x
+def _checked_solve(system: CyclicBlockTriSystem, batch: Batch, step: int,
+                   solvers) -> tuple:
+    """Solve each case's block of a batch's step system with the case's
+    solver and hold every case to its own residual budget; a case that
+    misses it falls back to the dense oracle at desk scale.  Returns the
+    solution rows (u, v) as one fresh (2, M) array and the per-case
+    budgets."""
+    uv = np.empty((2, batch.M))
+    cases = system.segments(batch.bounds)
+    for case, solver, (start, stop) in zip(cases, solvers, batch.bounds):
+        solve_cyclic_block_tridiagonal(case, solver, out=uv[:, start:stop])
+    finite = np.isfinite(uv)
+    if not finite.all():
+        where = _failing_case(batch, batch.case_max(~finite))
+        raise DivergenceError(step, f"solver returned non-finite values{where}")
+    c = system.coeffs
+    rhs = c[:, 6]
+    bound = SOLVE_RESIDUAL_RTOL * (batch.case_max(np.abs(rhs))
+                                   + block_row_sum_norm(system, batch.case_max)
+                                   * batch.case_max(np.abs(uv))) + _SMALLEST_NORMAL
+    res = batch.case_max(np.abs(block_matvec(system, uv.T, batch.stencil).T - rhs))
+    failed = res > bound
+    if failed.any():
+        res, bound, failed = np.atleast_1d(res, bound, failed)
+        for j in np.flatnonzero(failed):
+            _dense_fallback(cases[j], uv[:, slice(*batch.bounds[j])],
+                            float(res[j]), float(bound[j]), step)
+    return uv, bound
+
+
+def _dense_fallback(system: CyclicBlockTriSystem, x, res: float, bound: float, step: int):
+    """Re-solve one case's system by dense LU into its rows x (2, M) if
+    the case is small enough and the dense solution meets the budget the
+    fast solve missed; otherwise raise SolverFailure."""
     if 2 * system.m <= DENSE_ORACLE_MAX_N:
-        xd = solve_dense_oracle(block_system_matrix(system), rhs.reshape(-1))
+        xd = solve_dense_oracle(block_system_matrix(system), system.rhs.reshape(-1))
         xd = xd.reshape(system.m, 2)
-        res_d = float(np.abs(block_matvec(system, xd) - rhs).max())
+        res_d = float(np.abs(block_matvec(system, xd) - system.rhs).max())
         if res_d <= bound:
-            return xd
+            x[...] = xd.T
+            return
     raise SolverFailure(
-        f"step {step}: solve residual {res:.3e} exceeds budget {bound:.3e}")
+        f"step {step}: solve residual {res:.3e} exceeds budget {bound:.3e} "
+        f"(case M = {system.m})")
 
 
-def _check_consistency(uv, h: float, step: int):
+def _check_consistency(uv, batch: Batch, step: int, solve_bound):
     """The second block row enforces the compact relation; verify it held
-    for the solution rows uv = (u, v).
+    in every case for the solution rows uv = (u, v).
 
     The scale reflects the stencil terms before cancellation: second
     differences are formed from O(|u|/h^2) quantities, so their roundoff
-    floor is eps*4*|u|/h^2 even when the difference itself is tiny.
+    floor is eps*4*|u|/h^2 even when the difference itself is tiny.  A
+    case's budget is CONSISTENCY_RTOL times that scale, but never below
+    its solve budget solve_bound: with mu/tau much larger than 1/h^2 no
+    backward-stable solve gets the row closer than that.
     """
+    h = batch.h
     u, v = uv
-    d2u, d2v = second_diff(uv, h)
-    res = float(np.abs(v - d2u + (h * h / 12.0) * d2v).max())
-    scale = float((4.0 / (h * h)) * np.abs(u).max()
-                  + (4.0 / 3.0) * np.abs(v).max())
-    if res > CONSISTENCY_RTOL * max(scale, 1e-30):
+    d2u, d2v = second_diff(uv, h, batch.shift)
+    res = batch.case_max(np.abs(v - d2u + (h * h / 12.0) * d2v))
+    scale = ((4.0 / (batch.case_h * batch.case_h)) * batch.case_max(np.abs(u))
+             + (4.0 / 3.0) * batch.case_max(np.abs(v)))
+    budget = np.maximum(CONSISTENCY_RTOL * np.maximum(scale, 1e-30), solve_bound)
+    failed = res > budget
+    if failed.any():
+        j = int(np.argmax(failed))
+        res, budget = np.atleast_1d(res, budget)
         raise SolverFailure(
-            f"step {step}: compact relation residual {res:.3e} "
-            f"exceeds {CONSISTENCY_RTOL:.0e} * {scale:.3e}")
+            f"step {step}: compact relation residual {res[j]:.3e} exceeds budget "
+            f"{budget[j]:.3e}{_failing_case(batch, failed)}")
 
 
-def advance(state: StepperState, grid: Grid1D, params: SchemeParams,
+def advance(state: StepperState, grid, params: SchemeParams,
             work: Optional[StepWorkspace] = None) -> StepperState:
-    """Take one time step; returns the new state and updates the ledger.
+    """Take one time step of every case; returns the new state and
+    updates each case's ledger.
 
-    The step system is assembled into work's buffer and solved with its
+    grid is a Grid1D or a Batch.  The step system is assembled into
+    work's buffer and each case's block is solved with the case's
     solver; without a workspace, one is built for this step.  The new
     state's u and v are the rows of a fresh (2, M) array.
     """
     if work is None:
-        work = StepWorkspace(grid.M)
+        work = StepWorkspace(grid)
+    batch = work.batch
     first = state.k == 0
     if first:
-        system = assemble_first_step(state, grid, params, out=work.coeffs)
+        system = assemble_first_step(state, batch, params, out=work.coeffs)
     else:
-        system = assemble_interior_step(state, grid, params, out=work.coeffs)
-    uv = _checked_solve(system, state.k + 1, work.solver).T
-    if not np.isfinite(uv).all():
-        raise DivergenceError(state.k + 1, "non-finite values in solution")
-    _check_consistency(uv, grid.h, state.k + 1)
+        system = assemble_interior_step(state, batch, params, out=work.coeffs)
+    uv, solve_bound = _checked_solve(system, batch, state.k + 1, work.solvers)
+    _check_consistency(uv, batch, state.k + 1, solve_bound)
     u_next, v_next = uv
 
     # diffusion at the average of the new level and the one it mirrors
     u_old, v_old = (state.u_curr, state.v_curr) if first else (state.u_prev, state.v_prev)
-    weight = (1.0 if first else 2.0) * params.nu * grid.tau
-    state.ledger.dissipation += weight * gradient_energy(
-        0.5 * (u_old + u_next), 0.5 * (v_old + v_next), grid.h)
+    weight = (1.0 if first else 2.0) * params.nu * batch.tau
+    energies = gradient_energies(0.5 * (u_old + u_next), 0.5 * (v_old + v_next), batch)
+    for ledger, g in zip(state.ledgers, energies):
+        ledger.dissipation += weight * g
 
     return StepperState(k=state.k + 1, u_curr=u_next, v_curr=v_next,
                         u_prev=state.u_curr, v_prev=state.v_curr,
-                        ledger=state.ledger)
+                        ledgers=state.ledgers)
 
 
-def march(phi, grid: Grid1D, params: SchemeParams) -> Iterator[StepperState]:
+def march(phi, grid, params: SchemeParams) -> Iterator[StepperState]:
     """Yield the accepted state at each level k = 0..N, one at a time.
 
+    grid is a Grid1D, or a Batch of cases that share the time grid,
+    which march in lockstep: each yielded state holds every case's
+    level, the cases end to end (Batch.split gives each case's view).
     Only the current state is held, so memory stays O(M) however long
     the run.  One StepWorkspace serves every step of the run and is
-    dropped with the generator.  The yielded states share one energy
-    ledger, which is up to date for the state just yielded; read it
-    before advancing.  Fields are fresh arrays that are never modified
-    after they are yielded, so a caller may keep references to them.
+    dropped with the generator.  The yielded states share the cases'
+    energy ledgers, which are up to date for the state just yielded;
+    read them before advancing.  Fields are fresh arrays that are never
+    modified after they are yielded, so a caller may keep references to
+    them.
     """
-    state = init_state(phi, grid, params)
+    batch = Batch.of(grid)
+    state = init_state(phi, batch, params)
     yield state
-    work = StepWorkspace(grid.M)
-    for _ in range(grid.N):
-        state = advance(state, grid, params, work)
+    work = StepWorkspace(batch)
+    for _ in range(batch.N):
+        state = advance(state, batch, params, work)
         yield state
 
 
 def run(phi, grid: Grid1D, params: SchemeParams, snapshot_times=None,
         track_energy: bool = True) -> RunResult:
-    """March from t = 0 to t = T and fold the levels into a RunResult.
+    """March one case from t = 0 to t = T and fold the levels into a
+    RunResult.
 
     snapshot_times must each lie within tau/2 of a grid time; snapshots
     are recorded at the nearest grid time without interpolation.  The

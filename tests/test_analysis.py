@@ -65,7 +65,8 @@ _COEFFICIENT = st.floats(0.0, 3.0)
 @st.composite
 def _conservative_config(draw):
     """Text of a custom config with no source, no reaction and nu >= 0,
-    starting from a sine mode below M/2 or a sech2 profile."""
+    starting from a sine mode below M/2 or a sech2 profile; short T
+    gives coarse runs with mu/tau >> 1/h^2."""
     m = draw(st.integers(4, 64))
     amp = draw(st.floats(-2.0, 2.0))
     if draw(st.booleans()):
@@ -81,7 +82,7 @@ def _conservative_config(draw):
         f"gamma = {draw(_COEFFICIENT)!r}",
         f"kappa = {draw(_COEFFICIENT)!r}",
         f"nu = {draw(_COEFFICIENT)!r}",
-        "T = 1",
+        f"T = {draw(st.floats(0.01, 2.0))!r}",
         f"M = {m}",
         f"N = {draw(st.integers(2, 40))}",
         f"phi = {phi}"])

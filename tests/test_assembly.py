@@ -20,8 +20,8 @@ def reference_assembly(u_ref, v_ref, u_known, v_known, rate, grid, params, t_sou
     h = grid.h
     mu, gamma, kappa, nu = params.mu, params.gamma, params.kappa, params.nu
 
-    cs_u, _, cp_u = skew_advection_rows(u_ref, h)
-    cs_v, _, cp_v = skew_advection_rows(v_ref, h)
+    cs_u, cp_u = skew_advection_rows(u_ref, h)
+    cs_v, cp_v = skew_advection_rows(v_ref, h)
 
     sub = np.zeros((m, 2, 2))
     diag = np.zeros((m, 2, 2))

@@ -174,6 +174,17 @@ def test_high_mode_small_amplitude_run_passes_boundedness(tmp_path):
     assert "PASS  boundedness: max ||u|| = 0.01 vs bound 0.443623, max |u|" in report
 
 
+def test_coarse_small_step_run_passes_the_compact_relation_gate(tmp_path):
+    # mu/(2*tau) >> 1/h^2: no backward-stable solve holds the compact row
+    # to 1e-11 of its stencil scale, so its budget is the solve budget
+    cfg = write(tmp_path, "coarse.cfg",
+                "experiment = custom\nx_left = 0\nx_right = 73\nmu = 1\ngamma = 0\n"
+                "kappa = 2\nnu = 0\nT = 0.01171875\nM = 4\nN = 13\nphi = sine 1 1\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert "FAIL" not in (out / "report.txt").read_text()
+
+
 def test_invalid_config_exit_code(tmp_path):
     cfg = write(tmp_path, "bad.cfg", "experiment = example1\nM = 10 30\n")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

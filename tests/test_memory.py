@@ -29,6 +29,10 @@ def _peak_bytes(text, mode, out_dir):
 CONFIGS = {
     "invariants": "experiment = example2\nT = 1\nM = 2000\nN = {n}\n",
     "stability": "experiment = example1\nT = 1\nM = 1000 2000\nN = {n}\n",
+    # the chain marches in lockstep and is compared level by level;
+    # keeping every level of two neighbouring runs would add 300 levels
+    # of 600 floats (1.4 MB) at N = 400
+    "convergence": "experiment = example2\nT = 1\nM = 100 200 400\nN = {n}\nposterior = on\n",
 }
 
 
