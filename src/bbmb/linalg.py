@@ -10,7 +10,19 @@ odd-indexed blocks and halves the system, with all 2x2 block arithmetic
 vectorized over the nodes, until a small periodic system is left for
 one dense LU solve.  A scalar variant handles the constant-coefficient
 relation between a field and its curvature, and a dense LU oracle backs
-both in the tests and as a last-resort fallback.
+both in the tests.
+
+The 2x2 pivots are not row-pivoted.  Eliminating v through the compact
+row leaves rate*I + (mu*rate + nu/2)*A^-1 P + K + diag(F''(u))/2 on u,
+where A = tridiag(1/12, 5/6, 1/12) and P = -delta^2 are commuting
+symmetric circulants (so A^-1 P >= 0) and K is skew.  For
+mu*rate + nu/2 >= 0 its symmetric part is >= (rate + min F''/2)*I, so
+positive definite in the paper's regime (nu >= 0, rate + min F''/2 > 0),
+and a property test holds the unrefined solve to its budget there; this
+bounds the eliminated operator, not each reduction level's pivots.  For
+mu*rate + nu/2 < 0 it is indefinite at high wavenumbers, where A^-1 P
+reaches 6/h^2: a solve can then miss its budget, which the stepper
+repairs with one refinement step, or meet a singular pivot.
 
 A CyclicReductionSolver is built for one M and owns the buffers of
 every reduction level; the stepper keeps one per case, so a step's
@@ -415,7 +427,7 @@ def solve_cyclic_block_tridiagonal(system: CyclicBlockTriSystem,
 
 
 def solve_dense_oracle(matrix, rhs) -> np.ndarray:
-    """Dense LU solve with partial pivoting; test oracle and fallback only."""
+    """Dense LU solve with partial pivoting; a test oracle."""
     a = np.asarray(matrix, dtype=float)
     b = np.asarray(rhs, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -433,7 +445,7 @@ def solve_dense_oracle(matrix, rhs) -> np.ndarray:
         raise SingularSystemError(str(exc)) from exc
 
 
-# -- dense assembly and residual helpers (tests, fallback, diagnostics) ------
+# -- dense assembly and residual helpers (tests, diagnostics) ----------------
 
 def scalar_system_matrix(system: ScalarCyclicTriSystem) -> np.ndarray:
     """Assemble the full M x M matrix of a scalar cyclic system."""

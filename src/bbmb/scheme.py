@@ -38,18 +38,9 @@ import numpy as np
 from .analysis import EnergyLedger, gradient_energies, gradient_energy, initial_energy
 from .grid import (Batch, Grid1D, as_field, central_diff, periodic_shift,
                    second_diff, skew_advection)
-from .linalg import (
-    DENSE_ORACLE_MAX_N,
-    CyclicBlockTriSystem,
-    CyclicReductionSolver,
-    ScalarCyclicTriSystem,
-    block_matvec,
-    block_row_sum_norm,
-    block_system_matrix,
-    solve_cyclic_block_tridiagonal,
-    solve_dense_oracle,
-    solve_scalar_cyclic,
-)
+from .linalg import (CyclicBlockTriSystem, CyclicReductionSolver, ScalarCyclicTriSystem,
+                     SingularSystemError, block_matvec, block_row_sum_norm,
+                     solve_cyclic_block_tridiagonal, solve_scalar_cyclic)
 
 __all__ = [
     "SchemeParams",
@@ -98,8 +89,9 @@ class DivergenceError(Exception):
 
 
 class SolverFailure(Exception):
-    """A production solve missed its residual budget and no fallback
-    applied; the message names the step and the failing case's M."""
+    """A step's solve failed: a case's system had a singular pivot, or
+    its solution missed the residual budget even after one refinement
+    step.  The message names the step and the failing case's M."""
 
 
 @dataclass
@@ -347,14 +339,19 @@ def assemble_interior_step(state: StepperState, grid, params: SchemeParams,
 def _checked_solve(system: CyclicBlockTriSystem, batch: Batch, step: int,
                    solvers) -> tuple:
     """Solve each case's block of a batch's step system with the case's
-    solver and hold every case to its own residual budget; a case that
-    misses it falls back to the dense oracle at desk scale.  Returns the
+    solver and hold every case to its own residual budget.  A case that
+    misses it gets one refinement step (Skeel 1980; Higham 2002, ch. 12):
+    its residual r = b - A x is solved with the same blocks and solver
+    and added to x, which must then meet the same budget.  Returns the
     solution rows (u, v) as one fresh (2, M) array and the per-case
     budgets."""
     uv = np.empty((2, batch.M))
     cases = system.segments(batch.bounds)
     for case, solver, (start, stop) in zip(cases, solvers, batch.bounds):
-        solve_cyclic_block_tridiagonal(case, solver, out=uv[:, start:stop])
+        try:
+            solve_cyclic_block_tridiagonal(case, solver, out=uv[:, start:stop])
+        except SingularSystemError as exc:
+            raise SolverFailure(f"step {step}: {exc} (case M = {case.m})") from exc
     finite = np.isfinite(uv)
     if not finite.all():
         where = _failing_case(batch, batch.case_max(~finite))
@@ -364,30 +361,19 @@ def _checked_solve(system: CyclicBlockTriSystem, batch: Batch, step: int,
     bound = SOLVE_RESIDUAL_RTOL * (batch.case_max(np.abs(rhs))
                                    + block_row_sum_norm(system, batch.case_max)
                                    * batch.case_max(np.abs(uv))) + _SMALLEST_NORMAL
-    res = batch.case_max(np.abs(block_matvec(system, uv.T, batch.stencil).T - rhs))
-    failed = res > bound
+    r = rhs - block_matvec(system, uv.T, batch.stencil).T
+    failed = batch.case_max(np.abs(r)) > bound
     if failed.any():
-        res, bound, failed = np.atleast_1d(res, bound, failed)
         for j in np.flatnonzero(failed):
-            _dense_fallback(cases[j], uv[:, slice(*batch.bounds[j])],
-                            float(res[j]), float(bound[j]), step)
+            case, rows, budget = cases[j], slice(*batch.bounds[j]), np.atleast_1d(bound)[j]
+            fix = np.concatenate((case.coeffs[:, :6], r[:, None, rows]), axis=1)
+            uv[:, rows] += solve_cyclic_block_tridiagonal(
+                CyclicBlockTriSystem.packed(fix), solvers[j]).T
+            res = float(np.abs(block_matvec(case, uv[:, rows].T) - case.rhs).max())
+            if not res <= budget:
+                raise SolverFailure(f"step {step}: solve residual {res:.3e} exceeds budget "
+                                    f"{budget:.3e} after one refinement step (case M = {case.m})")
     return uv, bound
-
-
-def _dense_fallback(system: CyclicBlockTriSystem, x, res: float, bound: float, step: int):
-    """Re-solve one case's system by dense LU into its rows x (2, M) if
-    the case is small enough and the dense solution meets the budget the
-    fast solve missed; otherwise raise SolverFailure."""
-    if 2 * system.m <= DENSE_ORACLE_MAX_N:
-        xd = solve_dense_oracle(block_system_matrix(system), system.rhs.reshape(-1))
-        xd = xd.reshape(system.m, 2)
-        res_d = float(np.abs(block_matvec(system, xd) - system.rhs).max())
-        if res_d <= bound:
-            x[...] = xd.T
-            return
-    raise SolverFailure(
-        f"step {step}: solve residual {res:.3e} exceeds budget {bound:.3e} "
-        f"(case M = {system.m})")
 
 
 def _check_consistency(uv, batch: Batch, step: int, solve_bound):

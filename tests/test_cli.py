@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import bbmb.scheme
 from bbmb.cli import main
 
 
@@ -183,6 +184,38 @@ def test_coarse_small_step_run_passes_the_compact_relation_gate(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     assert "FAIL" not in (out / "report.txt").read_text()
+
+
+@pytest.mark.parametrize("m, T, mu, nu", [
+    (256, "0.1534", "0.02095", "-2.149"),
+    (4096, "0.1308", "0.0002663", "-0.04764"),
+])
+def test_negative_diffusion_run_is_repaired_by_refinement(tmp_path, monkeypatch, m, T, mu, nu):
+    # mu*rate + nu/2 < 0 leaves the eliminated operator indefinite at high
+    # wavenumbers (linalg module docstring): the pivot-free solve misses its
+    # budget and one refinement step through the same solver repairs it
+    solve, solves = bbmb.scheme.solve_cyclic_block_tridiagonal, []
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(bbmb.scheme, "solve_cyclic_block_tridiagonal", counted)
+    cfg = write(tmp_path, "neg.cfg",
+                f"experiment = example2\nT = {T}\nM = {m}\nN = 2\nmu = {mu}\nnu = {nu}\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert len(solves) > 2  # more solves than steps: a refinement ran
+
+
+def test_singular_pivot_names_its_step_and_case(tmp_path):
+    # tau = 2.5: rate + min F''/2 = 0.2 - 0.5 < 0 at the interior steps
+    cfg = write(tmp_path, "sing.cfg", "experiment = example3\nT = 10\nM = 64\nN = 4\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    report = (out / "report.txt").read_text().splitlines()
+    assert report[1].startswith("FAIL  solver: step 3: singular 2x2 pivot")
+    assert report[1].endswith("(case M = 64)")
 
 
 def test_invalid_config_exit_code(tmp_path):

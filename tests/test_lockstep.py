@@ -6,7 +6,6 @@ import sys
 import numpy as np
 import pytest
 
-import bbmb.scheme
 from bbmb.cli import run_experiment
 from bbmb.config import parse_config_text
 from bbmb.grid import Batch, Grid1D
@@ -64,23 +63,29 @@ def test_batch_shift_wraps_inside_each_case():
         Batch([Grid1D(L=1.0, M=4, T=1.0, N=2), Grid1D(L=1.0, M=4, T=1.0, N=4)])
 
 
-def _corrupt_solver(monkeypatch, m):
+def _corrupt_solver(monkeypatch, m, refinement_too=True):
     """Make the solver of the M = m case return a solution that misses its
-    residual budget."""
+    residual budget, at every solve or only at the first solve of each
+    step (a step's second solve is its refinement).  Returns the list
+    that gets one entry per solve of that case."""
     solve = CyclicReductionSolver.solve
+    calls = []
 
     def corrupted(self, system, out=None):
         x = solve(self, system, out)
         if self.m == m:
-            x += 1e-3
+            calls.append(self.m)
+            if refinement_too or len(calls) % 2:
+                x += 1e-3
         return x
 
     monkeypatch.setattr(CyclicReductionSolver, "solve", corrupted)
+    return calls
 
 
 def test_failing_case_is_named_with_its_step(monkeypatch, tmp_path):
+    # a constant error survives refinement: the correction solve adds it too
     _corrupt_solver(monkeypatch, 16)
-    monkeypatch.setattr(bbmb.scheme, "DENSE_ORACLE_MAX_N", 0)  # no fallback
     batch = Batch([example1_grid(m, 10) for m in (8, 16, 32)])
     with pytest.raises(SolverFailure, match=r"^step 1: solve residual .*\(case M = 16\)$"):
         for _ in march(lambda x: example1_exact(x, 0.0), batch, example1_params()):
@@ -92,13 +97,14 @@ def test_failing_case_is_named_with_its_step(monkeypatch, tmp_path):
     assert report[1].endswith("(case M = 16)")
 
 
-def test_dense_fallback_repairs_only_the_failing_case(monkeypatch):
+def test_refinement_repairs_only_the_failing_case(monkeypatch):
     params, phi = example1_params(), lambda x: example1_exact(x, 0.0)
     grids = [example1_grid(m, 4) for m in (8, 16, 32)]
     alone = [_alone(phi, g, params)[0] for g in grids]
-    _corrupt_solver(monkeypatch, 16)
+    calls = _corrupt_solver(monkeypatch, 16, refinement_too=False)
     batch = Batch(grids)
     levels = [st.u_curr for st in march(phi, batch, params)]
+    assert len(calls) == 2 * batch.N  # every step of M = 16 was refined once
     for k, u in enumerate(levels):
         coarse, middle, fine = batch.split(u)
         assert np.array_equal(coarse, alone[0][k][0])

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from bbmb.analysis import energy_pair, fit_order, max_norm_error
 from bbmb.config import preset_callbacks
 from bbmb.grid import Grid1D, central_diff, norms, second_diff, skew_advection
-from bbmb.linalg import block_system_matrix
-from bbmb.scheme import (DivergenceError, SchemeParams,
+from bbmb.linalg import CyclicReductionSolver, block_system_matrix
+from bbmb.scheme import (DivergenceError, SchemeParams, StepWorkspace,
                          advance, assemble_first_step, assemble_interior_step,
                          init_state, march, newton_reaction_terms,
                          run, skew_advection_rows, solve_cyclic_block_tridiagonal,
@@ -209,6 +209,46 @@ def test_zero_data_stays_zero():
     params = SchemeParams(mu=1.0, gamma=1.0, kappa=1.0, nu=1.0)
     for _, u in levels(lambda x: np.zeros_like(x), grid, params):
         assert np.max(np.abs(u)) == 0.0
+
+
+# -- pivot-free reduction in the paper's regime -----------------------------------
+
+class _CountingSolver(CyclicReductionSolver):
+    """A cyclic-reduction solver that counts its solves."""
+
+    solves = 0
+
+    def solve(self, system, out=None):
+        self.solves += 1
+        return super().solve(system, out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(4, 3000), length=st.floats(1.0, 100.0), mu=st.floats(1e-3, 10.0),
+       gamma=st.floats(0.0, 3.0), kappa=st.floats(-3.0, 3.0), nu=st.floats(0.0, 3.0),
+       tau=st.floats(1e-4, 1.0), amp=st.floats(0.0, 3.0), mode=st.integers(1, 8),
+       shift=st.floats(0.0, 1.0), slope=st.one_of(st.none(), st.floats(-3.0, 0.95)))
+def test_unrefined_solve_meets_its_budget(m, length, mu, gamma, kappa, nu, tau, amp,
+                                          mode, shift, slope):
+    # nu >= 0 and rate + min F''/2 > 0: the eliminated operator has a
+    # positive definite symmetric part (linalg module docstring), so the
+    # first cyclic-reduction solve of both kinds of step meets its
+    # budget and no refinement solve runs.  F'(u) = u^3 + c*u with
+    # F'' >= c = -2*slope*rate at the interior step's rate 1/(2*tau)
+    reaction = None
+    if slope is not None:
+        c = -slope / tau
+        reaction = (lambda u: u ** 3 + c * u, lambda u: 3.0 * u ** 2 + c)
+    grid = Grid1D(L=length, M=m, T=2.0 * tau, N=2)
+    params = SchemeParams(mu=mu, gamma=gamma, kappa=kappa, nu=nu, reaction=reaction)
+    k = 2.0 * np.pi * mode / length
+    work = StepWorkspace(grid)
+    work.solvers = [_CountingSolver(m)]
+    state = init_state(lambda x: amp * (np.sin(k * x) + 0.5 * np.cos(3.0 * k * x + shift)),
+                       grid, params)
+    for step in (1, 2):
+        state = advance(state, grid, params, work)
+        assert work.solvers[0].solves == step
 
 
 # -- stepping accuracy and conservation -------------------------------------------
