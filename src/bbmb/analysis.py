@@ -104,11 +104,17 @@ def initial_energy(u0, v0, grid: Grid1D, params) -> float:
     return _level_energy(u0, v0, grid.h, params.mu)
 
 
+def _data_scale(u0, v0) -> float:
+    """The power of two above the initial data's largest entry (1 for zero
+    data): norms taken on fields divided by it and scaled back keep their
+    bits, and no square of tiny data underflows."""
+    return float(np.ldexp(1.0, np.frexp(max(np.abs(u0).max(), np.abs(v0).max()))[1]))
+
+
 def boundedness_bound(u0, v0, grid: Grid1D, params) -> float:
     """A-priori bound sqrt(2*E(0)) on ||u^k|| for conservative runs with
-    nu >= 0.  E(0) is evaluated on the data divided by a power of two at
-    their largest entry: exact, and no square of tiny data underflows."""
-    scale = np.ldexp(1.0, np.frexp(max(np.abs(u0).max(), np.abs(v0).max()))[1])
+    nu >= 0.  E(0) is evaluated on the data divided by _data_scale."""
+    scale = _data_scale(u0, v0)
     return float(scale * np.sqrt(2.0 * initial_energy(u0 / scale, v0 / scale, grid, params)))
 
 

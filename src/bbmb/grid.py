@@ -89,13 +89,12 @@ class Batch:
     """The grids of cases that share one time grid (N and T), laid end to
     end on one node array of M = sum of the cases' M nodes.
 
-    Case j owns the nodes bounds[j] = (start, stop) and has the grid
-    step case_h[j].  h holds each node's grid step and shift(a, offset)
-    brings each node the value offset nodes to its right (offset = +-1),
-    wrapping inside the node's own case: one np.take through
-    precomputed indices.  A batch of one keeps the grid's float step as
-    h and case_h and uses periodic_shift, so it computes what the plain
-    grid would, with no per-node arrays.
+    Case j owns the nodes bounds[j] = (start, stop).  h holds each
+    node's grid step and shift(a, offset) brings each node the value
+    offset nodes to its right (offset = +-1), wrapping inside the node's
+    own case: one np.take through precomputed indices.  A batch of one
+    keeps the grid's float step as h and uses periodic_shift, so it
+    computes what the plain grid would, with no per-node arrays.
     """
 
     def __init__(self, grids):
@@ -111,7 +110,7 @@ class Batch:
         if len(self.grids) == 1:
             self.M = first.M
             self.bounds = ((0, first.M),)
-            self.h = self.case_h = first.h
+            self.h = first.h
             self.shift = periodic_shift
             self.starts = self.stencil = None
             self._x = first.nodes()
@@ -121,8 +120,7 @@ class Batch:
         starts = stops - sizes
         self.M = int(stops[-1])
         self.bounds = tuple(zip(starts.tolist(), stops.tolist()))
-        self.case_h = np.array([g.h for g in self.grids])
-        self.h = np.repeat(self.case_h, sizes)
+        self.h = np.repeat([g.h for g in self.grids], sizes)
         self.shift = self._take
         self.starts = starts
         node = np.arange(self.M)

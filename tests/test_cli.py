@@ -177,7 +177,8 @@ def test_high_mode_small_amplitude_run_passes_boundedness(tmp_path):
 
 def test_coarse_small_step_run_passes_the_compact_relation_gate(tmp_path):
     # mu/(2*tau) >> 1/h^2: no backward-stable solve holds the compact row
-    # to 1e-11 of its stencil scale, so its budget is the solve budget
+    # to 1e-11 of its stencil scale; the residual gate holds it, like the
+    # evolution row, to the case's solve budget
     cfg = write(tmp_path, "coarse.cfg",
                 "experiment = custom\nx_left = 0\nx_right = 73\nmu = 1\ngamma = 0\n"
                 "kappa = 2\nnu = 0\nT = 0.01171875\nM = 4\nN = 13\nphi = sine 1 1\n")

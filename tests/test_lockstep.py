@@ -63,11 +63,17 @@ def test_batch_shift_wraps_inside_each_case():
         Batch([Grid1D(L=1.0, M=4, T=1.0, N=2), Grid1D(L=1.0, M=4, T=1.0, N=4)])
 
 
-def _corrupt_solver(monkeypatch, m, refinement_too=True):
+# The unknowns a corrupted solve shifts, as a column index of its (M, 2)
+# solution: both, or v alone, which breaks only the compact relation row.
+CORRUPTED = {"u_and_v": slice(None), "v_only": 1}
+
+
+def _corrupt_solver(monkeypatch, m, unknowns, refinement_too=True):
     """Make the solver of the M = m case return a solution that misses its
-    residual budget, at every solve or only at the first solve of each
-    step (a step's second solve is its refinement).  Returns the list
-    that gets one entry per solve of that case."""
+    residual budget, in the CORRUPTED[unknowns] columns, at every solve
+    or only at the first solve of each step (a step's second solve is its
+    refinement).  Returns the list that gets one entry per solve of that
+    case."""
     solve = CyclicReductionSolver.solve
     calls = []
 
@@ -76,16 +82,17 @@ def _corrupt_solver(monkeypatch, m, refinement_too=True):
         if self.m == m:
             calls.append(self.m)
             if refinement_too or len(calls) % 2:
-                x += 1e-3
+                x[:, CORRUPTED[unknowns]] += 1e-3
         return x
 
     monkeypatch.setattr(CyclicReductionSolver, "solve", corrupted)
     return calls
 
 
-def test_failing_case_is_named_with_its_step(monkeypatch, tmp_path):
+@pytest.mark.parametrize("unknowns", sorted(CORRUPTED))
+def test_failing_case_is_named_with_its_step(monkeypatch, tmp_path, unknowns):
     # a constant error survives refinement: the correction solve adds it too
-    _corrupt_solver(monkeypatch, 16)
+    _corrupt_solver(monkeypatch, 16, unknowns)
     batch = Batch([example1_grid(m, 10) for m in (8, 16, 32)])
     with pytest.raises(SolverFailure, match=r"^step 1: solve residual .*\(case M = 16\)$"):
         for _ in march(lambda x: example1_exact(x, 0.0), batch, example1_params()):
@@ -97,11 +104,12 @@ def test_failing_case_is_named_with_its_step(monkeypatch, tmp_path):
     assert report[1].endswith("(case M = 16)")
 
 
-def test_refinement_repairs_only_the_failing_case(monkeypatch):
+@pytest.mark.parametrize("unknowns", sorted(CORRUPTED))
+def test_refinement_repairs_only_the_failing_case(monkeypatch, unknowns):
     params, phi = example1_params(), lambda x: example1_exact(x, 0.0)
     grids = [example1_grid(m, 4) for m in (8, 16, 32)]
     alone = [_alone(phi, g, params)[0] for g in grids]
-    calls = _corrupt_solver(monkeypatch, 16, refinement_too=False)
+    calls = _corrupt_solver(monkeypatch, 16, unknowns, refinement_too=False)
     batch = Batch(grids)
     levels = [st.u_curr for st in march(phi, batch, params)]
     assert len(calls) == 2 * batch.N  # every step of M = 16 was refined once
@@ -145,7 +153,7 @@ def _step_calls(grid):
 
 
 # A lockstep step pays the fixed per-step cost once for all its cases:
-# 496 calls for example1 at M = 8/16/32/64 against 862 for the four
+# 465 calls for example1 at M = 8/16/32/64 against 766 for the four
 # single-case steps (numpy 2.4).
 LOCKSTEP_CALL_RATIO = 0.65
 
