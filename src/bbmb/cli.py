@@ -15,8 +15,17 @@ a stability sweep advance together, so each step's fixed cost is paid
 once for all their cases, and their errors are folded level by level.
 Each case's arithmetic is the same as when it runs alone, so the
 emitted CSV files are byte-identical across reruns on one platform.
-Cases are not run in threads: the work is many short numpy calls that
-hold the interpreter lock, so threads only add lock waits.
+Exact-error runs on several time grids (stability, and temporal
+convergence against the exact solution) fan out: their lockstep groups,
+one per N, are spread over min(groups, usable cores) processes, this
+one and children made with os.fork, which send their errors back
+pickled through a pipe.  Outputs and exit codes do not depend on the
+number of processes.  Where os.fork or os.sched_getaffinity does not
+exist, everything runs in this process.  Fork, not spawn: the config
+holds lambdas, and a fresh interpreter would re-import numpy.  Every
+other run has one time grid, or compares neighbouring runs level by
+level, and stays in this process.  Nothing runs in threads: the work is
+many short numpy calls that hold the interpreter lock.
 Levels are reduced as they are computed (scheme.march), so every
 subcommand holds O(M) memory per case, except posterior temporal
 convergence, which keeps the levels of two neighbouring runs to
@@ -31,6 +40,8 @@ from __future__ import annotations
 
 import argparse
 import os
+import pickle
+import signal
 import sys
 
 import numpy as np
@@ -98,14 +109,116 @@ def _levels(config, batch: Batch):
             for st in march(config.phi, batch, config.params()))
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on; 1 where it cannot fork."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _bins(costs: dict, w: int) -> list:
+    """Split the keys of costs into w bins by Graham's LPT rule: largest
+    cost first, each to the least-loaded bin.  Bin 0 holds the largest."""
+    bins, loads = [[] for _ in range(w)], [0] * w
+    for key in sorted(costs, key=costs.get, reverse=True):
+        i = loads.index(min(loads))
+        bins[i].append(key)
+        loads[i] += costs[key]
+    return bins
+
+
+def _group_errors(config: ExperimentConfig, groups: dict, ns) -> dict:
+    """For each N in ns, the errors of the lockstep group groups[N], or
+    the exception it raised; every group runs even after one fails."""
+    out = {}
+    for n in ns:
+        try:
+            batch = _batch(config, groups[n])
+            out[n] = max_norm_errors(_levels(config, batch), config.exact, batch)
+        except Exception as exc:  # raised by the caller, in config order
+            out[n] = exc
+    return out
+
+
+def _fork(work) -> tuple:
+    """Run work() in a forked child that pickles its result into a pipe
+    and exits; returns (pid, read end of the pipe)."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as fh:
+                pickle.dump(work(), fh)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _read(fd) -> bytes:
+    with os.fdopen(fd, "rb", closefd=False) as fh:
+        return fh.read()
+
+
+class WorkerLost(Exception):
+    """A forked worker ended without sending back its groups' errors."""
+
+
+def _received(payload: bytes, status: int, ns) -> dict:
+    """The result a forked worker for the groups ns sent, or WorkerLost
+    for each of them when it ended without one."""
+    code = os.waitstatus_to_exitcode(status)
+    if code == 0:
+        return pickle.loads(payload)
+    how = (f"was killed by signal {-code} ({signal.strsignal(-code)})" if code < 0
+           else f"exited with status {code}")
+    lost = WorkerLost(f"the worker for N = {' '.join(map(str, sorted(ns)))} {how} "
+                      "before it sent its errors")
+    return dict.fromkeys(ns, lost)
+
+
 def _exact_errors(config: ExperimentConfig, sizes) -> dict:
     """Max-norm error against the exact solution of each (M, N) case in
-    sizes; the cases of each N march in lockstep."""
+    sizes.  The cases of each N march in lockstep as one group; the
+    groups are independent, so they are spread over
+    w = min(groups, usable cores) processes: this one and w - 1 forked
+    children.  A group's exception is raised after all groups ran, the
+    first in config order, so the outcome does not depend on w."""
+    groups = {}
+    for size in sizes:
+        groups.setdefault(size[1], []).append(size)
+    bins = _bins({n: n * sum(m for m, _ in group) for n, group in groups.items()},
+                 min(len(groups), _usable_cores()))
+    children, payloads, statuses = [], [], []
+    done = False
+    try:
+        for ns in bins[1:]:
+            children.append((*_fork(lambda ns=ns: _group_errors(config, groups, ns)), ns))
+        results = _group_errors(config, groups, bins[0])
+        payloads = [_read(fd) for _, fd, _ in children]
+        done = True
+    finally:
+        for pid, fd, _ in children:
+            os.close(fd)
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitpid(pid, 0)[1])
+    for (_, _, ns), payload, status in zip(children, payloads, statuses):
+        results.update(_received(payload, status, ns))
+
     errors = {}
-    for n in dict.fromkeys(n for _, n in sizes):
-        group = [size for size in sizes if size[1] == n]
-        batch = _batch(config, group)
-        errors.update(zip(group, max_norm_errors(_levels(config, batch), config.exact, batch)))
+    for n, group in groups.items():
+        if isinstance(results[n], Exception):
+            raise results[n]
+        errors.update(zip(group, results[n]))
     return errors
 
 
@@ -296,7 +409,7 @@ def run_experiment(config: ExperimentConfig, mode: str, out_dir: str) -> int:
             checks = _COMMANDS[mode](config, out_dir)
     except ConfigError:
         raise
-    except (DivergenceError, SolverFailure, SingularSystemError) as exc:
+    except (DivergenceError, SolverFailure, SingularSystemError, WorkerLost) as exc:
         _write_report(out_dir, [(False, "solver", str(exc))], stale=True)
         return EXIT_SOLVER
     passed = _write_report(out_dir, checks)

@@ -48,11 +48,16 @@ _KNOWN_KEYS = {
 
 
 class ConfigError(Exception):
-    """Invalid configuration; carries the full list of violations."""
+    """Invalid configuration; carries the full list of violations.
+    args holds the constructor's argument, so the error survives a
+    pickle round trip."""
 
     def __init__(self, violations):
         self.violations = list(violations)
-        super().__init__("; ".join(self.violations))
+        super().__init__(self.violations)
+
+    def __str__(self):
+        return "; ".join(self.violations)
 
 
 @dataclass

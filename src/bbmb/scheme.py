@@ -81,11 +81,15 @@ _COMPACT_V = np.array([1.0 / 12.0, 5.0 / 6.0, 1.0 / 12.0])[:, None]
 class DivergenceError(Exception):
     """A step system or solution became non-finite (finite input can
     overflow); carries the failing step index, 0 for the initial data.
-    The message names the failing case's M."""
+    The message names the failing case's M.  args holds the
+    constructor's arguments, so the error survives a pickle round trip."""
 
     def __init__(self, step: int, message: str):
-        super().__init__(f"step {step}: {message}")
+        super().__init__(step, message)
         self.step = step
+
+    def __str__(self):
+        return f"step {self.step}: {self.args[1]}"
 
 
 class SolverFailure(Exception):
