@@ -15,17 +15,20 @@ a stability sweep advance together, so each step's fixed cost is paid
 once for all their cases, and their errors are folded level by level.
 Each case's arithmetic is the same as when it runs alone, so the
 emitted CSV files are byte-identical across reruns on one platform.
-Exact-error runs on several time grids (stability, and temporal
-convergence against the exact solution) fan out: their lockstep groups,
-one per N, are spread over min(groups, usable cores) processes, this
-one and children made with os.fork, which send their errors back
-pickled through a pipe.  Outputs and exit codes do not depend on the
-number of processes.  Where os.fork or os.sched_getaffinity does not
-exist, everything runs in this process.  Fork, not spawn: the config
-holds lambdas, and a fresh interpreter would re-import numpy.  Every
-other run has one time grid, or compares neighbouring runs level by
-level, and stays in this process.  Nothing runs in threads: the work is
-many short numpy calls that hold the interpreter lock.
+Runs against the exact solution (stability, and spatial or temporal
+convergence with posterior = off) fan out over the usable cores.  Their
+lockstep groups, one per N, are the parts; while there are fewer parts
+than cores, the costliest part of two or more cases is split in two, so
+the one group of an exact spatial chain runs on every core too.  The
+parts are spread over min(parts, usable cores) processes, this one and
+children made with os.fork, which send their errors back pickled
+through a pipe.  Outputs and exit codes do not depend on the number of
+processes.  Where os.fork or os.sched_getaffinity does not exist,
+everything runs in this process.  Fork, not spawn: the config holds
+lambdas, and a fresh interpreter would re-import numpy.  Every other
+run compares neighbouring runs level by level, or has one case, and
+stays in this process.  Nothing runs in threads: the work is many short
+numpy calls that hold the interpreter lock.
 Levels are reduced as they are computed (scheme.march), so every
 subcommand holds O(M) memory per case, except posterior temporal
 convergence, which keeps the levels of two neighbouring runs to
@@ -127,16 +130,47 @@ def _bins(costs: dict, w: int) -> list:
     return bins
 
 
-def _group_errors(config: ExperimentConfig, groups: dict, ns) -> dict:
-    """For each N in ns, the errors of the lockstep group groups[N], or
-    the exception it raised; every group runs even after one fails."""
+def _cost(part) -> int:
+    """Node steps of a list of (M, N) cases: sum of M*N."""
+    return sum(m * n for m, n in part)
+
+
+def _parts(sizes, w: int) -> list:
+    """The lockstep parts the (M, N) cases in sizes run as on w cores.
+    The cases of each N form one part, in config order.  While there are
+    fewer than w parts, the costliest part of two or more cases is split
+    in two by _bins on each case's cost M*N.  Every part keeps its cases
+    in config order."""
+    groups = {}
+    for size in sizes:
+        groups.setdefault(size[1], []).append(size)
+    parts = list(groups.values())
+    while len(parts) < w:
+        splittable = [i for i, part in enumerate(parts) if len(part) > 1]
+        if not splittable:
+            break
+        i = max(splittable, key=lambda i: _cost(parts[i]))
+        part = parts[i]
+        halves = _bins({j: m * n for j, (m, n) in enumerate(part)}, 2)
+        parts[i:i + 1] = [[part[j] for j in sorted(half)] for half in halves]
+    return parts
+
+
+def _errors(config: ExperimentConfig, part) -> list:
+    """The errors of the cases of part, marched in lockstep."""
+    batch = _batch(config, part)
+    return max_norm_errors(_levels(config, batch), config.exact, batch)
+
+
+def _part_errors(config: ExperimentConfig, parts: list, keys) -> dict:
+    """For each key in keys, the errors of parts[key], or the exception
+    it raised; every part runs even after one fails."""
     out = {}
-    for n in ns:
+    for key in keys:
         try:
-            batch = _batch(config, groups[n])
-            out[n] = max_norm_errors(_levels(config, batch), config.exact, batch)
+            out[key] = _errors(config, parts[key])
         except Exception as exc:  # raised by the caller, in config order
-            out[n] = exc
+            out[key] = exc
     return out
 
 
@@ -169,40 +203,58 @@ def _read(fd) -> bytes:
 
 
 class WorkerLost(Exception):
-    """A forked worker ended without sending back its groups' errors."""
+    """A forked worker ended without sending back its parts' errors."""
 
 
-def _received(payload: bytes, status: int, ns) -> dict:
-    """The result a forked worker for the groups ns sent, or WorkerLost
-    for each of them when it ended without one."""
+def _received(payload: bytes, status: int, keys, name: str) -> dict:
+    """The result a forked worker for the parts keys sent, or WorkerLost
+    for each of them when it ended without one; name says which cases
+    the worker ran."""
     code = os.waitstatus_to_exitcode(status)
     if code == 0:
         return pickle.loads(payload)
     how = (f"was killed by signal {-code} ({signal.strsignal(-code)})" if code < 0
            else f"exited with status {code}")
-    lost = WorkerLost(f"the worker for N = {' '.join(map(str, sorted(ns)))} {how} "
-                      "before it sent its errors")
-    return dict.fromkeys(ns, lost)
+    lost = WorkerLost(f"the worker for {name} {how} before it sent its errors")
+    return dict.fromkeys(keys, lost)
+
+
+def _worker_name(parts, split: bool) -> str:
+    """The cases a worker runs, as a lost worker's message names them: the
+    N of its groups, or, once a group was split and each worker runs one
+    part, the part's M values and N."""
+    ns = " ".join(str(n) for n in sorted({n for part in parts for _, n in part}))
+    if not split:
+        return f"N = {ns}"
+    return f"M = {' '.join(str(m) for part in parts for m, _ in part)} at N = {ns}"
 
 
 def _exact_errors(config: ExperimentConfig, sizes) -> dict:
     """Max-norm error against the exact solution of each (M, N) case in
-    sizes.  The cases of each N march in lockstep as one group; the
-    groups are independent, so they are spread over
-    w = min(groups, usable cores) processes: this one and w - 1 forked
-    children.  A group's exception is raised after all groups ran, the
-    first in config order, so the outcome does not depend on w."""
-    groups = {}
-    for size in sizes:
-        groups.setdefault(size[1], []).append(size)
-    bins = _bins({n: n * sum(m for m, _ in group) for n, group in groups.items()},
-                 min(len(groups), _usable_cores()))
+    sizes.  The cases of each N march in lockstep as one group, and the
+    groups are independent.  With fewer groups than usable cores, the
+    costliest group is split in two, and again, until there is a part
+    per core or every part is one case (_parts); each part is a
+    lockstep batch of its own cases, so no case's bits change.  The
+    parts are spread over w = min(parts, usable cores) processes: this
+    one, which runs the heaviest, and w - 1 forked children.
+
+    A failure is raised after every part ran, that of the first failing
+    group in config order, so the outcome does not depend on w.  A split
+    group that failed is marched again whole in this process, and what
+    that run raises is raised, as one process would have; only when it
+    raises nothing (a lost worker) is the part's failure raised."""
+    cores = _usable_cores()
+    parts = _parts(sizes, cores)
+    split = len(parts) > len({n for _, n in sizes})
+    bins = _bins({i: _cost(part) for i, part in enumerate(parts)}, min(len(parts), cores))
     children, payloads, statuses = [], [], []
     done = False
     try:
-        for ns in bins[1:]:
-            children.append((*_fork(lambda ns=ns: _group_errors(config, groups, ns)), ns))
-        results = _group_errors(config, groups, bins[0])
+        for keys in bins[1:]:
+            children.append((*_fork(lambda keys=keys: _part_errors(config, parts, keys)),
+                             keys))
+        results = _part_errors(config, parts, bins[0])
         payloads = [_read(fd) for _, fd, _ in children]
         done = True
     finally:
@@ -211,14 +263,20 @@ def _exact_errors(config: ExperimentConfig, sizes) -> dict:
             if not done:
                 os.kill(pid, signal.SIGKILL)
             statuses.append(os.waitpid(pid, 0)[1])
-    for (_, _, ns), payload, status in zip(children, payloads, statuses):
-        results.update(_received(payload, status, ns))
+    for (_, _, keys), payload, status in zip(children, payloads, statuses):
+        results.update(_received(payload, status, keys,
+                                 _worker_name([parts[i] for i in keys], split)))
 
     errors = {}
-    for n, group in groups.items():
-        if isinstance(results[n], Exception):
-            raise results[n]
-        errors.update(zip(group, results[n]))
+    for n in dict.fromkeys(n for _, n in sizes):
+        mine = [i for i, part in enumerate(parts) if part[0][1] == n]
+        failed = [results[i] for i in mine if isinstance(results[i], Exception)]
+        if failed:
+            if len(mine) > 1:  # raises what the unsplit group raises
+                _errors(config, [size for size in sizes if size[1] == n])
+            raise failed[0]
+        for i in mine:
+            errors.update(zip(parts[i], results[i]))
     return errors
 
 

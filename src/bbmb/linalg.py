@@ -41,6 +41,7 @@ on plain Python floats.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -368,6 +369,7 @@ class CyclicReductionSolver:
         scratch = np.empty(16 * (m // 2) + 40 * (m - m // 2))
         self._levels = [_Level(n, k, scratch, top=i == 0)
                         for i, (n, k) in enumerate(sizes)]
+        self._base = np.zeros((2 * n, 2 * n))  # the base solve's dense matrix
 
     def solve(self, system: CyclicBlockTriSystem, out=None) -> np.ndarray:
         """Solve system in O(M); returns (M, 2), the transpose of a (2, M)
@@ -386,7 +388,7 @@ class CyclicReductionSolver:
 
         b = s.transpose(2, 0, 1)
         try:
-            x = np.linalg.solve(_dense_block_matrix(b[..., 0:2], b[..., 2:4], b[..., 4:6]),
+            x = np.linalg.solve(_dense_block_matrix(b[..., :6], self._base),
                                 b[..., 6].reshape(-1)).reshape(-1, 2).T
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(str(exc)) from exc
@@ -458,23 +460,37 @@ def scalar_system_matrix(system: ScalarCyclicTriSystem) -> np.ndarray:
     return a
 
 
-def _dense_block_matrix(sub, diag, sup) -> np.ndarray:
-    """Full 2n x 2n matrix from (n, 2, 2) block arrays (interleaved
-    unknowns u_0, v_0, u_1, v_1, ...)."""
-    n = diag.shape[0]
-    a = np.zeros((n, 2, n, 2))
-    np.einsum("ipiq->ipq", a)[...] = diag
-    np.einsum("ipiq->ipq", a[1:, :, :-1])[...] = sub[1:]
-    np.einsum("ipiq->ipq", a[:-1, :, 1:])[...] = sup[:-1]
-    a[0, :, -1] += sub[0]
-    a[-1, :, 0] += sup[-1]
-    return a.reshape(2 * n, 2 * n)
+@functools.lru_cache(maxsize=None)
+def _block_scatter(n: int) -> tuple:
+    """The flat indices, in the 2n x 2n matrix of an n-row cyclic block
+    system, of its (n, 2, 6) blocks [sub | diag | sup], and the signed
+    zeros added to the blocks: +0.0 on the corner blocks, which are
+    wrap-around terms added to a zero (a -0.0 becomes +0.0), and -0.0
+    elsewhere, which leaves every bit as it is."""
+    i, p, j = np.ix_(np.arange(n), np.arange(2), np.arange(6))
+    col = 2 * ((i + j // 2 - 1) % n) + j % 2
+    zeros = np.full((n, 2, 6), -0.0)
+    zeros[0, :, 0:2] = zeros[-1, :, 4:6] = 0.0
+    return (2 * i + p) * (2 * n) + col, zeros
+
+
+def _dense_block_matrix(blocks, out) -> np.ndarray:
+    """Write the (n, 2, 6) blocks [sub | diag | sup] of a cyclic block
+    system (n >= 3) into out, a zeroed 2n x 2n matrix (interleaved
+    unknowns u_0, v_0, u_1, v_1, ...), in one scatter; returns out.  The
+    scatter writes the same entries for every system of n rows, so out
+    can be reused for the next."""
+    index, zeros = _block_scatter(blocks.shape[0])
+    out.put(index, blocks + zeros)
+    return out
 
 
 def block_system_matrix(system: CyclicBlockTriSystem) -> np.ndarray:
     """Assemble the full 2M x 2M matrix of a block cyclic system
     (unknown ordering interleaved: u_0, v_0, u_1, v_1, ...)."""
-    return _dense_block_matrix(system.sub, system.diag, system.sup)
+    m = system.m
+    return _dense_block_matrix(system.coeffs[:, :6].transpose(2, 0, 1),
+                               np.zeros((2 * m, 2 * m)))
 
 
 def block_matvec(system: CyclicBlockTriSystem, x: np.ndarray, stencil=None) -> np.ndarray:

@@ -1,6 +1,7 @@
-"""Sweeps over several time grids: the lockstep group of each N runs in
-one of min(groups, usable cores) processes, with the same outputs and
-exit codes for any number of them."""
+"""Exact-error runs fan out: the lockstep group of each N, or parts of
+a group split while there are fewer groups than usable cores, run in
+min(parts, usable cores) processes, with the same outputs and exit codes
+for any number of them."""
 
 import os
 import pickle
@@ -9,15 +10,16 @@ import signal
 import pytest
 
 import bbmb.cli
-from bbmb.cli import _bins, main
+from bbmb.cli import _bins, _parts, main
 from bbmb.config import ConfigError
-from bbmb.linalg import SingularSystemError
+from bbmb.linalg import CyclicReductionSolver, SingularSystemError
 from bbmb.scheme import DivergenceError, SolverFailure
 
 from test_lockstep import _corrupt_solver
 
 STABILITY = "experiment = example1\nT = 1\nM = 4 8 16\nN = 8 16 32 64\n"
 TEMPORAL = "experiment = example1\nT = 1\nM = 32\nN = 10 20 40\n"
+SPATIAL = "experiment = example1\nT = 1\nM = 8 16 32 64\nN = 50\n"
 
 
 @pytest.mark.parametrize("exc", [DivergenceError(3, "x"), SolverFailure("step 2: y"),
@@ -36,6 +38,26 @@ def test_bins_put_the_largest_cost_first_on_the_least_loaded_bin():
     assert _bins(costs, 1) == [[128, 64, 32, 16, 8]]
     assert _bins(costs, 2) == [[128], [64, 32, 16, 8]]
     assert _bins(costs, 3) == [[128], [64], [32, 16, 8]]
+
+
+def test_a_lone_group_is_split_by_cost_until_every_core_has_a_part():
+    narrow = [(m, 1000) for m in (8, 16, 32, 64)]
+
+    def ms(w):
+        return [[m for m, _ in part] for part in _parts(narrow, w)]
+
+    assert ms(1) == [[8, 16, 32, 64]]
+    assert ms(2) == [[64], [8, 16, 32]]
+    assert ms(3) == [[64], [32], [8, 16]]
+    assert ms(8) == [[64], [32], [16], [8]]  # never more parts than cases
+
+
+def test_groups_are_left_whole_when_there_are_as_many_as_cores():
+    sweep = [(m, n) for n in (8, 16, 32, 64) for m in (4, 8, 16)]
+    groups = [[(m, n) for m in (4, 8, 16)] for n in (8, 16, 32, 64)]
+    assert _parts(sweep, 2) == _parts(sweep, 4) == groups
+    assert len(_parts(sweep, 8)) == 8
+    assert sorted(size for part in _parts(sweep, 8) for size in part) == sorted(sweep)
 
 
 def _cores(monkeypatch, w):
@@ -69,17 +91,18 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("mode, text, groups", [("stability", STABILITY, 4),
-                                                ("convergence", TEMPORAL, 3)],
-                         ids=["stability", "temporal"])
+@pytest.mark.parametrize("mode, text, cases", [("stability", STABILITY, 12),
+                                               ("convergence", TEMPORAL, 3),
+                                               ("convergence", SPATIAL, 4)],
+                         ids=["stability", "temporal", "spatial"])
 def test_outputs_do_not_depend_on_the_number_of_processes(monkeypatch, tmp_path,
-                                                          mode, text, groups):
+                                                          mode, text, cases):
     runs = {}
     for w in (1, 2, 8):
         _cores(monkeypatch, w)
         forks = _count_forks(monkeypatch)
         runs[w] = _run(tmp_path, f"w{w}", mode, text)
-        assert len(forks) == min(groups, w) - 1
+        assert len(forks) == min(cases, w) - 1
         _no_child_left()
     assert runs[1][1]  # the run wrote its files
     assert runs[1] == runs[2] == runs[8]
@@ -117,7 +140,8 @@ def test_first_failing_n_in_config_order_is_reported(monkeypatch, tmp_path, w):
     _no_child_left()
 
 
-def test_worker_killed_without_a_result_exits_3(monkeypatch, tmp_path, capfd):
+def _kill_children(monkeypatch):
+    """Make every forked worker kill itself when it starts to march."""
     parent = os.getpid()
     levels = bbmb.cli._levels
 
@@ -127,6 +151,10 @@ def test_worker_killed_without_a_result_exits_3(monkeypatch, tmp_path, capfd):
         return levels(config, batch)
 
     monkeypatch.setattr(bbmb.cli, "_levels", killed)
+
+
+def test_worker_killed_without_a_result_exits_3(monkeypatch, tmp_path, capfd):
+    _kill_children(monkeypatch)
     _cores(monkeypatch, 2)
     code, files = _run(tmp_path, "out", "stability", STABILITY)
     assert code == 3
@@ -138,14 +166,71 @@ def test_worker_killed_without_a_result_exits_3(monkeypatch, tmp_path, capfd):
 
 
 def test_children_are_reaped_when_this_process_fails(monkeypatch, tmp_path):
-    # an error outside the groups' own work, in this process's bin
-    def interrupted(config, groups, ns):
+    # an error outside the parts' own work, in this process's bin
+    def interrupted(config, parts, keys):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(bbmb.cli, "_group_errors", interrupted)
+    monkeypatch.setattr(bbmb.cli, "_part_errors", interrupted)
     _cores(monkeypatch, 2)
     forks = _count_forks(monkeypatch)
     with pytest.raises(KeyboardInterrupt):
         _run(tmp_path, "out", "stability", STABILITY)
     assert len(forks) == 1
+    _no_child_left()
+
+
+def _singular_solver(monkeypatch, m):
+    """Make every solve of the M = m case meet a singular pivot."""
+    solve = CyclicReductionSolver.solve
+
+    def singular(self, system, out=None):
+        if self.m == m:
+            raise SingularSystemError("singular 2x2 pivot")
+        return solve(self, system, out)
+
+    monkeypatch.setattr(CyclicReductionSolver, "solve", singular)
+
+
+# With two processes the spatial chain runs as the parts {64}, in this
+# process, and {8, 16, 32}, in the child.  The unsplit batch solves every
+# case of a step before it checks their residuals, so a singular pivot is
+# raised before a residual miss of the same step.
+FAULTS = {
+    "miss_16": ({16}, set(), "step 1: solve residual"),
+    "singular_64_miss_16": ({16}, {64}, "step 1: singular 2x2 pivot (case M = 64)"),
+    "singular_16_miss_64": ({64}, {16}, "step 1: singular 2x2 pivot (case M = 16)"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_split_group_failure_gives_the_one_process_report(monkeypatch, tmp_path, capfd,
+                                                          fault):
+    missed, singular, reported = FAULTS[fault]
+    for m in missed:
+        _corrupt_solver(monkeypatch, m, "u_and_v")
+    for m in singular:
+        _singular_solver(monkeypatch, m)
+    reports = {}
+    for w in (1, 2):
+        _cores(monkeypatch, w)
+        forks = _count_forks(monkeypatch)
+        code, files = _run(tmp_path, f"w{w}", "convergence", SPATIAL)
+        assert code == 3
+        assert len(forks) == w - 1
+        reports[w] = files["report.txt"]
+        _no_child_left()
+    assert reports[1] == reports[2]
+    assert reports[1].decode().splitlines()[1].startswith(f"FAIL  solver: {reported}")
+    assert "Traceback" not in capfd.readouterr().err
+
+
+def test_worker_killed_for_a_part_names_its_cases(monkeypatch, tmp_path, capfd):
+    _kill_children(monkeypatch)
+    _cores(monkeypatch, 2)
+    code, files = _run(tmp_path, "out", "convergence", SPATIAL)
+    assert code == 3
+    assert files["report.txt"].decode().splitlines()[1] == (
+        "FAIL  solver: the worker for M = 8 16 32 at N = 50 was killed by signal 9 "
+        "(Killed) before it sent its errors")
+    assert "Traceback" not in capfd.readouterr().err
     _no_child_left()

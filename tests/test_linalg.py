@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bbmb.linalg import (REDUCTION_BASE, CyclicBlockTriSystem,
                          CyclicReductionSolver, ScalarCyclicTriSystem,
-                         SingularSystemError,
+                         SingularSystemError, _dense_block_matrix,
                          block_matvec, block_row_sum_norm, block_system_matrix,
                          scalar_system_matrix, solve_cyclic_block_tridiagonal,
                          solve_dense_oracle, solve_scalar_cyclic)
@@ -143,6 +143,43 @@ def test_block_row_sum_norm_matches_dense(rng, m):
     for sys_ in systems:
         dense = np.abs(block_system_matrix(sys_)).sum(axis=1).max()
         assert block_row_sum_norm(sys_) == pytest.approx(dense, rel=1e-14)
+
+
+def _loop_block_matrix(system):
+    """The dense matrix of a block system, one entry at a time; the
+    corner blocks are added to a zero, as the wrap-around terms."""
+    m = system.m
+    a = np.zeros((2 * m, 2 * m))
+    for i in range(m):
+        for p in range(2):
+            for q in range(2):
+                a[2 * i + p, 2 * i + q] = system.diag[i][p, q]
+                if i > 0:
+                    a[2 * i + p, 2 * (i - 1) + q] = system.sub[i][p, q]
+                if i < m - 1:
+                    a[2 * i + p, 2 * (i + 1) + q] = system.sup[i][p, q]
+    for p in range(2):
+        for q in range(2):
+            a[p, 2 * (m - 1) + q] += system.sub[0][p, q]
+            a[2 * (m - 1) + p, q] += system.sup[m - 1][p, q]
+    return a
+
+
+@pytest.mark.parametrize("m", [4, 5, 16, 32])
+def test_dense_block_matrix_matches_loop_bitwise(rng, m):
+    coeffs = rng.standard_normal((2, 7, m))
+    coeffs[rng.random(coeffs.shape) < 0.3] = -0.0  # corners and the rest
+    coeffs[:, 0:2, 0] = coeffs[:, 4:6, -1] = -0.0
+    system = CyclicBlockTriSystem.packed(coeffs)
+    want = _loop_block_matrix(system)
+    reused = np.zeros((2 * m, 2 * m))
+    _dense_block_matrix(rng.standard_normal((m, 2, 6)), reused)
+    for got in (block_system_matrix(system),
+                _dense_block_matrix(coeffs[:, :6].transpose(2, 0, 1), reused)):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert not np.signbit(want[0:2, -2:]).any()  # a -0.0 corner reads +0.0
+    assert np.signbit(want).any()
 
 
 def test_block_system_packs_and_round_trips(rng):
