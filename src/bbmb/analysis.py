@@ -23,7 +23,6 @@ __all__ = [
     "EnergyLedger",
     "ConvergenceRow",
     "gradient_energy",
-    "gradient_energies",
     "energy_pair",
     "initial_energy",
     "boundedness_bound",
@@ -59,23 +58,7 @@ def gradient_energy(u, v, h: float) -> float:
     nonnegative for any v by the inverse inequality |v|_1 <= (2/h)*||v||,
     since (h^4/144)*(2/h)^2 = h^2/36 < h^2/12.
     """
-    return _gradient_form(backward_diff(u, h), v, backward_diff(v, h), h)
-
-
-def gradient_energies(u, v, batch: Batch) -> list:
-    """gradient_energy of each case of a batch, for fields spanning its
-    nodes: the differences are taken once for all cases and the sums
-    over each case's slice, so every value has the bits of
-    gradient_energy on that case alone."""
-    du = backward_diff(u, batch.h, batch.shift)
-    dv = backward_diff(v, batch.h, batch.shift)
-    return [_gradient_form(du[start:stop], v[start:stop], dv[start:stop], g.h)
-            for g, (start, stop) in zip(batch.grids, batch.bounds)]
-
-
-def _gradient_form(du, v, dv, h: float) -> float:
-    """The quadratic form of gradient_energy from one case's backward
-    differences du and dv of u and v."""
+    du, dv = backward_diff(u, h), backward_diff(v, h)
     return h * float((du * du).sum() + (h * h / 12.0) * (v * v).sum()
                      - (h ** 4 / 144.0) * (dv * dv).sum())
 

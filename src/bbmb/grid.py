@@ -90,9 +90,10 @@ class Batch:
     end on one node array of M = sum of the cases' M nodes.
 
     Case j owns the nodes bounds[j] = (start, stop).  h holds each
-    node's grid step and shift(a, offset) brings each node the value
-    offset nodes to its right (offset = +-1), wrapping inside the node's
-    own case: one np.take through precomputed indices.  A batch of one
+    node's grid step and shift(a, offset, out=None) brings each node the
+    value offset nodes to its right (offset = +-1), wrapping inside the
+    node's own case: one np.take through precomputed indices, into out
+    if given.  A batch of one
     keeps the grid's float step as h and uses periodic_shift, so it
     computes what the plain grid would, with no per-node arrays.
     """
@@ -137,8 +138,10 @@ class Batch:
         """grid itself if it is a Batch, else the batch of one Grid1D."""
         return grid if isinstance(grid, cls) else cls((grid,))
 
-    def _take(self, a, offset: int) -> np.ndarray:
-        return a.take(self._neighbour[offset], axis=-1)
+    def _take(self, a, offset: int, out=None) -> np.ndarray:
+        # the indices are in range, so "clip" only spares take the
+        # buffered copy that its default mode makes when out is given
+        return a.take(self._neighbour[offset], axis=-1, out=out, mode="clip")
 
     def nodes(self) -> np.ndarray:
         """The cases' node coordinates, end to end (one shared array)."""

@@ -25,10 +25,13 @@ reaches 6/h^2: a solve can then miss its budget, which the stepper
 repairs with one refinement step, or meet a singular pivot.
 
 A CyclicReductionSolver is built for one M and owns the buffers of
-every reduction level; the stepper keeps one per case, so a step's
-solve allocates nothing but the (2, M) solution it returns, or writes
-it into a given array.  solve_cyclic_block_tridiagonal without a solver
-builds one for the call.
+every reduction level, with the views of them that each level reads and
+writes; the stepper keeps one per case, so a step's solve allocates
+nothing but the (2, M) solution it returns, or writes it into a given
+array.  The views of the input system are taken when its array first
+arrives and kept while the same array comes back, as the stepper's
+per-case view of its step buffer does at every step.
+solve_cyclic_block_tridiagonal without a solver builds one for the call.
 
 Cases marched in lockstep share one (2, 7, sum of M) array, their
 systems end to end: segments() gives each case's system as a view, and
@@ -46,8 +49,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .grid import periodic_shift
 
 __all__ = [
     "SingularSystemError",
@@ -292,69 +293,124 @@ def _views(flat: np.ndarray, *shapes) -> list:
 
 
 class _Level:
-    """Buffers of one reduction level of n blocks, k = n // 2 of them odd.
+    """Buffers of one reduction level of n blocks, k = n // 2 of them odd,
+    and the views of them that every solve reuses.
 
     The odd blocks' factors p, the reduced system and (below the top
     level) the level's solution x are its own; the other buffers are
     views of scratch that every level reuses while it reduces or
-    back-substitutes.
+    back-substitutes.  bind() takes the views of the level's input
+    system and bind_solution() those of the solution of its reduced
+    system.  Both arrays are the neighbouring levels' own buffers,
+    bound once, except the top level's input, the system being solved,
+    which the solver binds again when a different array arrives.
     """
 
     def __init__(self, n: int, k: int, scratch: np.ndarray, top: bool):
         m = n - k
         self.n, self.k = n, k
-        self.p = np.empty((2, 5, k))
-        self.reduced = np.empty((2, 7, m))
+        p = self.p = np.empty((2, 5, k))
+        r = self.reduced = np.empty((2, 7, m))
         self.x = None if top else np.empty((2, n))
         (self.det, self.tmp, self.adj, self.cols, self.left, self.right, self.ap,
          self.cp) = _views(scratch, (k,), (k,), (2, 2, k), (2, 5, k), (2, 5, m),
                            (2, 5, m), (2, 5, m), (2, 5, m))
         if n % 2 == 0:
-            self.right = self.p  # no block is kept: the right neighbours are p
+            # no block is kept: the right neighbours are p, the left ones
+            # p shifted one block right, copied in two slices
+            self.right = p
+            self.shift_left = ((self.left[..., :1], p[..., -1:]),
+                               (self.left[..., 1:], p[..., :-1]))
         self.x_next, self.vec = _views(scratch, (2, m), (2, k))
+        self.pa, self.pc, self.pg = p[:, 0:2], p[:, 2:4], p[:, 4]
+        ap, cp = self.ap, self.cp
+        self.ap_a, self.ap_d, self.ap_g = ap[:, 0:2], ap[:, 2:4], ap[:, 4:]
+        self.cp_a, self.cp_d, self.cp_g = cp[:, 0:2], cp[:, 2:4], cp[:, 4:]
+        self.r_a, self.r_d, self.r_c, self.r_g = r[:, 0:2], r[:, 2:4], r[:, 4:6], r[:, 6:]
+        if self.x is not None:
+            self.x_even, self.x_odd = self.x[:, 0::2], self.x[:, 1::2]
 
+    def bind(self, s: np.ndarray):
+        """Take the views of s, the (2, 7, n) system this level reduces."""
+        odd, even = s[..., 1::2], s[..., 0::2]
+        piv = odd[:, 2:4]
+        self.piv = (piv[0, 0], piv[1, 1], piv[0, 1], piv[1, 0])
+        self.piv_swapped = piv[::-1, ::-1].swapaxes(0, 1)
+        self.odd_cols = (odd[:, 0:2], odd[:, 4:])
+        self.even_a, self.even_d, self.even_c, self.even_g = (
+            even[:, 0:2], even[:, 2:4], even[:, 4:6], even[:, 6:])
 
-def _reduce(level: _Level, s: np.ndarray, floor: float) -> np.ndarray:
-    """One cyclic-reduction level: eliminate the odd-indexed blocks of s.
+    def bind_solution(self, x: np.ndarray):
+        """Take the views of x, the (2, n - k) solution of the reduced
+        system, which back-substitution reads."""
+        k = self.k
+        self.x_in, self.x_left = x, x[:, :k]
+        # odd block j sits between even blocks j and j + 1 (mod n - k):
+        # with a kept last block no index wraps, else the last one does
+        if x.shape[1] > k:
+            self.shift_right = ()
+            self.x_right = x[:, 1:k + 1]
+        else:
+            self.shift_right = ((self.x_next[:, :k - 1], x[:, 1:]),
+                                (self.x_next[:, k - 1:], x[:, :1]))
+            self.x_right = self.x_next
 
-    Each odd block j is solved for x[j] = g - Pa @ x[j-1] - Pc @ x[j+1]
-    and substituted into its even neighbours, which leaves a periodic
-    system in the even blocks alone.  With an odd block count the last
-    block is even too, and it and block 0 keep their direct coupling.
-    Fills level.p with the factors [Pa|Pc|g] and returns level.reduced.
-    """
-    odd, even = s[..., 1::2], s[..., 0::2]
-    piv = odd[:, 2:4]
-    det = np.multiply(piv[0, 0], piv[1, 1], out=level.det)
-    det -= np.multiply(piv[0, 1], piv[1, 0], out=level.tmp)
-    smallest = float(np.abs(det, out=level.tmp).min())
-    if smallest <= floor:
-        raise SingularSystemError(f"singular 2x2 pivot (|det|={smallest} <= {floor})")
-    adj = np.multiply(piv[::-1, ::-1].swapaxes(0, 1), _ADJ_SIGN, out=level.adj)
-    cols = np.concatenate((odd[:, 0:2], odd[:, 4:]), axis=1, out=level.cols)
-    p = np.einsum(_BMUL, adj, cols, out=level.p)
-    p /= det
-    if s.shape[2] % 2:
-        left = np.concatenate((_KEEP_LEFT, p), axis=-1, out=level.left)
-        right = np.concatenate((p, _KEEP_RIGHT), axis=-1, out=level.right)
-    else:
-        left, right = periodic_shift(p, -1, out=level.left), p
-    ap = np.einsum(_BMUL, even[:, 0:2], left, out=level.ap)
-    cp = np.einsum(_BMUL, even[:, 4:6], right, out=level.cp)
-    r = level.reduced
-    np.negative(ap[:, 0:2], out=r[:, 0:2])
-    np.subtract(even[:, 2:4], ap[:, 2:4], out=r[:, 2:4])
-    r[:, 2:4] -= cp[:, 0:2]
-    np.negative(cp[:, 2:4], out=r[:, 4:6])
-    np.subtract(even[:, 6:], ap[:, 4:], out=r[:, 6:])
-    r[:, 6:] -= cp[:, 4:]
-    return r
+    def reduce(self, floor: float):
+        """Eliminate the odd-indexed blocks of the bound system.
+
+        Each odd block j is solved for x[j] = g - Pa @ x[j-1] - Pc @ x[j+1]
+        and substituted into its even neighbours, which leaves a periodic
+        system in the even blocks alone.  With an odd block count the
+        last block is even too, and it and block 0 keep their direct
+        coupling.  Fills p with the factors [Pa|Pc|g] and reduced with
+        the reduced system.
+        """
+        p00, p11, p01, p10 = self.piv
+        det = np.multiply(p00, p11, out=self.det)
+        det -= np.multiply(p01, p10, out=self.tmp)
+        smallest = float(np.abs(det, out=self.tmp).min())
+        if smallest <= floor:
+            raise SingularSystemError(f"singular 2x2 pivot (|det|={smallest} <= {floor})")
+        adj = np.multiply(self.piv_swapped, _ADJ_SIGN, out=self.adj)
+        cols = np.concatenate(self.odd_cols, axis=1, out=self.cols)
+        p = np.einsum(_BMUL, adj, cols, out=self.p)
+        p /= det
+        if self.n % 2:
+            np.concatenate((_KEEP_LEFT, p), axis=-1, out=self.left)
+            np.concatenate((p, _KEEP_RIGHT), axis=-1, out=self.right)
+        else:
+            for dst, src in self.shift_left:
+                dst[...] = src
+        np.einsum(_BMUL, self.even_a, self.left, out=self.ap)
+        np.einsum(_BMUL, self.even_c, self.right, out=self.cp)
+        np.negative(self.ap_a, out=self.r_a)
+        np.subtract(self.even_d, self.ap_d, out=self.r_d)
+        np.subtract(self.r_d, self.cp_a, out=self.r_d)
+        np.negative(self.cp_d, out=self.r_c)
+        np.subtract(self.even_g, self.ap_g, out=self.r_g)
+        np.subtract(self.r_g, self.cp_g, out=self.r_g)
+
+    def substitute(self, x_even: np.ndarray, x_odd: np.ndarray):
+        """Recover the level's solution from the bound solution of its
+        reduced system: the even blocks into x_even, the odd ones into
+        x_odd."""
+        for dst, src in self.shift_right:
+            dst[...] = src
+        x_even[...] = self.x_in
+        np.subtract(self.pg, np.einsum(_BVEC, self.pa, self.x_left, out=self.vec),
+                    out=x_odd)
+        x_odd -= np.einsum(_BVEC, self.pc, self.x_right, out=self.vec)
 
 
 class CyclicReductionSolver:
     """Periodic block cyclic reduction for systems of m block rows, with
     every level's buffers allocated once, when the solver is built.
     solve() overwrites them, so a solver serves one solve at a time.
+
+    The views of the input system that the reduction reads are taken
+    when a system's array first arrives and reused while the same array
+    comes back, as a step workspace's system does at every step; any
+    other array is bound anew.
     """
 
     def __init__(self, m: int):
@@ -367,43 +423,65 @@ class CyclicReductionSolver:
             n -= n // 2
         # scratch for level 0's reduce buffers, the most any level uses
         scratch = np.empty(16 * (m // 2) + 40 * (m - m // 2))
-        self._levels = [_Level(n, k, scratch, top=i == 0)
-                        for i, (n, k) in enumerate(sizes)]
+        self._levels = levels = [_Level(n, k, scratch, top=i == 0)
+                                 for i, (n, k) in enumerate(sizes)]
         self._base = np.zeros((2 * n, 2 * n))  # the base solve's dense matrix
+        self._scatter = _block_scatter(n)
+        # the base solve's solution, which the deepest level reads
+        self._x_base = np.empty((2, n))
+        for level, below in zip(levels, levels[1:]):
+            below.bind(level.reduced)
+            level.bind_solution(below.x)
+        if levels:
+            levels[-1].bind_solution(self._x_base)
+            self._bind_base(levels[-1].reduced)
+        self._input = None
+
+    def _bind_base(self, s: np.ndarray):
+        """Take the views of s, the (2, 7, n) system of the base solve."""
+        b = s.transpose(2, 0, 1)
+        self._base_blocks, self._base_rhs = b[..., :6], b[..., 6]
+
+    def _bind(self, s: np.ndarray):
+        """Take the views of the input system's (2, 7, m) array s."""
+        if s.shape[2] != self.m:
+            raise ValueError(f"solver built for M = {self.m}, system has M = {s.shape[2]}")
+        self._blocks = s[:, :6]
+        if self._levels:
+            self._levels[0].bind(s)
+        else:
+            self._bind_base(s)
+        self._input = s
 
     def solve(self, system: CyclicBlockTriSystem, out=None) -> np.ndarray:
         """Solve system in O(M); returns (M, 2), the transpose of a (2, M)
         array whose rows are the two unknowns: out if given, else a
         fresh one."""
-        s = system.coeffs
-        if s.shape[2] != self.m:
-            raise ValueError(f"solver built for M = {self.m}, system has M = {s.shape[2]}")
+        if system.coeffs is not self._input:
+            self._bind(system.coeffs)
         if out is None:
             out = np.empty((2, self.m))
-        blocks = s[:, :6]
+        blocks = self._blocks
         scale = max(float(blocks.max()), -float(blocks.min()))  # max |entry|
         floor = PIVOT_RTOL * scale * scale  # determinant scale is entries squared
         for level in self._levels:
-            s = _reduce(level, s, floor)
+            level.reduce(floor)
 
-        b = s.transpose(2, 0, 1)
+        index, zeros = self._scatter
+        self._base.put(index, self._base_blocks + zeros)
         try:
-            x = np.linalg.solve(_dense_block_matrix(b[..., :6], self._base),
-                                b[..., 6].reshape(-1)).reshape(-1, 2).T
+            x = np.linalg.solve(self._base, self._base_rhs.reshape(-1))
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(str(exc)) from exc
-        for level in reversed(self._levels):
-            # odd block j of a level sits between its even blocks j and j+1
-            p, k = level.p, level.k
-            x_next = periodic_shift(x, 1, out=level.x_next)[:, :k]
-            full = out if level.x is None else level.x
-            full[:, 0::2] = x
-            odd = np.subtract(p[:, 4], np.einsum(_BVEC, p[:, 0:2], x[:, :k], out=level.vec),
-                              out=full[:, 1::2])
-            odd -= np.einsum(_BVEC, p[:, 2:4], x_next, out=level.vec)
-            x = full
-        if x is not out:  # no reduction level: x is the base solve's
+        x = x.reshape(-1, 2).T
+        if not self._levels:
             out[...] = x
+            return out.T
+        self._x_base[...] = x
+        levels = self._levels
+        for level in reversed(levels[1:]):
+            level.substitute(level.x_even, level.x_odd)
+        levels[0].substitute(out[:, 0::2], out[:, 1::2])
         return out.T
 
 
@@ -493,23 +571,28 @@ def block_system_matrix(system: CyclicBlockTriSystem) -> np.ndarray:
                                np.zeros((2 * m, 2 * m)))
 
 
-def block_matvec(system: CyclicBlockTriSystem, x: np.ndarray, stencil=None) -> np.ndarray:
+def block_matvec(system: CyclicBlockTriSystem, x: np.ndarray, stencil=None,
+                 near=None, out=None) -> np.ndarray:
     """Apply the block cyclic matrix to x of shape (M, 2); returns (M, 2).
 
     stencil, if given, is a (3M,) index array: each row's left
     neighbour, the row itself, then its right neighbour.  A Batch's
     stencil applies the systems of all its cases at once, each wrapping
     inside its own rows; without one, the rows wrap as one system.
+    near, a (2, 3M) array, receives those neighbour values, and out, a
+    (2, M) array, the product, whose transpose is returned; each is
+    allocated if not given.
     """
     xt = np.asarray(x).T
     m = system.m
     # x[i-1], x[i] and x[i+1] for every node i, side by side: (2, 3M)
     if stencil is None:
-        near = np.concatenate((xt[:, -1:], xt[:, :-1], xt, xt[:, 1:], xt[:, :1]), axis=1)
+        near = np.concatenate((xt[:, -1:], xt[:, :-1], xt, xt[:, 1:], xt[:, :1]), axis=1,
+                              out=near)
     else:
-        near = np.take(xt, stencil, axis=1)
+        near = np.take(xt, stencil, axis=1, out=near, mode="clip")
     return np.einsum("rbjn,jbn->rn", system.coeffs[:, :6].reshape(2, 3, 2, m),
-                     near.reshape(2, 3, m)).T
+                     near.reshape(2, 3, m), out=out).T
 
 
 def block_row_sum_norm(system: CyclicBlockTriSystem, reduce=np.max):

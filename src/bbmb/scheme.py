@@ -18,16 +18,21 @@ Lockstep: cases that share a time grid (N and T) march together as one
 grid.Batch, their nodes end to end on one array.  A step assembles one
 packed system for all of them, solves each case's block of it with the
 case's own solver, and holds every case to its own residual budget in
-one pass over the batch; each case keeps its own energy ledger.  The
-compact relation is the second block row of the system, so that one
-gate also holds it.  A single grid is a batch of one and does the same
-arithmetic as on its own.
+one pass over the batch.  The compact relation is the second block row
+of the system, so that one gate also holds it.  A single grid is a
+batch of one and does the same arithmetic as on its own.  A step keeps
+no energy books: run, the one caller that reports the invariant, sums
+the dissipation from the levels it is handed.
 
-Memory: march builds one StepWorkspace per batch, which owns the packed
-(2, 7, M) step-system buffer that every step's assembly overwrites and
-each case's cyclic-reduction solver with its level buffers.  A step then
-allocates only its fresh (u, v) solution, which no later step touches,
-plus temporaries.
+Memory: march builds one StepWorkspace per batch.  It binds what does
+not change between steps once: the h-dependent factors of assembly, the
+packed (2, 7, M) step-system buffer with its constant entries (the
+compact relation row and v's kappa coupling) and each case's view of
+it, the compact row's absolute row sums for the gate, and each case's
+cyclic-reduction solver, whose level views stay bound to that view.
+Each step overwrites the rest of the buffer through scratch rows that
+the assembly and the gate share, so a step allocates little beyond its
+fresh (u, v) solution, which no later step touches.
 """
 
 from __future__ import annotations
@@ -37,12 +42,12 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .analysis import EnergyLedger, _data_scale, gradient_energies, gradient_energy, initial_energy
+from .analysis import _data_scale, gradient_energy, initial_energy
 from .grid import (Batch, Grid1D, as_field, central_diff, periodic_shift,
                    second_diff, skew_advection)
 from .linalg import (CyclicBlockTriSystem, CyclicReductionSolver, ScalarCyclicTriSystem,
-                     SingularSystemError, block_matvec, block_row_sum_norm,
-                     solve_cyclic_block_tridiagonal, solve_scalar_cyclic)
+                     SingularSystemError, block_matvec, solve_cyclic_block_tridiagonal,
+                     solve_scalar_cyclic)
 
 __all__ = [
     "SchemeParams",
@@ -130,34 +135,58 @@ class SchemeParams:
 
 @dataclass
 class StepperState:
-    """Two consecutive levels of (u, v) plus one running energy ledger
-    per case.  The fields span the batch's nodes, its cases end to end.
-    At k = 0 there is no previous level and u_prev/v_prev are None."""
+    """Two consecutive levels of (u, v).  The fields span the batch's
+    nodes, its cases end to end.  At k = 0 there is no previous level and
+    u_prev/v_prev are None."""
 
     k: int
     u_curr: np.ndarray
     v_curr: np.ndarray
     u_prev: Optional[np.ndarray]
     v_prev: Optional[np.ndarray]
-    ledgers: tuple
-
-    @property
-    def ledger(self) -> EnergyLedger:
-        """The energy ledger of a one-case state."""
-        if len(self.ledgers) != 1:
-            raise ValueError(f"a state of {len(self.ledgers)} cases has one ledger per case")
-        return self.ledgers[0]
 
 
 class StepWorkspace:
-    """The buffers one batch reuses at every step (see the module
-    docstring): the packed system of all its cases and one solver per
-    case.  grid is a Grid1D or a Batch; it serves one step at a time."""
+    """What one batch reuses at every step (see the module docstring),
+    built for grid, a Grid1D or a Batch, and params.  It serves one step
+    at a time.
 
-    def __init__(self, grid):
-        self.batch = Batch.of(grid)
-        self.coeffs = np.empty((2, 7, self.batch.M))
-        self.solvers = [CyclicReductionSolver(g.M) for g in self.batch.grids]
+    coeffs is the packed system of all the cases, system the system that
+    holds it and cases each case's view of it; solvers holds one solver
+    per case.  The factors below are those of the assembly's terms,
+    evaluated once in the same association, so each step computes the
+    bits it did when it evaluated them itself.
+    """
+
+    def __init__(self, grid, params: SchemeParams):
+        batch = self.batch = Batch.of(grid)
+        self.params = params
+        h, gamma, kappa = batch.h, params.gamma, params.kappa
+        self.h6 = 6.0 * h
+        self.neg_h6 = -self.h6
+        self.h2 = 2.0 * h
+        self.gamma_h2 = 0.25 * gamma * h * h
+        self.kappa_4h = kappa / (4.0 * h)
+        self.kappa_h2 = kappa * h * h / 12.0
+        # the system adopts the zeroed buffer; every step's assembly
+        # checks all its entries, the constant ones below included
+        c = self.coeffs = np.zeros((2, 7, batch.M))
+        self.system = CyclicBlockTriSystem.packed(c)
+        self.cases = self.system.segments(batch.bounds)
+        self.solvers = [CyclicReductionSolver(g.M) for g in batch.grids]
+        # evolution equation: v's coefficients in the sub and sup blocks
+        c[0, 1] = kappa * h / 24.0
+        c[0, 5] = -kappa * h / 24.0
+        # compact relation at the new level, with a zero right-hand side
+        c[1, 0:6:2] = _COMPACT_U * (1.0 / (h * h))
+        c[1, 1:6:2] = _COMPACT_V
+        # the largest absolute row sum of each case's compact row, for
+        # the gate's matrix norm
+        self.compact_norm = batch.case_max(np.abs(c[1, :6]).sum(axis=0))
+        # scratch: six (2, M) pairs and one row, shared by assembly and
+        # the gate, which run one after the other
+        self.scratch = np.empty((13, batch.M))
+        self.pairs = self.scratch[:12].reshape(6, 2, batch.M)
 
 
 def _failing_case(batch: Batch, failed) -> str:
@@ -212,25 +241,22 @@ def compact_curvature(u, h: float) -> np.ndarray:
 
 
 def init_state(phi, grid, params: SchemeParams) -> StepperState:
-    """Sample the initial condition, solve each case's compact curvature,
-    and open each case's energy ledger.  grid is a Grid1D or a Batch."""
+    """Sample the initial condition and solve each case's compact
+    curvature.  grid is a Grid1D or a Batch."""
     batch = Batch.of(grid)
     x = batch.nodes()
     u0 = np.asarray(phi(x), dtype=float)
     if u0.shape != x.shape:
         raise ValueError("initial condition callback must be vectorized over x")
     u0 = as_field(u0, batch.M)
-    v0, ledgers = [], []
+    v0 = []
     for g, u in zip(batch.grids, batch.split(u0)):
         try:
-            v = compact_curvature(u, g.h)
+            v0.append(compact_curvature(u, g.h))
         except ValueError as exc:  # the second difference of u0 overflowed
             raise DivergenceError(0, f"initial curvature: {exc} (case M = {g.M})") from exc
-        v0.append(v)
-        ledgers.append(EnergyLedger(rhs0=initial_energy(u, v, g, params)))
     v0 = v0[0] if len(v0) == 1 else np.concatenate(v0)
-    return StepperState(k=0, u_curr=u0, v_curr=v0, u_prev=None, v_prev=None,
-                        ledgers=tuple(ledgers))
+    return StepperState(k=0, u_curr=u0, v_curr=v0, u_prev=None, v_prev=None)
 
 
 def newton_reaction_terms(u_k, params: SchemeParams):
@@ -252,104 +278,126 @@ def newton_reaction_terms(u_k, params: SchemeParams):
     return 0.5 * fpp, fp - fpp * u_k
 
 
-def _assemble_step(u_ref, v_ref, u_known, v_known, rate, batch: Batch,
-                   params: SchemeParams, t_source: float, step: int,
-                   out: Optional[np.ndarray]) -> CyclicBlockTriSystem:
-    """Shared assembly of the per-step system of every case of the
-    batch, straight into out, a (2, 7, M) array in the packed layout of
-    CyclicBlockTriSystem (a fresh one if out is None); every entry is
-    overwritten and the returned system holds the array.
+def _assemble_step(u_ref, v_ref, u_known, v_known, rate, work: StepWorkspace,
+                   t_source: float, step: int) -> CyclicBlockTriSystem:
+    """Shared assembly of the per-step system of every case of work's
+    batch into work.coeffs, whose constant entries the workspace wrote;
+    every other entry is overwritten.  Returns work.system.
 
     rate is 1/tau for the starting step and 1/(2*tau) for interior
     steps; (u_ref, v_ref) carry the linearization level and
     (u_known, v_known) the mirrored data level.  Block row i couples
     the unknown pair (u[i], v[i]) at the new level to its neighbours:
     its first equation (coeffs[0]) is the time-discrete PDE, its second
-    (coeffs[1]) the compact relation at the new level.  Non-finite
-    coefficients raise DivergenceError for the given step.
+    (coeffs[1]) the compact relation at the new level.  Each level is
+    shifted once each way; the skew rows, the skew product and the
+    central differences are built from those shifts in work's scratch,
+    in the operation order of skew_advection_rows, skew_advection and
+    central_diff.  Non-finite coefficients raise DivergenceError for
+    the given step.
     """
-    if out is None:
-        out = np.empty((2, 7, batch.M))
-    elif out.shape != (2, 7, batch.M):
-        raise ValueError(f"out has shape {out.shape}, expected {(2, 7, batch.M)}")
-    h, shift = batch.h, batch.shift
+    batch, params = work.batch, work.params
+    shift = batch.shift
     mu, gamma, kappa, nu = params.mu, params.gamma, params.kappa, params.nu
+    g = 0.5 * gamma
+    ref, known, ref_r, ref_l, known_r, known_l = work.pairs
+    row = work.scratch[12]
+    c = work.coeffs
 
-    ref = np.array((u_ref, v_ref))
-    c_sub, c_sup = skew_advection_rows(ref, h, shift)
-    skew = skew_advection(ref, u_known, h, shift)
-    diff = central_diff(np.array((u_known, v_known)), h, shift)
+    ref[0], ref[1] = u_ref, v_ref
+    known[0], known[1] = u_known, v_known
+    shift(ref, 1, out=ref_r)
+    shift(ref, -1, out=ref_l)
+    shift(known, 1, out=known_r)
+    shift(known, -1, out=known_l)
 
-    c = out
-    # evolution equation: sub, diag and sup blocks' first rows, then rhs
-    c[0, 0] = 0.5 * gamma * c_sub[0] - 0.25 * gamma * h * h * c_sub[1] - kappa / (4.0 * h)
-    c[0, 1] = kappa * h / 24.0
+    # evolution equation: sub, diag and sup blocks' first rows; the skew
+    # rows are (ref + ref_r)/(6h) above and -((ref_l + ref)/(6h)) below,
+    # whose bits division by -(6h) gives: rounding ignores the sign
+    skew_rows = known  # free once shifted
+    np.divide(np.add(ref, ref_r, out=skew_rows), work.h6, out=skew_rows)
+    sup = np.multiply(skew_rows[0], g, out=c[0, 4])
+    sup -= np.multiply(work.gamma_h2, skew_rows[1], out=row)
+    sup += work.kappa_4h
+    np.divide(np.add(ref_l, ref, out=skew_rows), work.neg_h6, out=skew_rows)
+    sub = np.multiply(skew_rows[0], g, out=c[0, 0])
+    sub -= np.multiply(work.gamma_h2, skew_rows[1], out=row)
+    sub -= work.kappa_4h
     c[0, 2] = rate
     c[0, 3] = -mu * rate - 0.5 * nu
-    c[0, 4] = 0.5 * gamma * c_sup[0] - 0.25 * gamma * h * h * c_sup[1] + kappa / (4.0 * h)
-    c[0, 5] = -kappa * h / 24.0
-    c[0, 6] = (rate * u_known
-               - mu * rate * v_known
-               - 0.5 * gamma * skew[0]
-               + 0.25 * gamma * h * h * skew[1]
-               - 0.5 * kappa * diff[0]
-               + kappa * h * h / 12.0 * diff[1]
-               + 0.5 * nu * v_known)
+
+    # skew_advection(ref, u_known) and central_diff((u_known, v_known))
+    skew, tmp = skew_rows, ref  # ref is read for the last time below
+    np.multiply(ref, np.subtract(known_r[0], known_l[0], out=row), out=skew)
+    skew += np.multiply(ref_r, known_r[0], out=tmp)
+    skew -= np.multiply(ref_l, known_l[0], out=tmp)
+    skew /= work.h6
+    diff = np.subtract(known_r, known_l, out=known_r)
+    diff /= work.h2
+
+    rhs = np.multiply(u_known, rate, out=c[0, 6])
+    rhs -= np.multiply(v_known, mu * rate, out=row)
+    rhs -= np.multiply(skew[0], g, out=row)
+    rhs += np.multiply(work.gamma_h2, skew[1], out=row)
+    rhs -= np.multiply(diff[0], 0.5 * kappa, out=row)
+    rhs += np.multiply(work.kappa_h2, diff[1], out=row)
+    rhs += np.multiply(v_known, 0.5 * nu, out=row)
     if params.source is not None:
-        c[0, 6] += np.asarray(params.source(batch.nodes(), t_source), dtype=float)
+        rhs += np.asarray(params.source(batch.nodes(), t_source), dtype=float)
     if params.reaction is not None:
-        diag_coeff, known = newton_reaction_terms(u_ref, params)
+        diag_coeff, known_part = newton_reaction_terms(u_ref, params)
         c[0, 2] += diag_coeff
-        c[0, 6] -= known + diag_coeff * u_known
+        rhs -= known_part + diag_coeff * u_known
 
-    # compact relation at the new level, with a zero right-hand side
-    c[1, 0:6:2] = _COMPACT_U * (1.0 / (h * h))
-    c[1, 1:6:2] = _COMPACT_V
-    c[1, 6] = 0.0
-
-    try:
-        return CyclicBlockTriSystem.packed(c)
-    except ValueError as exc:
-        where = _failing_case(batch, batch.case_max(~np.isfinite(c)))
-        raise DivergenceError(step, f"step system: {exc}{where}") from exc
+    finite = np.isfinite(c)
+    if not finite.all():
+        where = _failing_case(batch, batch.case_max(~finite))
+        raise DivergenceError(step, f"step system: block system contains "
+                                    f"non-finite values{where}")
+    return work.system
 
 
 def assemble_first_step(state: StepperState, grid, params: SchemeParams,
-                        out: Optional[np.ndarray] = None) -> CyclicBlockTriSystem:
+                        work: Optional[StepWorkspace] = None) -> CyclicBlockTriSystem:
     """System for the two-level starting step (unknowns at level 1),
     linearized at the initial data; the source is taken at t = tau/2.
-    grid is a Grid1D or a Batch.  It is written into out (2, 7, M) if
-    given, else into a fresh array."""
+    grid is a Grid1D or a Batch.  It is written into work's buffer if
+    given (a workspace built for grid and params), else into a fresh
+    workspace's."""
     if state.k != 0:
         raise ValueError(f"first step requires k == 0, got k={state.k}")
+    if work is None:
+        work = StepWorkspace(grid, params)
     return _assemble_step(state.u_curr, state.v_curr, state.u_curr, state.v_curr,
-                          rate=1.0 / grid.tau, batch=Batch.of(grid), params=params,
-                          t_source=0.5 * grid.tau, step=1, out=out)
+                          rate=1.0 / work.batch.tau, work=work,
+                          t_source=0.5 * work.batch.tau, step=1)
 
 
 def assemble_interior_step(state: StepperState, grid, params: SchemeParams,
-                           out: Optional[np.ndarray] = None) -> CyclicBlockTriSystem:
+                           work: Optional[StepWorkspace] = None) -> CyclicBlockTriSystem:
     """System for a three-level interior step (unknowns at level k+1),
     linearized at level k with level k-1 mirrored to the right-hand
     side; the source is taken at t_k.  grid is a Grid1D or a Batch.  It
-    is written into out (2, 7, M) if given, else into a fresh array."""
+    is written into work's buffer if given (a workspace built for grid
+    and params), else into a fresh workspace's."""
     if state.k < 1 or state.u_prev is None:
         raise ValueError(f"interior step requires k >= 1, got k={state.k}")
+    if work is None:
+        work = StepWorkspace(grid, params)
     return _assemble_step(state.u_curr, state.v_curr, state.u_prev, state.v_prev,
-                          rate=0.5 / grid.tau, batch=Batch.of(grid), params=params,
-                          t_source=state.k * grid.tau, step=state.k + 1, out=out)
+                          rate=0.5 / work.batch.tau, work=work,
+                          t_source=state.k * work.batch.tau, step=state.k + 1)
 
 
-def _checked_solve(system: CyclicBlockTriSystem, batch: Batch, step: int,
-                   solvers) -> tuple:
-    """Solve each case's block of a batch's step system with the case's
+def _checked_solve(work: StepWorkspace, step: int) -> np.ndarray:
+    """Solve each case's block of the step system in work with the case's
     solver and hold every case to its own residual budget.  A case that
     misses it gets one refinement step (Skeel 1980; Higham 2002, ch. 12):
     its residual r = b - A x is solved with the same blocks and solver
     and added to x, which must then meet the same budget.  Returns the
     solution rows (u, v) as one fresh (2, M) array."""
+    batch, cases, solvers = work.batch, work.cases, work.solvers
     uv = np.empty((2, batch.M))
-    cases = system.segments(batch.bounds)
     for case, solver, (start, stop) in zip(cases, solvers, batch.bounds):
         try:
             solve_cyclic_block_tridiagonal(case, solver, out=uv[:, start:stop])
@@ -359,13 +407,19 @@ def _checked_solve(system: CyclicBlockTriSystem, batch: Batch, step: int,
     if not finite.all():
         where = _failing_case(batch, batch.case_max(~finite))
         raise DivergenceError(step, f"solver returned non-finite values{where}")
-    c = system.coeffs
+    c, scratch = work.coeffs, work.scratch
     rhs = c[:, 6]
-    bound = SOLVE_RESIDUAL_RTOL * (batch.case_max(np.abs(rhs))
-                                   + block_row_sum_norm(system, batch.case_max)
-                                   * batch.case_max(np.abs(uv))) + _SMALLEST_NORMAL
-    r = rhs - block_matvec(system, uv.T, batch.stencil).T
-    failed = batch.case_max(np.abs(r)) > bound
+    # the matrix norm, the largest absolute row sum: row 0's sums here,
+    # the constant compact row's from the workspace
+    row_sums = np.abs(c[0, :6], out=scratch[:6]).sum(axis=0, out=scratch[12])
+    norm = np.maximum(batch.case_max(row_sums), work.compact_norm)
+    bound = SOLVE_RESIDUAL_RTOL * (batch.case_max(np.abs(rhs, out=scratch[:2]))
+                                   + norm * batch.case_max(np.abs(uv, out=scratch[2:4]))
+                                   ) + _SMALLEST_NORMAL
+    product = block_matvec(work.system, uv.T, batch.stencil,
+                           near=scratch[:6].reshape(2, -1), out=scratch[6:8])
+    r = np.subtract(rhs, product.T, out=scratch[8:10])
+    failed = batch.case_max(np.abs(r, out=scratch[6:8])) > bound
     if failed.any():
         for j in np.flatnonzero(failed):
             case, rows, budget = cases[j], slice(*batch.bounds[j]), np.atleast_1d(bound)[j]
@@ -381,34 +435,23 @@ def _checked_solve(system: CyclicBlockTriSystem, batch: Batch, step: int,
 
 def advance(state: StepperState, grid, params: SchemeParams,
             work: Optional[StepWorkspace] = None) -> StepperState:
-    """Take one time step of every case; returns the new state and
-    updates each case's ledger.
+    """Take one time step of every case; returns the new state.
 
     grid is a Grid1D or a Batch.  The step system is assembled into
-    work's buffer and each case's block is solved with the case's
-    solver; without a workspace, one is built for this step.  The new
-    state's u and v are the rows of a fresh (2, M) array.
+    work's buffer (a workspace built for grid and params) and each
+    case's block is solved with the case's solver; without a workspace,
+    one is built for this step.  The new state's u and v are the rows of
+    a fresh (2, M) array.
     """
     if work is None:
-        work = StepWorkspace(grid)
-    batch = work.batch
-    first = state.k == 0
-    if first:
-        system = assemble_first_step(state, batch, params, out=work.coeffs)
+        work = StepWorkspace(grid, params)
+    if state.k == 0:
+        assemble_first_step(state, grid, params, work)
     else:
-        system = assemble_interior_step(state, batch, params, out=work.coeffs)
-    u_next, v_next = _checked_solve(system, batch, state.k + 1, work.solvers)
-
-    # diffusion at the average of the new level and the one it mirrors
-    u_old, v_old = (state.u_curr, state.v_curr) if first else (state.u_prev, state.v_prev)
-    weight = (1.0 if first else 2.0) * params.nu * batch.tau
-    energies = gradient_energies(0.5 * (u_old + u_next), 0.5 * (v_old + v_next), batch)
-    for ledger, g in zip(state.ledgers, energies):
-        ledger.dissipation += weight * g
-
+        assemble_interior_step(state, grid, params, work)
+    u_next, v_next = _checked_solve(work, state.k + 1)
     return StepperState(k=state.k + 1, u_curr=u_next, v_curr=v_next,
-                        u_prev=state.u_curr, v_prev=state.v_curr,
-                        ledgers=state.ledgers)
+                        u_prev=state.u_curr, v_prev=state.v_curr)
 
 
 def march(phi, grid, params: SchemeParams) -> Iterator[StepperState]:
@@ -419,16 +462,15 @@ def march(phi, grid, params: SchemeParams) -> Iterator[StepperState]:
     level, the cases end to end (Batch.split gives each case's view).
     Only the current state is held, so memory stays O(M) however long
     the run.  One StepWorkspace serves every step of the run and is
-    dropped with the generator.  The yielded states share the cases'
-    energy ledgers, which are up to date for the state just yielded;
-    read them before advancing.  Fields are fresh arrays that are never
+    dropped with the generator.  Fields are fresh arrays that are never
     modified after they are yielded, so a caller may keep references to
-    them.
+    them.  No energy is computed; run sums it for the callers that
+    report it.
     """
     batch = Batch.of(grid)
     state = init_state(phi, batch, params)
     yield state
-    work = StepWorkspace(batch)
+    work = StepWorkspace(batch, params)
     for _ in range(batch.N):
         state = advance(state, batch, params, work)
         yield state
@@ -441,31 +483,45 @@ def run(phi, grid: Grid1D, params: SchemeParams, snapshot_times=None,
 
     snapshot_times must each lie within tau/2 of a grid time; snapshots
     are recorded at the nearest grid time without interpolation.  The
-    energy series carries one invariant value per level (the t = 0
-    entry is the ledger's initial value); each level's energy
-    e = ||u||^2 + mu*G is computed once and reused for the next pair.
-    ||u||^2 is summed on u divided by the initial data's power-of-two
-    scale (as boundedness_bound does), so max_l2 does not underflow on
-    tiny data.  Callers that need every level iterate march() instead.
+    energy series carries one invariant value per level: E(0) from
+    initial_energy at t = 0, then (e_k + e_{k-1})/2 plus the dissipation
+    summed over the steps so far.  Each level's energy
+    e = ||u||^2 + mu*G is computed once and reused for the next pair,
+    and each step's dissipation is its weight (nu*tau for the starting
+    step, 2*nu*tau after) times G at the average of the new level and
+    the one it mirrors, which run keeps from the step before.  With
+    track_energy off no energy is computed.  ||u||^2 is summed on u
+    divided by the initial data's power-of-two scale (as
+    boundedness_bound does), so max_l2 does not underflow on tiny data.
+    Callers that need every level iterate march() instead.
     """
     wanted = (set() if snapshot_times is None
               else {grid.time_index(t) for t in snapshot_times})
     snapshots, energy, max_l2_sq, max_abs = [], [], 0.0, 0.0
+    dissipation = 0.0
     for st in march(phi, grid, params):
-        u = st.u_curr
+        u, v = st.u_curr, st.v_curr
         t = st.k * grid.tau
         if st.k == 0:
             initial = st
-            scale = _data_scale(u, st.v_curr)
+            scale = _data_scale(u, v)
         if st.k in wanted:
             snapshots.append((t, u))
         w = u / scale
         l2_sq = grid.h * float((w * w).sum())  # ||u / scale||^2
         if track_energy:
-            e = l2_sq * scale * scale + params.mu * gradient_energy(u, st.v_curr, grid.h)
-            energy.append((t, st.ledger.rhs0 if st.k == 0 else
-                           0.5 * (e + e_prev) + st.ledger.dissipation))
+            e = l2_sq * scale * scale + params.mu * gradient_energy(u, v, grid.h)
+            if st.k == 0:
+                energy.append((t, initial_energy(u, v, grid, params)))
+            else:
+                # diffusion at the average of the new level and the one it mirrors
+                weight = (1.0 if st.k == 1 else 2.0) * params.nu * grid.tau
+                dissipation += weight * gradient_energy(0.5 * (u_old + u), 0.5 * (v_old + v),
+                                                        grid.h)
+                energy.append((t, 0.5 * (e + e_prev) + dissipation))
             e_prev = e
+            # the level the next step mirrors: k - 1, or 0 for the starting step
+            u_old, v_old = (u, v) if st.k == 0 else (st.u_prev, st.v_prev)
         max_l2_sq = max(max_l2_sq, l2_sq)
         max_abs = max(max_abs, float(np.abs(u).max()))
     return RunResult(snapshots=snapshots, energy=energy,

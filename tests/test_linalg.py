@@ -257,14 +257,19 @@ def test_block_reduction_zero_system_raises():
 
 @pytest.mark.parametrize("m", [5, 32, 33, 64, 65, 250, 1001])
 def test_reused_solver_matches_fresh_solver_bitwise(rng, m):
-    # the level buffers are overwritten by every solve: nothing may carry
-    # over from one system to the next, and each solution is a fresh array
+    # the level buffers are overwritten by every solve and the views of
+    # the last array solved are kept: arrays A, B, A in turn, then A with
+    # its entries rewritten in place (as a step workspace does), must
+    # each give a fresh solver's bits, and each solution is a fresh array
     solver = CyclicReductionSolver(m)
+    a, b = random_block_system(rng, m), random_block_system(rng, m)
     solutions = []
-    for _ in range(3):
-        system = random_block_system(rng, m)
+    for system in (a, b, a, a):
+        if len(solutions) == 3:
+            a.coeffs[...] = random_block_system(rng, m).coeffs
         x = solve_cyclic_block_tridiagonal(system, solver)
-        assert np.array_equal(x, CyclicReductionSolver(m).solve(system))
+        fresh = CyclicReductionSolver(m).solve(system)
+        assert np.array_equal(x, fresh) and np.array_equal(np.signbit(x), np.signbit(fresh))
         assert np.array_equal(x, solve_cyclic_block_tridiagonal(system))
         solutions.append((x, x.copy()))
     for x, kept in solutions:

@@ -1,8 +1,6 @@
 """Lockstep batches: cases that share a time grid march on one node array
 and give each case the bits it gets when marched alone."""
 
-import sys
-
 import numpy as np
 import pytest
 
@@ -10,12 +8,12 @@ from bbmb.cli import run_experiment
 from bbmb.config import parse_config_text
 from bbmb.grid import Batch, Grid1D
 from bbmb.linalg import CyclicReductionSolver
-from bbmb.scheme import (DivergenceError, SchemeParams, SolverFailure, StepWorkspace,
-                         advance, init_state, march)
+from bbmb.scheme import DivergenceError, SchemeParams, SolverFailure, march
 
 from conftest import (example1_exact, example1_grid, example1_params,
                       example2_grid, example2_params, example2_phi,
                       example3_grid, example3_params, example3_phi)
+from test_scheme import _interior_step_calls
 
 EXAMPLES = {
     "example1": (example1_grid, example1_params, lambda x: example1_exact(x, 0.0)),
@@ -25,9 +23,8 @@ EXAMPLES = {
 
 
 def _alone(phi, grid, params):
-    """Every level (u, v) of one case marched alone, and its dissipation."""
-    levels = [(st.u_curr, st.v_curr, st.ledger) for st in march(phi, grid, params)]
-    return [(u, v) for u, v, _ in levels], levels[-1][2].dissipation
+    """Every level (u, v) of one case marched alone."""
+    return [(st.u_curr, st.v_curr) for st in march(phi, grid, params)]
 
 
 @pytest.mark.parametrize("chain", [(5, 33, 64, 65), (4, 8, 16, 32, 64, 128)])
@@ -37,14 +34,11 @@ def test_lockstep_levels_match_single_case_march(example, chain):
     params = make_params()
     grids = [make_grid(m, 6) for m in chain]
     batch = Batch(grids)
-    kept, ledgers = [], None
-    for st in march(phi, batch, params):
-        kept.append((st.u_curr, st.v_curr, st.u_curr.copy(), st.v_curr.copy()))
-        ledgers = st.ledgers
+    kept = [(st.u_curr, st.v_curr, st.u_curr.copy(), st.v_curr.copy())
+            for st in march(phi, batch, params)]
     assert len(kept) == batch.N + 1
     for j, grid in enumerate(grids):
-        levels, dissipation = _alone(phi, grid, params)
-        assert ledgers[j].dissipation == dissipation, f"M={grid.M}"
+        levels = _alone(phi, grid, params)
         for k, ((u, v, _, _), (u_ref, v_ref)) in enumerate(zip(kept, levels)):
             assert np.array_equal(batch.split(u)[j], u_ref), f"M={grid.M} level {k}: u"
             assert np.array_equal(batch.split(v)[j], v_ref), f"M={grid.M} level {k}: v"
@@ -108,7 +102,7 @@ def test_failing_case_is_named_with_its_step(monkeypatch, tmp_path, unknowns):
 def test_refinement_repairs_only_the_failing_case(monkeypatch, unknowns):
     params, phi = example1_params(), lambda x: example1_exact(x, 0.0)
     grids = [example1_grid(m, 4) for m in (8, 16, 32)]
-    alone = [_alone(phi, g, params)[0] for g in grids]
+    alone = [_alone(phi, g, params) for g in grids]
     calls = _corrupt_solver(monkeypatch, 16, unknowns, refinement_too=False)
     batch = Batch(grids)
     levels = [st.u_curr for st in march(phi, batch, params)]
@@ -130,37 +124,17 @@ def test_non_finite_system_names_its_case():
             pass
 
 
-def _step_calls(grid):
-    """Python and C calls of one interior step that reuses its workspace."""
-    params, phi = example1_params(), lambda x: example1_exact(x, 0.0)
-    work = StepWorkspace(grid)
-    state = init_state(phi, grid, params)
-    state = advance(advance(state, grid, params, work), grid, params, work)
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        if event in ("call", "c_call"):
-            calls += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(count)
-    try:
-        advance(state, grid, params, work)
-    finally:
-        sys.setprofile(previous)
-    return calls
-
-
 # A lockstep step pays the fixed per-step cost once for all its cases:
-# 465 calls for example1 at M = 8/16/32/64 against 766 for the four
-# single-case steps (numpy 2.4).
+# 286 calls for example1 at M = 8/16/32/64 against 486 for the four
+# single-case steps (numpy 2.4.6).
 LOCKSTEP_CALL_RATIO = 0.65
 
 
 def test_lockstep_step_call_count():
     chain = (8, 16, 32, 64)
-    single = sum(_step_calls(example1_grid(m, 100)) for m in chain)
-    lockstep = _step_calls(Batch([example1_grid(m, 100) for m in chain]))
+    params, phi = example1_params(), lambda x: example1_exact(x, 0.0)
+    single = sum(_interior_step_calls(example1_grid(m, 100), params, phi) for m in chain)
+    lockstep = _interior_step_calls(Batch([example1_grid(m, 100) for m in chain]),
+                                    params, phi)
     assert lockstep <= LOCKSTEP_CALL_RATIO * single, (
         f"lockstep step made {lockstep} calls, four single-case steps {single}")

@@ -48,8 +48,9 @@ def test_peak_memory_does_not_grow_with_steps(tmp_path, mode):
 # A steady-state step of march may allocate, beyond the workspace that
 # march keeps for the whole case, at most this many packed step systems
 # (2 * 7 * M floats): its (u, v) solution is 1/7 of one, and the
-# residual and assembly temporaries make up the rest.
-STEP_TRANSIENT_SYSTEMS = 2.0
+# solver's block products about as much (0.29 in all with numpy 2.4.6).
+# Assembly and the residual gate work in the workspace's scratch rows.
+STEP_TRANSIENT_SYSTEMS = 0.35
 
 
 def test_march_step_allocates_less_than_two_systems():
