@@ -1,9 +1,8 @@
 """Conservative fourth-order compact solver for the BBM-Burgers equation
 on a periodic interval, with a verification CLI."""
 
-from .analysis import (ConvergenceRow, EnergyLedger, boundedness_bound,
-                       convergence_table, energy_pair, fit_order,
-                       gradient_energy, initial_energy, max_norm_bound,
+from .analysis import (ConvergenceRow, boundedness_bound, convergence_table,
+                       fit_order, gradient_energy, initial_energy, max_norm_bound,
                        max_norm_error, max_norm_errors, posterior_spatial_error,
                        posterior_spatial_errors, posterior_temporal_error,
                        stability_gap)
@@ -16,7 +15,6 @@ from .scheme import (DivergenceError, RunResult, SchemeParams, SolverFailure,
                      StepperState, TruncationResiduals, advance,
                      assemble_first_step, assemble_interior_step,
                      compact_curvature, init_state, march,
-                     newton_reaction_terms, run, skew_advection_rows,
-                     truncation_residual)
+                     newton_reaction_terms, run, truncation_residual)
 
 __version__ = "0.1.0"

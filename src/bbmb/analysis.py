@@ -3,8 +3,9 @@
 Every energy quantity comes from one quadratic form, gradient_energy
 G(u, v) = |u|_1^2 + (h^2/12)*||v||^2 - (h^4/144)*|v|_1^2 >= 0, through
 the level energy e(u, v) = ||u||^2 + mu*G(u, v).  The invariant at the
-levels (k, k+1) is E_k = (e_{k+1} + e_k)/2 + ledger.dissipation, and it
-equals E(0) = e(u^0, v^0).  With nu >= 0 the dissipation is nonnegative,
+levels (k, k+1) is E_k = (e_{k+1} + e_k)/2 + D_k, with D_k the
+dissipation of steps 1..k+1 that scheme.run sums, and it equals
+E(0) = e(u^0, v^0).  With nu >= 0 the dissipation is nonnegative,
 so a conservative run has ||u^k||^2 + mu*|u^k|_1^2 <= 2*E(0) at every
 level: ||u^k|| <= sqrt(2*E(0)), and, as ||u||_inf <= ||u||/sqrt(L) +
 sqrt(L)*|u|_1 on a period L, ||u^k||_inf <= sqrt(2*E(0))*(1/sqrt(L) +
@@ -20,10 +21,8 @@ import numpy as np
 from .grid import Batch, Grid1D, backward_diff, norms
 
 __all__ = [
-    "EnergyLedger",
     "ConvergenceRow",
     "gradient_energy",
-    "energy_pair",
     "initial_energy",
     "boundedness_bound",
     "max_norm_bound",
@@ -38,19 +37,6 @@ __all__ = [
 ]
 
 
-@dataclass
-class EnergyLedger:
-    """Accumulated pieces of the discrete energy identity.
-
-    rhs0 is the value of the invariant at t = 0 (fixed at
-    initialization); dissipation sums the diffusion terms of every
-    step, nondecreasing when nu >= 0.
-    """
-
-    rhs0: float
-    dissipation: float = 0.0
-
-
 def gradient_energy(u, v, h: float) -> float:
     """|u|_1^2 + (h^2/12)*||v||^2 - (h^4/144)*|v|_1^2.
 
@@ -63,28 +49,10 @@ def gradient_energy(u, v, h: float) -> float:
                      - (h ** 4 / 144.0) * (dv * dv).sum())
 
 
-def _level_energy(u, v, h: float, mu: float) -> float:
-    """e(u, v) = ||u||^2 + mu*G(u, v), one level's share of the invariant."""
-    return h * float((u * u).sum()) + mu * gradient_energy(u, v, h)
-
-
-def energy_pair(u_next, u_curr, v_next, v_curr, ledger: EnergyLedger,
-                grid: Grid1D, params) -> float:
-    """Full discrete invariant at a pair of consecutive levels.
-
-    Symmetric two-level functional plus the accumulated dissipation;
-    for a conservative run this is constant in k and equal to
-    ledger.rhs0 up to roundoff.
-    """
-    return (0.5 * (_level_energy(u_next, v_next, grid.h, params.mu)
-                   + _level_energy(u_curr, v_curr, grid.h, params.mu))
-            + ledger.dissipation)
-
-
 def initial_energy(u0, v0, grid: Grid1D, params) -> float:
     """Value of the invariant at t = 0, E(0) = e(u0, v0): the two-level
     functional collapses because both levels coincide."""
-    return _level_energy(u0, v0, grid.h, params.mu)
+    return grid.h * float((u0 * u0).sum()) + params.mu * gradient_energy(u0, v0, grid.h)
 
 
 def _data_scale(u0, v0) -> float:

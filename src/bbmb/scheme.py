@@ -33,6 +33,11 @@ cyclic-reduction solver, whose level views stay bound to that view.
 Each step overwrites the rest of the buffer through scratch rows that
 the assembly and the gate share, so a step allocates little beyond its
 fresh (u, v) solution, which no later step touches.
+
+Consistency: _assemble_step is the one transcription of the difference
+equations.  truncation_residual assembles each step's system at an
+exact solution's levels and takes the residual of the exact new level,
+so the measured defects are those of the systems every run solves.
 """
 
 from __future__ import annotations
@@ -43,8 +48,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .analysis import _data_scale, gradient_energy, initial_energy
-from .grid import (Batch, Grid1D, as_field, central_diff, periodic_shift,
-                   second_diff, skew_advection)
+from .grid import Batch, Grid1D, as_field, second_diff
 from .linalg import (CyclicBlockTriSystem, CyclicReductionSolver, ScalarCyclicTriSystem,
                      SingularSystemError, block_matvec, solve_cyclic_block_tridiagonal,
                      solve_scalar_cyclic)
@@ -57,7 +61,6 @@ __all__ = [
     "TruncationResiduals",
     "DivergenceError",
     "SolverFailure",
-    "skew_advection_rows",
     "compact_curvature",
     "init_state",
     "assemble_first_step",
@@ -209,23 +212,6 @@ class RunResult:
     initial: StepperState
 
 
-def skew_advection_rows(a, h, shift=periodic_shift):
-    """Per-node stencil coefficients of b -> skew_advection(a, b).
-
-    Returns (c_sub, c_super) with
-        c_sub[i]   = -(a[i] + a[i-1]) / (6*h)
-        c_super[i] =  (a[i] + a[i+1]) / (6*h)
-    so that skew_advection(a, b)[i] = c_sub[i]*b[i-1] + c_super[i]*b[i+1]
-    for every b (the diagonal coefficient is 0); a stacked (..., M)
-    input gives stacked rows.  c_sub is c_super shifted one node right,
-    with its sign flipped; a sum is the same in either order, so this is
-    exact.  shift and a per-node h serve a Batch, as in the grid module.
-    """
-    a = np.asarray(a, dtype=float)
-    c_super = (a + shift(a, 1)) / (6.0 * h)
-    return -shift(c_super, -1), c_super
-
-
 def compact_curvature(u, h: float) -> np.ndarray:
     """Solve the compact relation v + (h^2/12)*second_diff(v) = second_diff(u)
     for the fourth-order curvature v of a periodic field."""
@@ -292,9 +278,10 @@ def _assemble_step(u_ref, v_ref, u_known, v_known, rate, work: StepWorkspace,
     (coeffs[1]) the compact relation at the new level.  Each level is
     shifted once each way; the skew rows, the skew product and the
     central differences are built from those shifts in work's scratch,
-    in the operation order of skew_advection_rows, skew_advection and
-    central_diff.  Non-finite coefficients raise DivergenceError for
-    the given step.
+    in the operation order of grid.skew_advection, grid.central_diff and
+    the skew rows c_super[i] = (a[i] + a[i+1])/(6h) and c_sub[i] =
+    -(a[i-1] + a[i])/(6h) of b -> skew_advection(a, b).  Non-finite
+    coefficients raise DivergenceError for the given step.
     """
     batch, params = work.batch, work.params
     shift = batch.shift
@@ -541,56 +528,39 @@ class TruncationResiduals:
 
 def truncation_residual(u_exact, u_xx_exact, grid: Grid1D,
                         params: SchemeParams) -> TruncationResiduals:
-    """Insert exact-solution samples into the difference equations and
-    measure the residuals.
+    """Insert exact-solution samples into the production step systems and
+    measure the defects they leave.
 
-    u_exact(x, t) and u_xx_exact(x, t) must broadcast over x and t.
-    The compact-relation defect decays like h^4 and the interior defect
-    like tau^2 + h^4, which the verification suite checks by halving.
+    u_exact(x, t) and u_xx_exact(x, t) must broadcast over x and t.  Each
+    step's system is assembled by assemble_first_step or
+    assemble_interior_step at the exact levels it linearizes at and
+    mirrors, and r = b - A x is taken at the exact new level x = (U, V):
+    row 0 is the step's defect, row 1 the compact relation's at the new
+    level.  The compact row is the same in every system, with a zero
+    right-hand side, so level 0's compact defect is row 1 of the first
+    system applied to (U^0, V^0).  The compact-relation defect decays
+    like h^4 and the interior defect like tau^2 + h^4, which the
+    verification suite checks by halving.
     """
-    x = grid.nodes()
-    t = grid.times()
-    h = grid.h
-    tau = grid.tau
-    mu, gamma, kappa, nu = params.mu, params.gamma, params.kappa, params.nu
-
+    x, t = grid.nodes(), grid.times()
     U = np.asarray(u_exact(x[None, :], t[:, None]), dtype=float)
     V = np.asarray(u_xx_exact(x[None, :], t[:, None]), dtype=float)
     if U.shape != (grid.N + 1, grid.M) or V.shape != (grid.N + 1, grid.M):
         raise ValueError("exact-solution callbacks must broadcast to (N+1, M)")
+    levels = np.stack((U, V), axis=-1)  # level k's unknowns, (M, 2)
 
-    def pde_residual(u_lin, v_lin, u_avg, v_avg, du, dv, t_src):
-        res = (du - mu * dv
-               + gamma * (skew_advection(u_lin, u_avg, h)
-                          - 0.5 * h * h * skew_advection(v_lin, u_avg, h))
-               + kappa * (central_diff(u_avg, h)
-                          - h * h / 6.0 * central_diff(v_avg, h))
-               - nu * v_avg)
-        if params.source is not None:
-            res = res - np.asarray(params.source(x[None, :] if res.ndim == 2 else x,
-                                                 t_src), dtype=float)
-        if params.reaction is not None:
-            fprime, fsecond = params.reaction
-            res = res + (np.asarray(fprime(u_lin), dtype=float)
-                         + np.asarray(fsecond(u_lin), dtype=float) * (u_avg - u_lin))
-        return res
+    def defects(system, k):
+        """Largest |r| of each row of system at level k: (step, compact)."""
+        return np.abs(system.rhs - block_matvec(system, levels[k])).max(axis=0)
 
-    # starting step
-    q_first = pde_residual(U[0], V[0],
-                           0.5 * (U[0] + U[1]), 0.5 * (V[0] + V[1]),
-                           (U[1] - U[0]) / tau, (V[1] - V[0]) / tau,
-                           0.5 * tau)
-    # interior steps, vectorized over k = 1..N-1
-    q_interior = pde_residual(U[1:-1], V[1:-1],
-                              0.5 * (U[:-2] + U[2:]), 0.5 * (V[:-2] + V[2:]),
-                              (U[2:] - U[:-2]) / (2.0 * tau),
-                              (V[2:] - V[:-2]) / (2.0 * tau),
-                              t[1:-1, None])
-    # compact relation at every level
-    r_compact = V - second_diff(U, h) + h * h / 12.0 * second_diff(V, h)
-
-    return TruncationResiduals(
-        first_step=float(np.max(np.abs(q_first))),
-        interior=float(np.max(np.abs(q_interior))),
-        compact=float(np.max(np.abs(r_compact))),
-    )
+    work = StepWorkspace(grid, params)
+    system = assemble_first_step(StepperState(0, U[0], V[0], None, None), grid, params, work)
+    compact0 = defects(system, 0)[1]
+    rows = [defects(system, 1)]
+    for k in range(1, grid.N):
+        state = StepperState(k, U[k], V[k], U[k - 1], V[k - 1])
+        rows.append(defects(assemble_interior_step(state, grid, params, work), k + 1))
+    rows = np.array(rows)  # step k+1's defects at row k
+    return TruncationResiduals(first_step=float(rows[0, 0]),
+                               interior=float(rows[1:, 0].max()),
+                               compact=float(max(compact0, rows[:, 1].max())))

@@ -1,18 +1,60 @@
 """Step-system assembly into the packed layout, bit for bit against the
 block-by-block (M, 2, 2) assembly it replaced and against the allocating
-packed assembly that the workspace's scratch rows replaced."""
+packed assembly that the workspace's scratch rows replaced.  Both
+references build the skew-advection stencil rows with
+skew_advection_rows below."""
 
 import numpy as np
 import pytest
 
-from bbmb.grid import Batch, central_diff, skew_advection
+from bbmb.grid import Batch, central_diff, periodic_shift, skew_advection
 from bbmb.scheme import (StepWorkspace, advance, assemble_first_step,
-                         assemble_interior_step, init_state, newton_reaction_terms,
-                         skew_advection_rows)
+                         assemble_interior_step, init_state, newton_reaction_terms)
 
 from conftest import (example1_exact, example1_grid, example1_params,
                       example2_grid, example2_params, example2_phi,
                       example3_grid, example3_params, example3_phi)
+
+
+def skew_advection_rows(a, h, shift=periodic_shift):
+    """Per-node stencil coefficients of b -> skew_advection(a, b).
+
+    Returns (c_sub, c_super) with
+        c_sub[i]   = -(a[i] + a[i-1]) / (6*h)
+        c_super[i] =  (a[i] + a[i+1]) / (6*h)
+    so that skew_advection(a, b)[i] = c_sub[i]*b[i-1] + c_super[i]*b[i+1]
+    for every b (the diagonal coefficient is 0); a stacked (..., M)
+    input gives stacked rows.  c_sub is c_super shifted one node right,
+    with its sign flipped; a sum is the same in either order, so this is
+    exact.  shift and a per-node h serve a Batch, as in the grid module.
+    """
+    a = np.asarray(a, dtype=float)
+    c_super = (a + shift(a, 1)) / (6.0 * h)
+    return -shift(c_super, -1), c_super
+
+
+def test_skew_advection_rows_constant():
+    # the diagonal coefficient is 0, so only the sub and super rows exist
+    c_sub, c_sup = skew_advection_rows(np.full(4, 2.0), 1.0)
+    assert np.allclose(c_sub, -2.0 / 3.0)
+    assert np.allclose(c_sup, 2.0 / 3.0)
+
+
+def test_skew_advection_rows_reproduce_operator(rng):
+    a = rng.standard_normal(32)
+    h = 0.37
+    c_sub, c_sup = skew_advection_rows(a, h)
+    for _ in range(5):
+        b = rng.standard_normal(32)
+        want = skew_advection(a, b, h)
+        got = c_sub * np.roll(b, 1) + c_sup * np.roll(b, -1)
+        assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+    zero_rows = skew_advection_rows(np.zeros(8), h)
+    assert all(np.allclose(r, 0.0) for r in zero_rows)
+    # c_sub is taken as a shift of c_super; it must equal the direct
+    # np.roll formula bit for bit
+    assert np.array_equal(c_sub, -(a + np.roll(a, 1)) / (6.0 * h))
+    assert np.array_equal(c_sup, (a + np.roll(a, -1)) / (6.0 * h))
 
 
 def reference_assembly(u_ref, v_ref, u_known, v_known, rate, grid, params, t_source):

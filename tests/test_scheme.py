@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 import bbmb.analysis
 import bbmb.scheme
-from bbmb.analysis import (EnergyLedger, energy_pair, fit_order, gradient_energy,
-                           initial_energy, max_norm_error)
+from bbmb.analysis import fit_order, gradient_energy, initial_energy, max_norm_error
 from bbmb.cli import run_experiment
 from bbmb.config import parse_config_text, preset_callbacks
 from bbmb.grid import Batch, Grid1D, central_diff, norms, second_diff, skew_advection
@@ -18,8 +17,7 @@ from bbmb.linalg import CyclicReductionSolver, block_system_matrix
 from bbmb.scheme import (DivergenceError, SchemeParams, StepWorkspace,
                          advance, assemble_first_step, assemble_interior_step,
                          init_state, march, newton_reaction_terms,
-                         run, skew_advection_rows, solve_cyclic_block_tridiagonal,
-                         truncation_residual)
+                         run, solve_cyclic_block_tridiagonal, truncation_residual)
 
 from conftest import (example1_exact, example1_grid, example1_params,
                       example2_grid, example2_params, example2_phi,
@@ -34,32 +32,6 @@ def test_params_validation():
     with pytest.raises(ValueError):
         SchemeParams(mu=1.0, kappa=np.nan)
     SchemeParams(mu=1.0, nu=-0.2)  # negative diffusion is allowed, just not gated
-
-
-# -- stencil coefficients -------------------------------------------------------
-
-def test_skew_advection_rows_constant():
-    # the diagonal coefficient is 0, so only the sub and super rows exist
-    c_sub, c_sup = skew_advection_rows(np.full(4, 2.0), 1.0)
-    assert np.allclose(c_sub, -2.0 / 3.0)
-    assert np.allclose(c_sup, 2.0 / 3.0)
-
-
-def test_skew_advection_rows_reproduce_operator(rng):
-    a = rng.standard_normal(32)
-    h = 0.37
-    c_sub, c_sup = skew_advection_rows(a, h)
-    for _ in range(5):
-        b = rng.standard_normal(32)
-        want = skew_advection(a, b, h)
-        got = c_sub * np.roll(b, 1) + c_sup * np.roll(b, -1)
-        assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
-    zero_rows = skew_advection_rows(np.zeros(8), h)
-    assert all(np.allclose(r, 0.0) for r in zero_rows)
-    # c_sub is taken as a shift of c_super; it must equal the direct
-    # np.roll formula bit for bit
-    assert np.array_equal(c_sub, -(a + np.roll(a, 1)) / (6.0 * h))
-    assert np.array_equal(c_sup, (a + np.roll(a, -1)) / (6.0 * h))
 
 
 # -- initialization -------------------------------------------------------------
@@ -562,8 +534,6 @@ def test_subnormal_data_pass_the_residual_gate():
 def test_energy_pair_zero_fields():
     grid = Grid1D(L=2.0, M=8, T=1.0, N=4)
     params = SchemeParams(mu=1.0, nu=0.5)
-    z = np.zeros(8)
-    assert energy_pair(z, z, z, z, EnergyLedger(rhs0=0.0), grid, params) == 0.0
     result = run(lambda x: np.zeros_like(x), grid, params)
     assert [e for _, e in result.energy] == [0.0] * (grid.N + 1)
 
@@ -574,8 +544,9 @@ def _energy_from_levels(phi, grid, params):
     plus the dissipation of steps 1..k, each step's at the average of
     its new level and the level it mirrors (level 0 for the first step,
     k-2 after), weighted nu*tau for the first step and 2*nu*tau after.
-    energy_pair sums ||u||^2 on u itself; run divides u by a power of
-    two first, which changes no bit for data of normal range."""
+    initial_energy gives each level's energy e(u, v), summing ||u||^2 on
+    u itself; run divides u by a power of two first, which changes no
+    bit for data of normal range."""
     levels = [(st.u_curr, st.v_curr) for st in march(phi, grid, params)]
     energy = [(0.0, initial_energy(*levels[0], grid, params))]
     dissipation = 0.0
@@ -583,9 +554,9 @@ def _energy_from_levels(phi, grid, params):
         (u, v), (u_old, v_old) = levels[k], levels[max(k - 2, 0)]
         weight = (1.0 if k == 1 else 2.0) * params.nu * grid.tau
         dissipation += weight * gradient_energy(0.5 * (u_old + u), 0.5 * (v_old + v), grid.h)
-        ledger = EnergyLedger(rhs0=energy[0][1], dissipation=dissipation)
-        energy.append((k * grid.tau, energy_pair(u, levels[k - 1][0], v, levels[k - 1][1],
-                                                 ledger, grid, params)))
+        e_pair = 0.5 * (initial_energy(u, v, grid, params)
+                        + initial_energy(*levels[k - 1], grid, params))
+        energy.append((k * grid.tau, e_pair + dissipation))
     return energy
 
 
@@ -632,19 +603,94 @@ def exact1_xx(x, t):
     return -np.pi ** 2 * np.exp(t) * np.sin(np.pi * x)
 
 
-def test_truncation_compact_defect_is_fourth_order():
-    params = example1_params()
-    vals = []
-    for m in (32, 64):
-        grid = Grid1D(L=2.0, M=m, T=1.0, N=10000)
-        vals.append(truncation_residual(example1_exact, exact1_xx, grid, params).compact)
-    assert 12.0 <= vals[0] / vals[1] <= 20.0
+def transcribed_truncation_residual(u_exact, u_xx_exact, grid, params):
+    """Oracle for truncation_residual: the difference equations written
+    out term by term with the grid operators, vectorized over levels.
+    Returns (first_step, interior, compact) like TruncationResiduals."""
+    x, t, h, tau = grid.nodes(), grid.times(), grid.h, grid.tau
+    mu, gamma, kappa, nu = params.mu, params.gamma, params.kappa, params.nu
+    U = np.asarray(u_exact(x[None, :], t[:, None]), dtype=float)
+    V = np.asarray(u_xx_exact(x[None, :], t[:, None]), dtype=float)
+
+    def pde_residual(u_lin, v_lin, u_avg, v_avg, du, dv, t_src):
+        res = (du - mu * dv
+               + gamma * (skew_advection(u_lin, u_avg, h)
+                          - 0.5 * h * h * skew_advection(v_lin, u_avg, h))
+               + kappa * (central_diff(u_avg, h)
+                          - h * h / 6.0 * central_diff(v_avg, h))
+               - nu * v_avg)
+        if params.source is not None:
+            res = res - np.asarray(params.source(x[None, :] if res.ndim == 2 else x,
+                                                 t_src), dtype=float)
+        if params.reaction is not None:
+            fprime, fsecond = params.reaction
+            res = res + (np.asarray(fprime(u_lin), dtype=float)
+                         + np.asarray(fsecond(u_lin), dtype=float) * (u_avg - u_lin))
+        return res
+
+    q_first = pde_residual(U[0], V[0], 0.5 * (U[0] + U[1]), 0.5 * (V[0] + V[1]),
+                           (U[1] - U[0]) / tau, (V[1] - V[0]) / tau, 0.5 * tau)
+    q_interior = pde_residual(U[1:-1], V[1:-1], 0.5 * (U[:-2] + U[2:]), 0.5 * (V[:-2] + V[2:]),
+                              (U[2:] - U[:-2]) / (2.0 * tau), (V[2:] - V[:-2]) / (2.0 * tau),
+                              t[1:-1, None])
+    r_compact = V - second_diff(U, h) + h * h / 12.0 * second_diff(V, h)
+    return tuple(float(np.max(np.abs(q))) for q in (q_first, q_interior, r_compact))
 
 
-def test_truncation_interior_defect_is_second_order_in_time():
-    params = example1_params()
-    vals = []
-    for n in (20, 40):
-        grid = Grid1D(L=2.0, M=128, T=1.0, N=n)
-        vals.append(truncation_residual(example1_exact, exact1_xx, grid, params).interior)
-    assert 3.4 <= vals[0] / vals[1] <= 4.6
+def _mode(grid):
+    """A smooth periodic field on grid, which solves no example there, and
+    its exact second derivative, each a callback of (x, t)."""
+    k = 2.0 * np.pi / grid.L
+
+    def u(x, t):
+        return 0.5 + (1.0 + t) * np.sin(k * (x - grid.x_left) + 1.0)
+
+    def u_xx(x, t):
+        return -k * k * (1.0 + t) * np.sin(k * (x - grid.x_left) + 1.0)
+
+    return u, u_xx
+
+
+# grid, coefficients and the (u, u_xx) pair inserted on that grid: the
+# exact solution where the coefficients have one
+TRUNCATION_CASES = {
+    "example1": (example1_grid, example1_params, lambda grid: (example1_exact, exact1_xx)),
+    "example2": (example2_grid, example2_params, _mode),
+    "example3": (example3_grid, example3_params, _mode),
+    "source_and_reaction": (example1_grid, _reaction_params,
+                            lambda grid: (example1_exact, exact1_xx)),
+}
+
+
+@pytest.mark.parametrize("m", [8, 16, 33, 128])
+@pytest.mark.parametrize("case", sorted(TRUNCATION_CASES))
+def test_truncation_residual_matches_transcribed_equations(case, m):
+    # the defects of the assembled step systems are those of the
+    # difference equations written out term by term, to roundoff
+    make_grid, make_params, fields = TRUNCATION_CASES[case]
+    grid, params = make_grid(m, 20), make_params()
+    got = truncation_residual(*fields(grid), grid, params)
+    want = transcribed_truncation_residual(*fields(grid), grid, params)
+    assert got.first_step > 0.0 and got.interior > 0.0 and got.compact > 0.0
+    assert (got.first_step, got.interior, got.compact) == pytest.approx(want, rel=0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("m", [16, 33])
+def test_truncation_residual_reads_the_production_assembly(monkeypatch, m):
+    # a kappa factor that is wrong only in the workspace the steps use
+    # must move the measured step defects far beyond roundoff
+    grid, params = example1_grid(m, 20), example1_params()
+    exact = (example1_exact, exact1_xx)
+    before = truncation_residual(*exact, grid, params)
+
+    class Perturbed(StepWorkspace):
+        def __init__(self, grid, params):
+            super().__init__(grid, params)
+            self.kappa_4h *= 1.0 + 1e-3
+
+    monkeypatch.setattr(bbmb.scheme, "StepWorkspace", Perturbed)
+    after = truncation_residual(*exact, grid, params)
+    assert abs(after.first_step - before.first_step) > 1e-5
+    assert abs(after.interior - before.interior) > 1e-5
+    assert after.compact == before.compact  # the compact row has no kappa
+
