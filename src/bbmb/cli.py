@@ -21,8 +21,8 @@ lockstep groups, one per N, are the parts; while there are fewer parts
 than cores, the costliest part of two or more cases is split in two, so
 the one group of an exact spatial chain runs on every core too.  The
 parts are spread over min(parts, usable cores) processes, this one and
-children made with os.fork, which send their errors back pickled
-through a pipe.  Outputs and exit codes do not depend on the number of
+children made with os.fork, which write their errors into one shared
+array.  Outputs and exit codes do not depend on the number of
 processes.  Where os.fork or os.sched_getaffinity does not exist,
 everything runs in this process.  Fork, not spawn: the config holds
 lambdas, and a fresh interpreter would re-import numpy.  Every other
@@ -42,8 +42,8 @@ Exit codes: 0 success, 2 invalid config, 3 solver failure,
 from __future__ import annotations
 
 import argparse
+import mmap
 import os
-import pickle
 import signal
 import sys
 
@@ -162,71 +162,27 @@ def _errors(config: ExperimentConfig, part) -> list:
     return max_norm_errors(_levels(config, batch), config.exact, batch)
 
 
-def _part_errors(config: ExperimentConfig, parts: list, keys) -> dict:
-    """For each key in keys, the errors of parts[key], or the exception
-    it raised; every part runs even after one fails."""
-    out = {}
+def _march_parts(config: ExperimentConfig, parts: list, keys, slots: dict,
+                 errors: np.ndarray) -> None:
+    """Write the errors of parts[key], for each key in keys, into their
+    cases' slots of errors.  A part that raises leaves its slots NaN, and
+    every part runs even after one fails."""
     for key in keys:
         try:
-            out[key] = _errors(config, parts[key])
-        except Exception as exc:  # raised by the caller, in config order
-            out[key] = exc
-    return out
+            errors[[slots[size] for size in parts[key]]] = _errors(config, parts[key])
+        except Exception:  # raised again when its group is marched again
+            pass
 
 
-def _fork(work) -> tuple:
-    """Run work() in a forked child that pickles its result into a pipe
-    and exits; returns (pid, read end of the pipe)."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
+def _fork(work) -> int:
+    """Run work() in a forked child that then exits; returns its pid."""
+    pid = os.fork()
     if pid == 0:
-        status = 1
         try:
-            os.close(read_fd)
-            with os.fdopen(write_fd, "wb") as fh:
-                pickle.dump(work(), fh)
-            status = 0
+            work()
         finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, read_fd
-
-
-def _read(fd) -> bytes:
-    with os.fdopen(fd, "rb", closefd=False) as fh:
-        return fh.read()
-
-
-class WorkerLost(Exception):
-    """A forked worker ended without sending back its parts' errors."""
-
-
-def _received(payload: bytes, status: int, keys, name: str) -> dict:
-    """The result a forked worker for the parts keys sent, or WorkerLost
-    for each of them when it ended without one; name says which cases
-    the worker ran."""
-    code = os.waitstatus_to_exitcode(status)
-    if code == 0:
-        return pickle.loads(payload)
-    how = (f"was killed by signal {-code} ({signal.strsignal(-code)})" if code < 0
-           else f"exited with status {code}")
-    lost = WorkerLost(f"the worker for {name} {how} before it sent its errors")
-    return dict.fromkeys(keys, lost)
-
-
-def _worker_name(parts, split: bool) -> str:
-    """The cases a worker runs, as a lost worker's message names them: the
-    N of its groups, or, once a group was split and each worker runs one
-    part, the part's M values and N."""
-    ns = " ".join(str(n) for n in sorted({n for part in parts for _, n in part}))
-    if not split:
-        return f"N = {ns}"
-    return f"M = {' '.join(str(m) for part in parts for m, _ in part)} at N = {ns}"
+            os._exit(0)
+    return pid
 
 
 def _exact_errors(config: ExperimentConfig, sizes) -> dict:
@@ -237,47 +193,41 @@ def _exact_errors(config: ExperimentConfig, sizes) -> dict:
     per core or every part is one case (_parts); each part is a
     lockstep batch of its own cases, so no case's bits change.  The
     parts are spread over w = min(parts, usable cores) processes: this
-    one, which runs the heaviest, and w - 1 forked children.
+    one, which runs the heaviest, and w - 1 forked children.  Every
+    process writes its parts' errors into one array that they share, a
+    slot per case, which stays NaN where a part raised or its process
+    died.
 
-    A failure is raised after every part ran, that of the first failing
-    group in config order, so the outcome does not depend on w.  A split
-    group that failed is marched again whole in this process, and what
-    that run raises is raised, as one process would have; only when it
-    raises nothing (a lost worker) is the part's failure raised."""
+    Once every child is reaped, each group with a NaN case is marched
+    again whole in this process, in config order, and the first that
+    raises ends the run, so the outcome does not depend on w."""
     cores = _usable_cores()
     parts = _parts(sizes, cores)
-    split = len(parts) > len({n for _, n in sizes})
     bins = _bins({i: _cost(part) for i, part in enumerate(parts)}, min(len(parts), cores))
-    children, payloads, statuses = [], [], []
+    slots = {size: i for i, size in enumerate(sizes)}
+    # an anonymous mapping is shared with the children forked after it
+    errors = np.frombuffer(mmap.mmap(-1, 8 * len(sizes)))
+    errors.fill(np.nan)
+    children = []
     done = False
     try:
         for keys in bins[1:]:
-            children.append((*_fork(lambda keys=keys: _part_errors(config, parts, keys)),
-                             keys))
-        results = _part_errors(config, parts, bins[0])
-        payloads = [_read(fd) for _, fd, _ in children]
+            children.append(_fork(lambda keys=keys: _march_parts(config, parts, keys,
+                                                                 slots, errors)))
+        _march_parts(config, parts, bins[0], slots, errors)
         done = True
     finally:
-        for pid, fd, _ in children:
-            os.close(fd)
+        for pid in children:
             if not done:
                 os.kill(pid, signal.SIGKILL)
-            statuses.append(os.waitpid(pid, 0)[1])
-    for (_, _, keys), payload, status in zip(children, payloads, statuses):
-        results.update(_received(payload, status, keys,
-                                 _worker_name([parts[i] for i in keys], split)))
+            os.waitpid(pid, 0)
 
-    errors = {}
+    table = dict(zip(sizes, errors.tolist()))
     for n in dict.fromkeys(n for _, n in sizes):
-        mine = [i for i, part in enumerate(parts) if part[0][1] == n]
-        failed = [results[i] for i in mine if isinstance(results[i], Exception)]
-        if failed:
-            if len(mine) > 1:  # raises what the unsplit group raises
-                _errors(config, [size for size in sizes if size[1] == n])
-            raise failed[0]
-        for i in mine:
-            errors.update(zip(parts[i], results[i]))
-    return errors
+        group = [size for size in sizes if size[1] == n]
+        if any(np.isnan(table[size]) for size in group):
+            table.update(zip(group, _errors(config, group)))
+    return table
 
 
 def _conservative(config: ExperimentConfig) -> bool:
@@ -467,7 +417,7 @@ def run_experiment(config: ExperimentConfig, mode: str, out_dir: str) -> int:
             checks = _COMMANDS[mode](config, out_dir)
     except ConfigError:
         raise
-    except (DivergenceError, SolverFailure, SingularSystemError, WorkerLost) as exc:
+    except (DivergenceError, SolverFailure, SingularSystemError) as exc:
         _write_report(out_dir, [(False, "solver", str(exc))], stale=True)
         return EXIT_SOLVER
     passed = _write_report(out_dir, checks)

@@ -61,7 +61,6 @@ __all__ = [
     "scalar_system_matrix",
     "block_system_matrix",
     "block_matvec",
-    "block_row_sum_norm",
 ]
 
 DENSE_ORACLE_MAX_N = 4096
@@ -594,11 +593,3 @@ def block_matvec(system: CyclicBlockTriSystem, x: np.ndarray, stencil=None,
     return np.einsum("rbjn,jbn->rn", system.coeffs[:, :6].reshape(2, 3, 2, m),
                      near.reshape(2, 3, m), out=out).T
 
-
-def block_row_sum_norm(system: CyclicBlockTriSystem, reduce=np.max):
-    """Infinity norm of the assembled matrix (max absolute row sum).
-
-    reduce takes the (2, M) absolute row sums; Batch.case_max gives the
-    norm of each case of a batch's system.
-    """
-    return reduce(np.abs(system.coeffs[:, :6]).sum(axis=1))

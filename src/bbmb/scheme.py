@@ -216,14 +216,9 @@ def compact_curvature(u, h: float) -> np.ndarray:
     """Solve the compact relation v + (h^2/12)*second_diff(v) = second_diff(u)
     for the fourth-order curvature v of a periodic field."""
     u = np.asarray(u, dtype=float)
-    m = u.shape[0]
-    system = ScalarCyclicTriSystem(
-        sub=np.full(m, 1.0 / 12.0),
-        diag=np.full(m, 5.0 / 6.0),
-        sup=np.full(m, 1.0 / 12.0),
-        rhs=second_diff(u, h),
-    )
-    return solve_scalar_cyclic(system)
+    sub, diag, sup = np.repeat(_COMPACT_V, u.shape[0], axis=1)
+    return solve_scalar_cyclic(ScalarCyclicTriSystem(sub=sub, diag=diag, sup=sup,
+                                                     rhs=second_diff(u, h)))
 
 
 def init_state(phi, grid, params: SchemeParams) -> StepperState:

@@ -153,24 +153,55 @@ def _kill_children(monkeypatch):
     monkeypatch.setattr(bbmb.cli, "_levels", killed)
 
 
-def test_worker_killed_without_a_result_exits_3(monkeypatch, tmp_path, capfd):
+@pytest.mark.parametrize("mode, text", [("stability", STABILITY), ("convergence", SPATIAL)],
+                         ids=["stability", "spatial"])
+def test_killed_worker_gives_the_one_process_outputs(monkeypatch, tmp_path, capfd,
+                                                     mode, text):
+    # stability's child runs whole groups, the spatial chain's a split part
     _kill_children(monkeypatch)
-    _cores(monkeypatch, 2)
-    code, files = _run(tmp_path, "out", "stability", STABILITY)
+    runs = {}
+    for w in (1, 2):
+        _cores(monkeypatch, w)
+        forks = _count_forks(monkeypatch)
+        runs[w] = _run(tmp_path, f"w{w}", mode, text)
+        assert len(forks) == w - 1
+        _no_child_left()
+    assert runs[1][1]
+    assert runs[1] == runs[2]
+    assert "Traceback" not in capfd.readouterr().err
+
+
+def test_killed_worker_then_a_later_failing_group_gives_the_one_process_report(
+        monkeypatch, tmp_path):
+    # with two processes the child, which kills itself, has N = 8 16 32,
+    # and N = 64, last in config order, fails in this process
+    _kill_children(monkeypatch)
+    levels = bbmb.cli._levels
+
+    def failing(config, batch):
+        if batch.N == 64:
+            raise DivergenceError(batch.N, "failed at N = 64")
+        return levels(config, batch)
+
+    monkeypatch.setattr(bbmb.cli, "_levels", failing)
+    runs = {}
+    for w in (1, 2):
+        _cores(monkeypatch, w)
+        runs[w] = _run(tmp_path, f"w{w}", "stability", STABILITY)
+        _no_child_left()
+    assert runs[1] == runs[2]
+    code, files = runs[2]
     assert code == 3
     assert files["report.txt"].decode().splitlines()[1] == (
-        "FAIL  solver: the worker for N = 8 16 32 was killed by signal 9 (Killed) "
-        "before it sent its errors")
-    assert "Traceback" not in capfd.readouterr().err
-    _no_child_left()
+        "FAIL  solver: step 64: failed at N = 64")
 
 
 def test_children_are_reaped_when_this_process_fails(monkeypatch, tmp_path):
     # an error outside the parts' own work, in this process's bin
-    def interrupted(config, parts, keys):
+    def interrupted(config, parts, keys, slots, errors):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(bbmb.cli, "_part_errors", interrupted)
+    monkeypatch.setattr(bbmb.cli, "_march_parts", interrupted)
     _cores(monkeypatch, 2)
     forks = _count_forks(monkeypatch)
     with pytest.raises(KeyboardInterrupt):
@@ -222,15 +253,3 @@ def test_split_group_failure_gives_the_one_process_report(monkeypatch, tmp_path,
     assert reports[1] == reports[2]
     assert reports[1].decode().splitlines()[1].startswith(f"FAIL  solver: {reported}")
     assert "Traceback" not in capfd.readouterr().err
-
-
-def test_worker_killed_for_a_part_names_its_cases(monkeypatch, tmp_path, capfd):
-    _kill_children(monkeypatch)
-    _cores(monkeypatch, 2)
-    code, files = _run(tmp_path, "out", "convergence", SPATIAL)
-    assert code == 3
-    assert files["report.txt"].decode().splitlines()[1] == (
-        "FAIL  solver: the worker for M = 8 16 32 at N = 50 was killed by signal 9 "
-        "(Killed) before it sent its errors")
-    assert "Traceback" not in capfd.readouterr().err
-    _no_child_left()

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bbmb.grid import Batch
 from bbmb.linalg import (REDUCTION_BASE, CyclicBlockTriSystem,
                          CyclicReductionSolver, ScalarCyclicTriSystem,
                          SingularSystemError, _dense_block_matrix,
-                         block_matvec, block_row_sum_norm, block_system_matrix,
+                         block_matvec, block_system_matrix,
                          scalar_system_matrix, solve_cyclic_block_tridiagonal,
                          solve_dense_oracle, solve_scalar_cyclic)
-from bbmb.scheme import advance, assemble_interior_step, init_state
+from bbmb.scheme import StepWorkspace, advance, assemble_interior_step, init_state
 
 from conftest import example2_grid, example2_params, example2_phi
 
@@ -133,16 +134,30 @@ def test_block_residual_helper(rng):
         assert np.allclose(block_matvec(sys_, x).reshape(-1), dense, rtol=1e-13, atol=1e-13)
 
 
+def test_compact_norm_is_the_largest_compact_row_sum():
+    # the residual gate's matrix norm takes the compact rows' share from
+    # the workspace: each case's largest absolute row sum over the odd
+    # rows of its interleaved matrix
+    batch, params = Batch([example2_grid(m, 20) for m in (5, 16, 33)]), example2_params()
+    work = StepWorkspace(batch, params)
+    state = advance(init_state(example2_phi, batch, params), batch, params)
+    assemble_interior_step(state, batch, params, work)
+    dense = [np.abs(block_system_matrix(case)[1::2]).sum(axis=1).max() for case in work.cases]
+    assert work.compact_norm.tolist() == dense
+
+
 @pytest.mark.parametrize("m", [4, 5, 16, 33])
-def test_block_row_sum_norm_matches_dense(rng, m):
-    systems = [random_block_system(rng, m)]
-    grid = example2_grid(m, 20)
-    params = example2_params()
+def test_block_row_sum_norm_matches_dense(m):
+    # the gate's norm of one case's step system, the larger of its
+    # evolution rows' largest absolute row sum and the workspace's
+    # compact share, is the infinity norm of the dense matrix
+    grid, params = example2_grid(m, 20), example2_params()
+    work = StepWorkspace(grid, params)
     state = advance(init_state(example2_phi, grid, params), grid, params)
-    systems.append(assemble_interior_step(state, grid, params))
-    for sys_ in systems:
-        dense = np.abs(block_system_matrix(sys_)).sum(axis=1).max()
-        assert block_row_sum_norm(sys_) == pytest.approx(dense, rel=1e-14)
+    system = assemble_interior_step(state, grid, params, work)
+    gate = max(np.abs(system.coeffs[0, :6]).sum(axis=0).max(), float(work.compact_norm))
+    dense = np.abs(block_system_matrix(system)).sum(axis=1).max()
+    assert gate == pytest.approx(dense, rel=1e-14)
 
 
 def _loop_block_matrix(system):
