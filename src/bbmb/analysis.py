@@ -14,6 +14,7 @@ sqrt(L/mu)).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
     "posterior_spatial_error",
     "posterior_spatial_errors",
     "posterior_temporal_error",
+    "posterior_temporal_errors",
     "convergence_table",
     "fit_order",
     "stability_gap",
@@ -95,18 +97,6 @@ def max_norm_errors(levels, exact, batch: Batch) -> list:
     return worst.tolist()
 
 
-def _check_times_match(coarse, fine, stride: int):
-    if (len(fine) - 1) != stride * (len(coarse) - 1):
-        raise ValueError(
-            f"trajectory lengths incompatible: {len(coarse)} coarse vs "
-            f"{len(fine)} fine levels (stride {stride})")
-    tol = 1e-9 * max(1.0, abs(coarse[-1][0]))
-    for k, (t, _) in enumerate(coarse):
-        tf = fine[stride * k][0]
-        if abs(t - tf) > tol:
-            raise ValueError(f"time mismatch at level {k}: {t} vs {tf}")
-
-
 def posterior_spatial_error(coarse, fine) -> float:
     """Grid-halving spatial error estimate.
 
@@ -117,7 +107,10 @@ def posterior_spatial_error(coarse, fine) -> float:
     if len(coarse) != len(fine):
         raise ValueError(
             f"runs record different numbers of levels: {len(coarse)} vs {len(fine)}")
-    _check_times_match(coarse, fine, stride=1)
+    tol = 1e-9 * max(1.0, abs(coarse[-1][0]))
+    for k, ((t, _), (tf, _)) in enumerate(zip(coarse, fine)):
+        if abs(t - tf) > tol:
+            raise ValueError(f"time mismatch at level {k}: {t} vs {tf}")
     return posterior_spatial_errors((uc, uf) for (_, uc), (_, uf) in zip(coarse, fine))[0]
 
 
@@ -146,21 +139,48 @@ def posterior_spatial_errors(levels) -> list:
 
 
 def posterior_temporal_error(coarse, fine) -> float:
-    """Step-halving temporal error estimate.
+    """Step-halving temporal error estimate of two runs: the max over
+    nodes and coarse times of the difference (posterior_temporal_errors)."""
+    return posterior_temporal_errors([coarse, fine])[0]
 
-    Both runs share the spatial grid; the fine run has twice the steps,
-    and coarse level k coincides with fine level 2k.  Returns the max
-    over nodes and coarse times of the difference.
-    """
-    if len(coarse[0][1]) != len(fine[0][1]):
-        raise ValueError(
-            f"runs use different spatial grids: M={len(coarse[0][1])} vs "
-            f"M={len(fine[0][1])}")
-    _check_times_match(coarse, fine, stride=2)
-    worst = 0.0
-    for k, (_, uc) in enumerate(coarse):
-        worst = max(worst, float(np.max(np.abs(uc - fine[2 * k][1]))))
+
+def posterior_temporal_errors(runs) -> list:
+    """Step-halving temporal error estimates along a refinement chain of
+    runs that share the spatial grid: runs is a sequence of (t, u)
+    streams, and run j+1 has twice the steps of run j, so its level 2k
+    coincides with level k of run j.  The streams are driven in step, each
+    holding one level.  Returns, for j = 0..n-2, the max over nodes and
+    the levels of run j of |u_j - u_{j+1}|."""
+    worst = [0.0] * (len(runs) - 1)
+    levels = iter(runs[-1])
+    for j in reversed(range(len(worst))):
+        levels = _halving_pair(iter(runs[j]), levels, worst, j)
+    for _ in levels:
+        pass
     return worst
+
+
+def _halving_pair(coarse, fine, worst: list, j: int):
+    """Yield the levels of the coarse stream, each after folding its
+    distance to the coinciding level of the fine stream into worst[j]."""
+    n_coarse = n_fine = 0
+    for t, uc in coarse:
+        n_coarse += 1
+        for tf, uf in itertools.islice(fine, 2 if n_coarse > 1 else 1):
+            n_fine += 1
+        if n_fine != 2 * n_coarse - 1:
+            break
+        if len(uc) != len(uf):
+            raise ValueError(f"runs use different spatial grids: M={len(uc)} vs M={len(uf)}")
+        if abs(t - tf) > 1e-9 * max(1.0, abs(t)):
+            raise ValueError(f"time mismatch at level {n_coarse - 1}: {t} vs {tf}")
+        worst[j] = max(worst[j], float(np.max(np.abs(uc - uf))))
+        yield t, uc
+    n_coarse += sum(1 for _ in coarse)
+    n_fine += sum(1 for _ in fine)
+    if n_fine != 2 * n_coarse - 1:
+        raise ValueError(f"trajectory lengths incompatible: {n_coarse} coarse vs "
+                         f"{n_fine} fine levels (stride 2)")
 
 
 @dataclass(frozen=True)

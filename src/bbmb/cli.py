@@ -15,24 +15,23 @@ a stability sweep advance together, so each step's fixed cost is paid
 once for all their cases, and their errors are folded level by level.
 Each case's arithmetic is the same as when it runs alone, so the
 emitted CSV files are byte-identical across reruns on one platform.
-Runs against the exact solution (stability, and spatial or temporal
-convergence with posterior = off) fan out over the usable cores.  Their
-lockstep groups, one per N, are the parts; while there are fewer parts
-than cores, the costliest part of two or more cases is split in two, so
-the one group of an exact spatial chain runs on every core too.  The
-parts are spread over min(parts, usable cores) processes, this one and
-children made with os.fork, which write their errors into one shared
-array.  Outputs and exit codes do not depend on the number of
-processes.  Where os.fork or os.sched_getaffinity does not exist,
-everything runs in this process.  Fork, not spawn: the config holds
-lambdas, and a fresh interpreter would re-import numpy.  Every other
-run compares neighbouring runs level by level, or has one case, and
-stays in this process.  Nothing runs in threads: the work is many short
-numpy calls that hold the interpreter lock.
+Every command of several cases (stability, and convergence along M or
+N) fans out over the usable cores through one loop, _fan_out.  Its
+groups are what one process would march whole: each N of an exact-error
+run, or a posterior chain.  While there are fewer parts than cores, the
+costliest part that can still split has its last case split off; a
+posterior part keeps that case too, so that both halves hold a pair.
+Each part is a lockstep batch, or, along N, runs driven in step, so no
+case's bits change.  The parts are spread over min(parts, usable cores)
+processes, this one and children made with os.fork, which write their
+errors into one shared array.  Outputs and exit codes do not depend on
+the number of processes.  Where os.fork or os.sched_getaffinity does
+not exist, everything runs in this process.  Fork, not spawn: the config
+holds lambdas, and a fresh interpreter would re-import numpy.  Nothing
+runs in threads: the work is many short numpy calls that hold the
+interpreter lock.
 Levels are reduced as they are computed (scheme.march), so every
-subcommand holds O(M) memory per case, except posterior temporal
-convergence, which keeps the levels of two neighbouring runs to
-compare them.
+subcommand holds O(M) memory per case.
 All floats are printed with 15 significant digits.
 
 Exit codes: 0 success, 2 invalid config, 3 solver failure,
@@ -42,6 +41,7 @@ Exit codes: 0 success, 2 invalid config, 3 solver failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import mmap
 import os
 import signal
@@ -51,7 +51,7 @@ import numpy as np
 
 from .analysis import (boundedness_bound, convergence_table, fit_order,
                        max_norm_bound, max_norm_errors, posterior_spatial_errors,
-                       posterior_temporal_error)
+                       posterior_temporal_errors)
 from .config import ConfigError, ExperimentConfig, parse_config
 from .grid import Batch, Grid1D
 from .linalg import SingularSystemError
@@ -100,11 +100,6 @@ def _grid(config: ExperimentConfig, m: int, n: int) -> Grid1D:
     return Grid1D(L=config.length, M=m, T=config.T, N=n, x_left=config.x_left)
 
 
-def _batch(config: ExperimentConfig, sizes) -> Batch:
-    """The lockstep batch of the (M, N) cases in sizes, which share N."""
-    return Batch(_grid(config, m, n) for m, n in sizes)
-
-
 def _levels(config, batch: Batch):
     """Stream every level of a batch's cases, marched in lockstep, as
     (t, u) pairs; u spans the batch's nodes."""
@@ -135,86 +130,82 @@ def _cost(part) -> int:
     return sum(m * n for m, n in part)
 
 
-def _parts(sizes, w: int) -> list:
-    """The lockstep parts the (M, N) cases in sizes run as on w cores.
-    The cases of each N form one part, in config order.  While there are
-    fewer than w parts, the costliest part of two or more cases is split
-    in two by _bins on each case's cost M*N.  Every part keeps its cases
-    in config order."""
-    groups = {}
-    for size in sizes:
-        groups.setdefault(size[1], []).append(size)
-    parts = list(groups.values())
+def _parts(groups, w: int, shared: int) -> list:
+    """The parts the groups, lists of (M, N) cases, run as on w cores, in
+    group order.  A part yields len(part) - shared errors: shared is 0
+    for an error per case and 1 for one per neighbouring pair.  While
+    there are fewer than w parts, the costliest part that yields two or
+    more has its last case split off, with the shared case before it, so
+    a group's parts together yield the group's errors, in order."""
+    parts = list(groups)
     while len(parts) < w:
-        splittable = [i for i, part in enumerate(parts) if len(part) > 1]
+        splittable = [i for i, part in enumerate(parts) if len(part) - shared > 1]
         if not splittable:
             break
         i = max(splittable, key=lambda i: _cost(parts[i]))
         part = parts[i]
-        halves = _bins({j: m * n for j, (m, n) in enumerate(part)}, 2)
-        parts[i:i + 1] = [[part[j] for j in sorted(half)] for half in halves]
+        parts[i:i + 1] = [part[:-1], part[-1 - shared:]]
     return parts
 
 
 def _errors(config: ExperimentConfig, part) -> list:
-    """The errors of the cases of part, marched in lockstep."""
-    batch = _batch(config, part)
+    """The errors of part's cases against the exact solution, in lockstep."""
+    batch = Batch(_grid(config, m, n) for m, n in part)
     return max_norm_errors(_levels(config, batch), config.exact, batch)
 
 
-def _march_parts(config: ExperimentConfig, parts: list, keys, slots: dict,
-                 errors: np.ndarray) -> None:
-    """Write the errors of parts[key], for each key in keys, into their
-    cases' slots of errors.  A part that raises leaves its slots NaN, and
-    every part runs even after one fails."""
-    for key in keys:
-        try:
-            errors[[slots[size] for size in parts[key]]] = _errors(config, parts[key])
-        except Exception:  # raised again when its group is marched again
-            pass
+def _estimates(config: ExperimentConfig, part) -> list:
+    """The posterior errors of the neighbouring cases of part, a chain."""
+    if len(config.n_values) > 1:
+        return posterior_temporal_errors([_levels(config, Batch([_grid(config, m, n)]))
+                                          for m, n in part])
+    batch = Batch(_grid(config, m, n) for m, n in part)
+    return posterior_spatial_errors(batch.split(u) for _, u in _levels(config, batch))
 
 
-def _fork(work) -> int:
-    """Run work() in a forked child that then exits; returns its pid."""
-    pid = os.fork()
-    if pid == 0:
-        try:
-            work()
-        finally:
-            os._exit(0)
-    return pid
+def _fan_out(groups, fold, shared: int) -> list:
+    """fold(group) for each group of (M, N) cases that one process would
+    march whole, computed by the parts of _parts, which fold into
+    len(part) - shared errors each.  The parts are spread over
+    w = min(parts, usable cores) processes: this one, which runs the
+    heaviest, and w - 1 forked children.  All write their errors into
+    one shared array, which stays NaN where a part raised or its
+    process died.
 
-
-def _exact_errors(config: ExperimentConfig, sizes) -> dict:
-    """Max-norm error against the exact solution of each (M, N) case in
-    sizes.  The cases of each N march in lockstep as one group, and the
-    groups are independent.  With fewer groups than usable cores, the
-    costliest group is split in two, and again, until there is a part
-    per core or every part is one case (_parts); each part is a
-    lockstep batch of its own cases, so no case's bits change.  The
-    parts are spread over w = min(parts, usable cores) processes: this
-    one, which runs the heaviest, and w - 1 forked children.  Every
-    process writes its parts' errors into one array that they share, a
-    slot per case, which stays NaN where a part raised or its process
-    died.
-
-    Once every child is reaped, each group with a NaN case is marched
-    again whole in this process, in config order, and the first that
-    raises ends the run, so the outcome does not depend on w."""
+    Once every child is reaped, each group with a NaN slot is marched
+    again whole in this process, in group order, and the first that
+    raises ends the run, so the outcome does not depend on w.  A group
+    that raised whole in this process raises again at its turn, without
+    being marched again."""
     cores = _usable_cores()
-    parts = _parts(sizes, cores)
+    parts = _parts(groups, cores, shared)
     bins = _bins({i: _cost(part) for i, part in enumerate(parts)}, min(len(parts), cores))
-    slots = {size: i for i, size in enumerate(sizes)}
+    ends = np.cumsum([len(part) - shared for part in parts]).tolist()
+    spans = list(zip([0] + ends, ends))
     # an anonymous mapping is shared with the children forked after it
-    errors = np.frombuffer(mmap.mmap(-1, 8 * len(sizes)))
+    errors = np.frombuffer(mmap.mmap(-1, 8 * ends[-1]))
     errors.fill(np.nan)
+    raised = {}  # span of a part that raised in this process -> its error
+
+    def march_parts(keys):
+        for i in keys:
+            try:
+                errors[slice(*spans[i])] = fold(parts[i])
+            except Exception as exc:  # raised at its group's turn
+                raised[spans[i]] = exc
+
     children = []
     done = False
     try:
         for keys in bins[1:]:
-            children.append(_fork(lambda keys=keys: _march_parts(config, parts, keys,
-                                                                 slots, errors)))
-        _march_parts(config, parts, bins[0], slots, errors)
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    march_parts(keys)
+                finally:
+                    os._exit(0)
+            children.append(pid)
+        march_parts(bins[0])
         done = True
     finally:
         for pid in children:
@@ -222,12 +213,16 @@ def _exact_errors(config: ExperimentConfig, sizes) -> dict:
                 os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
-    table = dict(zip(sizes, errors.tolist()))
-    for n in dict.fromkeys(n for _, n in sizes):
-        group = [size for size in sizes if size[1] == n]
-        if any(np.isnan(table[size]) for size in group):
-            table.update(zip(group, _errors(config, group)))
-    return table
+    out, start = [], 0
+    for group in groups:
+        span = (start, start + len(group) - shared)
+        start = span[1]
+        if span in raised:
+            raise raised[span]
+        if np.isnan(errors[slice(*span)]).any():
+            errors[slice(*span)] = fold(group)
+        out.append(errors[slice(*span)].tolist())
+    return out
 
 
 def _conservative(config: ExperimentConfig) -> bool:
@@ -309,24 +304,11 @@ def _cmd_convergence(config: ExperimentConfig, out_dir) -> list:
         out_name = "temporal_orders.csv"
         window = TEMPORAL_ORDER_WINDOW
 
-    if config.posterior and spatial:
-        # the chain marches in lockstep; neighbouring cases are compared
-        # level by level as the levels arrive
-        batch = _batch(config, sizes)
-        errors = list(zip(steps, posterior_spatial_errors(
-            batch.split(u) for _, u in _levels(config, batch))))
-    elif config.posterior:
-        # each estimate compares two neighbouring runs level by level,
-        # so only the pair being compared is held
-        errors = []
-        coarse = list(_levels(config, _batch(config, sizes[:1])))
-        for step, size in zip(steps, sizes[1:]):
-            fine = list(_levels(config, _batch(config, [size])))
-            errors.append((step, posterior_temporal_error(coarse, fine)))
-            coarse = fine
-    else:
-        table = _exact_errors(config, sizes)
-        errors = [(step, table[size]) for step, size in zip(steps, sizes)]
+    # a posterior chain is one group, with an error per neighbouring pair
+    groups = [[size] for size in sizes] if temporal and not config.posterior else [sizes]
+    fold = functools.partial(_estimates if config.posterior else _errors, config)
+    folded = _fan_out(groups, fold, int(config.posterior))
+    errors = list(zip(steps, (error for group in folded for error in group)))
 
     rows = convergence_table(errors)
     _write_csv(os.path.join(out_dir, out_name), ["step", "error", "order"],
@@ -370,17 +352,15 @@ def _cmd_stability(config: ExperimentConfig, out_dir) -> list:
         raise ConfigError([f"M: {config.m_values} is too short for a stability sweep; "
                            "the plateau check compares the last two M values, "
                            "so at least two are needed"])
-    table = _exact_errors(config, [(m, n) for n in config.n_values
-                                   for m in config.m_values])
+    curves = _fan_out([[(m, n) for m in config.m_values] for n in config.n_values],
+                      functools.partial(_errors, config), 0)
 
     header = ["h"] + [f"tau={_fmt(config.T / n)}" for n in config.n_values]
-    rows = [[config.length / m] + [table[(m, n)] for n in config.n_values]
-            for m in config.m_values]
+    rows = [[config.length / m, *row] for m, row in zip(config.m_values, zip(*curves))]
     _write_csv(os.path.join(out_dir, "stability.csv"), header, rows)
 
     checks = []
-    for n in config.n_values:
-        curve = [table[(m, n)] for m in config.m_values]
+    for n, curve in zip(config.n_values, curves):
         # The curve approaches its time-limited plateau; near the
         # space/time error crossover it may dip below the plateau and
         # come back up, so monotonicity is required of the distance to

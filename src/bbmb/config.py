@@ -224,6 +224,25 @@ def _check_halving_chain(key, values, violations):
             return
 
 
+def _check_steps(base, violations):
+    """Each case's grid steps, h = (x_right - x_left)/M and tau = T/N,
+    must be positive normal floats, and the powers of h that the scheme
+    and the energy take (h^2, 1/h^2 and h^4) finite."""
+    tiny = np.finfo(float).tiny
+    for m in base["m_values"]:
+        h = np.float64((base["x_right"] - base["x_left"]) / m)
+        with np.errstate(all="ignore"):
+            powers = [h * h, 1.0 / (h * h), h ** 4]
+        if not (h >= tiny and np.isfinite(powers).all()):
+            violations.append(f"M: grid step h = (x_right - x_left)/M = {h:g} at M = {m} "
+                              "must be a positive normal float with finite h^2, 1/h^2 "
+                              "and h^4")
+    for n in base["n_values"]:
+        if not base["T"] / n >= tiny:
+            violations.append(f"N: time step tau = T/N = {base['T'] / n:g} at N = {n} "
+                              "must be a positive normal float")
+
+
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse and validate the contents of a config file."""
     violations = []
@@ -322,6 +341,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if violations:
         raise ConfigError(violations)
 
+    _check_steps(base, violations)
     if profile is not None:
         kind, a, b = profile
         if kind == "sech2":

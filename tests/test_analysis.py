@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from bbmb.analysis import (boundedness_bound, convergence_table, fit_order,
                            gradient_energy, initial_energy, max_norm_bound,
                            max_norm_error, posterior_spatial_error,
-                           posterior_temporal_error, stability_gap)
+                           posterior_temporal_error, posterior_temporal_errors,
+                           stability_gap)
 from bbmb.config import parse_config_text
 from bbmb.grid import Grid1D, norms
 from bbmb.scheme import SchemeParams, init_state, run
@@ -165,6 +166,34 @@ def test_posterior_temporal_incompatible():
     with pytest.raises(ValueError):
         posterior_temporal_error(_traj([0.0, 1.0], [np.zeros(8)] * 2),
                                  _traj([0.0, 0.5, 1.0], [np.zeros(10)] * 3))
+
+
+def _run_levels(j, n, produced, stop=None):
+    """Stream levels 0..stop (default n) of a made-up run j with n steps
+    on [0, 1], noting j in produced as each level is made."""
+    for k in range(n + 1 if stop is None else stop + 1):
+        produced.append(j)
+        t = k / n
+        yield t, np.sin(np.arange(8.0) + t) * (1.0 + 0.1 * j)
+
+
+def test_posterior_temporal_errors_drive_the_runs_in_step():
+    produced = []
+    runs = [_run_levels(j, 2 ** j, produced) for j in range(3)]
+    got = posterior_temporal_errors(runs)
+    # run j+1 makes two levels per level of run j, each only once it is due
+    assert produced == [0, 1, 2, 0, 1, 2, 2, 1, 2, 2]
+    kept = [list(_run_levels(j, 2 ** j, [])) for j in range(3)]
+    assert got == [posterior_temporal_error(kept[j], kept[j + 1]) for j in range(2)]
+    assert all(err > 0 for err in got)
+
+
+def test_posterior_temporal_errors_check_lengths_when_the_streams_end():
+    # the fine run ends early, or runs on past the coarse one
+    with pytest.raises(ValueError, match="3 coarse vs 4 fine levels"):
+        posterior_temporal_errors([_run_levels(0, 2, []), _run_levels(1, 4, [], stop=3)])
+    with pytest.raises(ValueError, match="2 coarse vs 5 fine levels"):
+        posterior_temporal_errors([_run_levels(0, 2, [], stop=1), _run_levels(1, 4, [])])
 
 
 # -- convergence tables ------------------------------------------------------------

@@ -124,6 +124,12 @@ def test_stability_sweep_small(tmp_path):
     lines = (out / "stability.csv").read_text().splitlines()
     assert lines[0].startswith("h,tau=")
     assert len(lines) == 7
+    # the sweep measures errors against the exact solution, posterior or not
+    cfg = write(tmp_path, "stp.cfg",
+                "experiment = example1\nT = 1\nM = 4 8 16 32 64 128\nN = 32 64\n"
+                "posterior = on\n")
+    assert main(["stability", "--config", cfg, "--out", str(tmp_path / "post")]) == 0
+    assert (tmp_path / "post" / "stability.csv").read_text() == "\n".join(lines) + "\n"
 
 
 def test_stability_single_m_is_config_error(tmp_path, capsys):
@@ -145,6 +151,21 @@ def test_bad_custom_coefficient_or_profile_exits_2(tmp_path, capsys):
         assert main(["run", "--config", cfg, "--out", str(out)]) == 2
         assert not (out / "report.txt").exists()
         assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, needle", [
+    # T/N rounds to 0
+    ("experiment = example2\nT = 5e-324\nM = 16\nN = 2\n", "N: time step tau = T/N = 0 "),
+    # h = 6.25e298, whose fourth power the energy takes
+    ("experiment = custom\nx_left = 0\nx_right = 1e300\nmu = 1\nphi = sine 1 1\n"
+     "T = 1\nM = 16\nN = 4\n", "M: grid step h = (x_right - x_left)/M = 6.25e+298 "),
+], ids=["subnormal-tau", "huge-h"])
+def test_grid_steps_out_of_float_range_are_config_errors(tmp_path, capsys, text, needle):
+    cfg = write(tmp_path, "steps.cfg", text)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert not (out / "report.txt").exists()
+    assert f"config error: {needle}" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("error")  # the failure is reported, not warned about

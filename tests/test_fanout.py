@@ -1,7 +1,8 @@
-"""Exact-error runs fan out: the lockstep group of each N, or parts of
-a group split while there are fewer groups than usable cores, run in
-min(parts, usable cores) processes, with the same outputs and exit codes
-for any number of them."""
+"""Every command of several cases fans out: the groups one process would
+march whole (each N of an exact-error run, or a posterior chain), or
+parts of them split while there are fewer parts than usable cores, run
+in min(parts, usable cores) processes, with the same outputs and exit
+codes for any number of them."""
 
 import os
 import pickle
@@ -20,6 +21,10 @@ from test_lockstep import _corrupt_solver
 STABILITY = "experiment = example1\nT = 1\nM = 4 8 16\nN = 8 16 32 64\n"
 TEMPORAL = "experiment = example1\nT = 1\nM = 32\nN = 10 20 40\n"
 SPATIAL = "experiment = example1\nT = 1\nM = 8 16 32 64\nN = 50\n"
+POSTERIOR_SPATIAL = ("experiment = example2\nT = 0.5\nM = 16 32 64 128\nN = 20\n"
+                     "posterior = on\n")
+POSTERIOR_TEMPORAL = ("experiment = example2\nT = 0.5\nM = 32\nN = 10 20 40 80\n"
+                      "posterior = on\n")
 
 
 @pytest.mark.parametrize("exc", [DivergenceError(3, "x"), SolverFailure("step 2: y"),
@@ -44,20 +49,60 @@ def test_a_lone_group_is_split_by_cost_until_every_core_has_a_part():
     narrow = [(m, 1000) for m in (8, 16, 32, 64)]
 
     def ms(w):
-        return [[m for m, _ in part] for part in _parts(narrow, w)]
+        return [[m for m, _ in part] for part in _parts([narrow], w, 0)]
 
     assert ms(1) == [[8, 16, 32, 64]]
-    assert ms(2) == [[64], [8, 16, 32]]
-    assert ms(3) == [[64], [32], [8, 16]]
-    assert ms(8) == [[64], [32], [16], [8]]  # never more parts than cases
+    assert ms(2) == [[8, 16, 32], [64]]
+    assert ms(3) == [[8, 16], [32], [64]]
+    assert ms(8) == [[8], [16], [32], [64]]  # never more parts than cases
 
 
 def test_groups_are_left_whole_when_there_are_as_many_as_cores():
-    sweep = [(m, n) for n in (8, 16, 32, 64) for m in (4, 8, 16)]
     groups = [[(m, n) for m in (4, 8, 16)] for n in (8, 16, 32, 64)]
-    assert _parts(sweep, 2) == _parts(sweep, 4) == groups
-    assert len(_parts(sweep, 8)) == 8
-    assert sorted(size for part in _parts(sweep, 8) for size in part) == sorted(sweep)
+    assert _parts(groups, 2, 0) == _parts(groups, 4, 0) == groups
+    assert len(_parts(groups, 8, 0)) == 8
+    assert sorted(size for part in _parts(groups, 8, 0) for size in part) == sorted(
+        size for group in groups for size in group)
+
+
+def _halving_parts(groups, w):
+    """The earlier rule: while there are fewer than w parts, the costliest
+    part of two or more cases is split in two by _bins on each case's cost."""
+    parts = list(groups)
+    while len(parts) < w:
+        splittable = [i for i, part in enumerate(parts) if len(part) > 1]
+        if not splittable:
+            break
+        i = max(splittable, key=lambda i: sum(m * n for m, n in parts[i]))
+        part = parts[i]
+        halves = _bins({j: m * n for j, (m, n) in enumerate(part)}, 2)
+        parts[i:i + 1] = [[part[j] for j in sorted(half)] for half in halves]
+    return parts
+
+
+@pytest.mark.parametrize("ms, ns", [((8, 16, 32, 64), (1000,)),
+                                    ((4, 8, 16, 32, 64, 128), (8, 16, 32, 64, 128))],
+                         ids=["forced-narrow", "sweep-many"])
+@pytest.mark.parametrize("w", range(1, 9))
+def test_splitting_off_the_last_case_gives_the_halving_part_sets(ms, ns, w):
+    groups = [[(m, n) for m in ms] for n in ns]
+
+    def sets(parts):
+        return sorted(sorted(part) for part in parts)
+
+    assert sets(_parts(groups, w, 0)) == sets(_halving_parts(groups, w))
+
+
+def test_a_posterior_chain_splits_into_parts_that_share_their_boundary_case():
+    chain = [(m, 2000) for m in (40, 80, 160, 320, 640, 1280)]
+
+    def ms(w):
+        return [[m for m, _ in part] for part in _parts([chain], w, 1)]
+
+    assert ms(1) == [[40, 80, 160, 320, 640, 1280]]
+    assert ms(2) == [[40, 80, 160, 320, 640], [640, 1280]]
+    assert ms(3) == [[40, 80, 160, 320], [320, 640], [640, 1280]]
+    assert ms(8) == [[40, 80], [80, 160], [160, 320], [320, 640], [640, 1280]]
 
 
 def _cores(monkeypatch, w):
@@ -91,21 +136,42 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("mode, text, cases", [("stability", STABILITY, 12),
-                                               ("convergence", TEMPORAL, 3),
-                                               ("convergence", SPATIAL, 4)],
-                         ids=["stability", "temporal", "spatial"])
+# a part holds at least one case, or one neighbouring pair of a
+# posterior chain, so a chain of four runs has at most three parts
+@pytest.mark.parametrize("mode, text, max_parts", [("stability", STABILITY, 12),
+                                                   ("convergence", TEMPORAL, 3),
+                                                   ("convergence", SPATIAL, 4),
+                                                   ("convergence", POSTERIOR_SPATIAL, 3),
+                                                   ("convergence", POSTERIOR_TEMPORAL, 3)],
+                         ids=["stability", "temporal", "spatial", "posterior-spatial",
+                              "posterior-temporal"])
 def test_outputs_do_not_depend_on_the_number_of_processes(monkeypatch, tmp_path,
-                                                          mode, text, cases):
+                                                          mode, text, max_parts):
     runs = {}
-    for w in (1, 2, 8):
+    for w in (1, 2, 4, 8):
         _cores(monkeypatch, w)
         forks = _count_forks(monkeypatch)
         runs[w] = _run(tmp_path, f"w{w}", mode, text)
-        assert len(forks) == min(cases, w) - 1
+        assert len(forks) == min(max_parts, w) - 1
         _no_child_left()
     assert runs[1][1]  # the run wrote its files
-    assert runs[1] == runs[2] == runs[8]
+    assert runs[1] == runs[2] == runs[4] == runs[8]
+
+
+def test_a_group_that_fails_in_this_process_is_marched_once(monkeypatch, tmp_path):
+    _corrupt_solver(monkeypatch, 16, "u_and_v")
+    marched = []
+    march = bbmb.cli.march
+
+    def counted(phi, batch, params):
+        marched.append(batch.N)
+        return march(phi, batch, params)
+
+    monkeypatch.setattr(bbmb.cli, "march", counted)
+    _cores(monkeypatch, 1)
+    code, _ = _run(tmp_path, "out", "stability", STABILITY)
+    assert code == 3
+    assert sorted(marched) == [8, 16, 32, 64]
 
 
 @pytest.mark.parametrize("w", [1, 2])
@@ -119,6 +185,39 @@ def test_solver_failure_exits_3_with_the_same_report(monkeypatch, tmp_path, capf
     assert report[1].endswith("(case M = 16)")
     assert "Traceback" not in capfd.readouterr().err
     _no_child_left()
+
+
+def _fail_at_n(monkeypatch, n):
+    """Make the batch of N = n raise when it starts to march."""
+    levels = bbmb.cli._levels
+
+    def failing(config, batch):
+        if batch.N == n:
+            raise DivergenceError(batch.N, f"failed at N = {batch.N}")
+        return levels(config, batch)
+
+    monkeypatch.setattr(bbmb.cli, "_levels", failing)
+
+
+# M = 32 and N = 40 are in two parts each once the chains are split in three
+@pytest.mark.parametrize("text, fault, reported", [
+    (POSTERIOR_SPATIAL, lambda mp: _corrupt_solver(mp, 32, "u_and_v"),
+     "step 1: solve residual"),
+    (POSTERIOR_TEMPORAL, lambda mp: _fail_at_n(mp, 40), "step 40: failed at N = 40")],
+    ids=["spatial", "temporal"])
+def test_posterior_solver_failure_exits_3_with_the_same_report(monkeypatch, tmp_path,
+                                                              capfd, text, fault, reported):
+    fault(monkeypatch)
+    reports = {}
+    for w in (1, 2, 4):
+        _cores(monkeypatch, w)
+        code, files = _run(tmp_path, f"w{w}", "convergence", text)
+        assert code == 3
+        reports[w] = files["report.txt"]
+        _no_child_left()
+    assert reports[1] == reports[2] == reports[4]
+    assert reports[1].decode().splitlines()[1].startswith(f"FAIL  solver: {reported}")
+    assert "Traceback" not in capfd.readouterr().err
 
 
 @pytest.mark.parametrize("w", [1, 2])
@@ -153,11 +252,14 @@ def _kill_children(monkeypatch):
     monkeypatch.setattr(bbmb.cli, "_levels", killed)
 
 
-@pytest.mark.parametrize("mode, text", [("stability", STABILITY), ("convergence", SPATIAL)],
-                         ids=["stability", "spatial"])
+@pytest.mark.parametrize("mode, text", [("stability", STABILITY), ("convergence", SPATIAL),
+                                        ("convergence", POSTERIOR_SPATIAL),
+                                        ("convergence", POSTERIOR_TEMPORAL)],
+                         ids=["stability", "spatial", "posterior-spatial",
+                              "posterior-temporal"])
 def test_killed_worker_gives_the_one_process_outputs(monkeypatch, tmp_path, capfd,
                                                      mode, text):
-    # stability's child runs whole groups, the spatial chain's a split part
+    # stability's child runs whole groups, the chains' a split part
     _kill_children(monkeypatch)
     runs = {}
     for w in (1, 2):
@@ -198,10 +300,10 @@ def test_killed_worker_then_a_later_failing_group_gives_the_one_process_report(
 
 def test_children_are_reaped_when_this_process_fails(monkeypatch, tmp_path):
     # an error outside the parts' own work, in this process's bin
-    def interrupted(config, parts, keys, slots, errors):
+    def interrupted(config, part):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(bbmb.cli, "_march_parts", interrupted)
+    monkeypatch.setattr(bbmb.cli, "_errors", interrupted)
     _cores(monkeypatch, 2)
     forks = _count_forks(monkeypatch)
     with pytest.raises(KeyboardInterrupt):

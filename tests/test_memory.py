@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+import bbmb.cli
 from bbmb.cli import run_experiment
 from bbmb.config import parse_config_text
 from bbmb.scheme import march
@@ -26,23 +27,34 @@ def _peak_bytes(text, mode, out_dir):
         tracemalloc.stop()
 
 
+# id -> (subcommand, config); n is 100 for the short run and 400 for the
+# long one, half and twice are n/2 and 2n
 CONFIGS = {
-    "invariants": "experiment = example2\nT = 1\nM = 2000\nN = {n}\n",
-    "stability": "experiment = example1\nT = 1\nM = 1000 2000\nN = {n}\n",
+    "invariants": ("invariants", "experiment = example2\nT = 1\nM = 2000\nN = {n}\n"),
+    "stability": ("stability", "experiment = example1\nT = 1\nM = 1000 2000\nN = {n}\n"),
     # the chain marches in lockstep and is compared level by level;
     # keeping every level of two neighbouring runs would add 300 levels
     # of 600 floats (1.4 MB) at N = 400
-    "convergence": "experiment = example2\nT = 1\nM = 100 200 400\nN = {n}\nposterior = on\n",
+    "convergence": ("convergence",
+                    "experiment = example2\nT = 1\nM = 100 200 400\nN = {n}\n"
+                    "posterior = on\n"),
+    # the runs are driven in step, one level each; keeping the levels of
+    # the last two runs would add 900 levels of 100 floats (0.7 MB)
+    "temporal": ("convergence",
+                 "experiment = example2\nT = 1\nM = 100\nN = {half} {n} {twice}\n"
+                 "posterior = on\n"),
 }
 
 
-@pytest.mark.parametrize("mode", sorted(CONFIGS))
-def test_peak_memory_does_not_grow_with_steps(tmp_path, mode):
-    cfg = CONFIGS[mode]
-    short = _peak_bytes(cfg.format(n=100), mode, tmp_path / "short")
-    long = _peak_bytes(cfg.format(n=400), mode, tmp_path / "long")
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_peak_memory_does_not_grow_with_steps(monkeypatch, tmp_path, name):
+    # one process, so that tracemalloc sees the whole march
+    monkeypatch.setattr(bbmb.cli, "_usable_cores", lambda: 1)
+    mode, cfg = CONFIGS[name]
+    short, long = (_peak_bytes(cfg.format(n=n, half=n // 2, twice=2 * n), mode, tmp_path / str(n))
+                   for n in (100, 400))
     assert long < PEAK_GROWTH * short, (
-        f"{mode}: peak {long / 1e6:.2f} MB at N = 400 vs {short / 1e6:.2f} MB at N = 100")
+        f"{name}: peak {long / 1e6:.2f} MB at N = 400 vs {short / 1e6:.2f} MB at N = 100")
 
 
 # A steady-state step of march may allocate, beyond the workspace that
