@@ -11,10 +11,9 @@ from .grid import (Batch, FieldNorms, Grid1D, as_field, backward_diff, central_d
 from .linalg import (CyclicBlockTriSystem, ScalarCyclicTriSystem,
                      SingularSystemError, solve_cyclic_block_tridiagonal,
                      solve_dense_oracle, solve_scalar_cyclic)
-from .scheme import (DivergenceError, RunResult, SchemeParams, SolverFailure,
-                     StepperState, TruncationResiduals, advance,
-                     assemble_first_step, assemble_interior_step,
-                     compact_curvature, init_state, march,
+from .scheme import (RunResult, SchemeParams, SolverFailure, StepperState,
+                     TruncationResiduals, advance, assemble_first_step,
+                     assemble_interior_step, compact_curvature, init_state, march,
                      newton_reaction_terms, run, truncation_residual)
 
 __version__ = "0.1.0"

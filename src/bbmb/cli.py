@@ -34,8 +34,8 @@ Levels are reduced as they are computed (scheme.march), so every
 subcommand holds O(M) memory per case.
 All floats are printed with 15 significant digits.
 
-Exit codes: 0 success, 2 invalid config, 3 solver failure,
-4 acceptance check failed.
+Exit codes: 0 success, 2 invalid config, 3 solver failure (the report
+names the step and the case's M and N), 4 acceptance check failed.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .analysis import (boundedness_bound, convergence_table, fit_order,
 from .config import ConfigError, ExperimentConfig, parse_config
 from .grid import Batch, Grid1D
 from .linalg import SingularSystemError
-from .scheme import DivergenceError, SolverFailure, march, run
+from .scheme import SolverFailure, march, run
 
 __all__ = ["main", "run_experiment"]
 
@@ -397,7 +397,7 @@ def run_experiment(config: ExperimentConfig, mode: str, out_dir: str) -> int:
             checks = _COMMANDS[mode](config, out_dir)
     except ConfigError:
         raise
-    except (DivergenceError, SolverFailure, SingularSystemError) as exc:
+    except (SolverFailure, SingularSystemError) as exc:
         _write_report(out_dir, [(False, "solver", str(exc))], stale=True)
         return EXIT_SOLVER
     passed = _write_report(out_dir, checks)

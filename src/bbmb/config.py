@@ -27,6 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .grid import usable_steps
 from .scheme import SchemeParams
 
 __all__ = [
@@ -226,20 +227,19 @@ def _check_halving_chain(key, values, violations):
 
 def _check_steps(base, violations):
     """Each case's grid steps, h = (x_right - x_left)/M and tau = T/N,
-    must be positive normal floats, and the powers of h that the scheme
-    and the energy take (h^2, 1/h^2 and h^4) finite."""
-    tiny = np.finfo(float).tiny
-    for m in base["m_values"]:
-        h = np.float64((base["x_right"] - base["x_left"]) / m)
-        with np.errstate(all="ignore"):
-            powers = [h * h, 1.0 / (h * h), h ** 4]
-        if not (h >= tiny and np.isfinite(powers).all()):
-            violations.append(f"M: grid step h = (x_right - x_left)/M = {h:g} at M = {m} "
+    must be usable (grid.usable_steps), as Grid1D requires."""
+    ms, ns = base["m_values"], base["n_values"]
+    h = (base["x_right"] - base["x_left"]) / np.array(ms, dtype=float)
+    tau = base["T"] / np.array(ns, dtype=float)
+    h_ok, tau_ok = usable_steps(h, tau)
+    for m, step, ok in zip(ms, h, h_ok):
+        if not ok:
+            violations.append(f"M: grid step h = (x_right - x_left)/M = {step:g} at M = {m} "
                               "must be a positive normal float with finite h^2, 1/h^2 "
                               "and h^4")
-    for n in base["n_values"]:
-        if not base["T"] / n >= tiny:
-            violations.append(f"N: time step tau = T/N = {base['T'] / n:g} at N = {n} "
+    for n, step, ok in zip(ns, tau, tau_ok):
+        if not ok:
+            violations.append(f"N: time step tau = T/N = {step:g} at N = {n} "
                               "must be a positive normal float")
 
 

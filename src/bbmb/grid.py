@@ -30,6 +30,7 @@ __all__ = [
     "Grid1D",
     "Batch",
     "FieldNorms",
+    "usable_steps",
     "as_field",
     "periodic_shift",
     "second_diff",
@@ -40,10 +41,13 @@ __all__ = [
     "norms",
 ]
 
+_SMALLEST_NORMAL = np.finfo(float).tiny
+
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform periodic grid: M nodes over one period L, N steps to time T."""
+    """Uniform periodic grid: M nodes over one period L, N steps to time T.
+    Its steps h = L/M and tau = T/N must pass usable_steps."""
 
     L: float
     M: int
@@ -60,6 +64,9 @@ class Grid1D:
             raise ValueError(f"final time T must be positive and finite, got {self.T}")
         if self.N < 2:
             raise ValueError(f"need N >= 2 time steps, got {self.N}")
+        if not all(usable_steps(self.h, self.tau)):
+            raise ValueError(f"grid steps h = L/M = {self.h:g} and tau = T/N = {self.tau:g} "
+                             "must be positive normal floats with finite h^2, 1/h^2 and h^4")
 
     @property
     def h(self) -> float:
@@ -83,6 +90,17 @@ class Grid1D:
         if k < 0 or k > self.N or abs(t - k * self.tau) > 0.5 * self.tau * (1 + 1e-9):
             raise ValueError(f"t={t} is not within tau/2 of a grid time in [0, {self.T}]")
         return k
+
+
+def usable_steps(h, tau) -> tuple:
+    """Whether grid steps h and tau, floats or arrays of them, are usable:
+    (h ok, tau ok).  Each must be a positive normal float, and the powers
+    of h that the scheme and the energy take, h^2, 1/h^2 and h^4,
+    finite."""
+    h = np.asarray(h, dtype=float)
+    with np.errstate(all="ignore"):
+        powers_finite = np.isfinite([h * h, 1.0 / (h * h), h ** 4]).all(axis=0)
+    return (h >= _SMALLEST_NORMAL) & powers_finite, np.asarray(tau) >= _SMALLEST_NORMAL
 
 
 class Batch:

@@ -34,9 +34,9 @@ per-case view of its step buffer does at every step.
 solve_cyclic_block_tridiagonal without a solver builds one for the call.
 
 Cases marched in lockstep share one (2, 7, sum of M) array, their
-systems end to end: segments() gives each case's system as a view, and
-block_matvec applies all of them at once through a stencil index that
-wraps inside each case.
+systems end to end: each case's system is packed() on its slice of the
+node axis, and block_matvec applies all of them at once through a
+stencil index that wraps inside each case.
 
 The scalar solver runs once per case and keeps its elimination loops
 on plain Python floats.
@@ -146,21 +146,6 @@ class CyclicBlockTriSystem:
     @property
     def m(self) -> int:
         return self.coeffs.shape[2]
-
-    def segments(self, bounds) -> list:
-        """The systems of block rows start:stop for each (start, stop)
-        in the tuple bounds, each holding a view of coeffs whose entries
-        were checked with this system (the system itself for the one
-        segment of all rows).  Each is a cyclic system of its own: its
-        corner blocks couple its first and last rows."""
-        if bounds == ((0, self.m),):
-            return [self]
-        segments = []
-        for start, stop in bounds:
-            system = type(self).__new__(type(self))
-            system.coeffs = self.coeffs[:, :, start:stop]
-            segments.append(system)
-        return segments
 
     @property
     def sub(self) -> np.ndarray:

@@ -18,11 +18,14 @@ Lockstep: cases that share a time grid (N and T) march together as one
 grid.Batch, their nodes end to end on one array.  A step assembles one
 packed system for all of them, solves each case's block of it with the
 case's own solver, and holds every case to its own residual budget in
-one pass over the batch.  The compact relation is the second block row
-of the system, so that one gate also holds it.  A single grid is a
-batch of one and does the same arithmetic as on its own.  A step keeps
-no energy books: run, the one caller that reports the invariant, sums
-the dissipation from the levels it is handed.
+one pass over the batch; after the cases that miss it are refined, the
+same pass checks the batch again.  The compact relation is the second
+block row of the system, so that one gate also holds it.  Every way a
+step can fail raises one SolverFailure that names the step and the
+case's M and N.  A single grid is a batch of one and does the same
+arithmetic as on its own.  A step keeps no energy books: run, the one
+caller that reports the invariant, sums the dissipation from the levels
+it is handed.
 
 Memory: march builds one StepWorkspace per batch.  It binds what does
 not change between steps once: the h-dependent factors of assembly, the
@@ -59,7 +62,6 @@ __all__ = [
     "StepWorkspace",
     "RunResult",
     "TruncationResiduals",
-    "DivergenceError",
     "SolverFailure",
     "compact_curvature",
     "init_state",
@@ -86,24 +88,12 @@ _COMPACT_U = np.array([-1.0, 2.0, -1.0])[:, None]
 _COMPACT_V = np.array([1.0 / 12.0, 5.0 / 6.0, 1.0 / 12.0])[:, None]
 
 
-class DivergenceError(Exception):
-    """A step system or solution became non-finite (finite input can
-    overflow); carries the failing step index, 0 for the initial data.
-    The message names the failing case's M.  args holds the
-    constructor's arguments, so the error survives a pickle round trip."""
-
-    def __init__(self, step: int, message: str):
-        super().__init__(step, message)
-        self.step = step
-
-    def __str__(self):
-        return f"step {self.step}: {self.args[1]}"
-
-
 class SolverFailure(Exception):
-    """A step's solve failed: a case's system had a singular pivot, or
-    its solution missed the residual budget even after one refinement
-    step.  The message names the step and the failing case's M."""
+    """A step failed for one case: its initial curvature, step system or
+    solution was non-finite (finite input can overflow), its system had a
+    singular pivot, or its solution missed the residual budget even after
+    one refinement step.  The message reads
+    'step k: <reason> (case M = m, N = n)', with step 0 the initial data."""
 
 
 @dataclass
@@ -175,7 +165,8 @@ class StepWorkspace:
         # checks all its entries, the constant ones below included
         c = self.coeffs = np.zeros((2, 7, batch.M))
         self.system = CyclicBlockTriSystem.packed(c)
-        self.cases = self.system.segments(batch.bounds)
+        self.cases = [CyclicBlockTriSystem.packed(c[:, :, start:stop])
+                      for start, stop in batch.bounds]
         self.solvers = [CyclicReductionSolver(g.M) for g in batch.grids]
         # evolution equation: v's coefficients in the sub and sup blocks
         c[0, 1] = kappa * h / 24.0
@@ -192,10 +183,11 @@ class StepWorkspace:
         self.pairs = self.scratch[:12].reshape(6, 2, batch.M)
 
 
-def _failing_case(batch: Batch, failed) -> str:
-    """' (case M = m)' for the first case whose flag is set in failed,
-    per-case flags as Batch.case_max gives them."""
-    return f" (case M = {batch.grids[int(np.argmax(failed))].M})"
+def _failure(step: int, reason: str, batch: Batch, j) -> SolverFailure:
+    """The SolverFailure of case j of batch at step (np.argmax of per-case
+    flags, as Batch.case_max gives them, picks the first flagged case)."""
+    grid = batch.grids[j]
+    return SolverFailure(f"step {step}: {reason} (case M = {grid.M}, N = {grid.N})")
 
 
 @dataclass
@@ -231,11 +223,11 @@ def init_state(phi, grid, params: SchemeParams) -> StepperState:
         raise ValueError("initial condition callback must be vectorized over x")
     u0 = as_field(u0, batch.M)
     v0 = []
-    for g, u in zip(batch.grids, batch.split(u0)):
+    for j, (g, u) in enumerate(zip(batch.grids, batch.split(u0))):
         try:
             v0.append(compact_curvature(u, g.h))
         except ValueError as exc:  # the second difference of u0 overflowed
-            raise DivergenceError(0, f"initial curvature: {exc} (case M = {g.M})") from exc
+            raise _failure(0, f"initial curvature: {exc}", batch, j) from exc
     v0 = v0[0] if len(v0) == 1 else np.concatenate(v0)
     return StepperState(k=0, u_curr=u0, v_curr=v0, u_prev=None, v_prev=None)
 
@@ -276,7 +268,7 @@ def _assemble_step(u_ref, v_ref, u_known, v_known, rate, work: StepWorkspace,
     in the operation order of grid.skew_advection, grid.central_diff and
     the skew rows c_super[i] = (a[i] + a[i+1])/(6h) and c_sub[i] =
     -(a[i-1] + a[i])/(6h) of b -> skew_advection(a, b).  Non-finite
-    coefficients raise DivergenceError for the given step.
+    coefficients raise SolverFailure for the given step.
     """
     batch, params = work.batch, work.params
     shift = batch.shift
@@ -333,9 +325,8 @@ def _assemble_step(u_ref, v_ref, u_known, v_known, rate, work: StepWorkspace,
 
     finite = np.isfinite(c)
     if not finite.all():
-        where = _failing_case(batch, batch.case_max(~finite))
-        raise DivergenceError(step, f"step system: block system contains "
-                                    f"non-finite values{where}")
+        raise _failure(step, "step system: block system contains non-finite values",
+                       batch, np.argmax(batch.case_max(~finite)))
     return work.system
 
 
@@ -373,22 +364,23 @@ def assemble_interior_step(state: StepperState, grid, params: SchemeParams,
 
 def _checked_solve(work: StepWorkspace, step: int) -> np.ndarray:
     """Solve each case's block of the step system in work with the case's
-    solver and hold every case to its own residual budget.  A case that
-    misses it gets one refinement step (Skeel 1980; Higham 2002, ch. 12):
-    its residual r = b - A x is solved with the same blocks and solver
-    and added to x, which must then meet the same budget.  Returns the
-    solution rows (u, v) as one fresh (2, M) array."""
+    solver and hold every case to its own residual budget.  The cases
+    that miss it get one refinement step (Skeel 1980; Higham 2002,
+    ch. 12): each one's residual r = b - A x is solved with the same
+    blocks and solver and added to x, and the gate then checks the batch
+    again against the budgets of its first pass.  Returns the solution
+    rows (u, v) as one fresh (2, M) array."""
     batch, cases, solvers = work.batch, work.cases, work.solvers
     uv = np.empty((2, batch.M))
-    for case, solver, (start, stop) in zip(cases, solvers, batch.bounds):
+    for j, (case, solver, (start, stop)) in enumerate(zip(cases, solvers, batch.bounds)):
         try:
             solve_cyclic_block_tridiagonal(case, solver, out=uv[:, start:stop])
         except SingularSystemError as exc:
-            raise SolverFailure(f"step {step}: {exc} (case M = {case.m})") from exc
+            raise _failure(step, str(exc), batch, j) from exc
     finite = np.isfinite(uv)
     if not finite.all():
-        where = _failing_case(batch, batch.case_max(~finite))
-        raise DivergenceError(step, f"solver returned non-finite values{where}")
+        raise _failure(step, "solver returned non-finite values", batch,
+                       np.argmax(batch.case_max(~finite)))
     c, scratch = work.coeffs, work.scratch
     rhs = c[:, 6]
     # the matrix norm, the largest absolute row sum: row 0's sums here,
@@ -398,21 +390,24 @@ def _checked_solve(work: StepWorkspace, step: int) -> np.ndarray:
     bound = SOLVE_RESIDUAL_RTOL * (batch.case_max(np.abs(rhs, out=scratch[:2]))
                                    + norm * batch.case_max(np.abs(uv, out=scratch[2:4]))
                                    ) + _SMALLEST_NORMAL
-    product = block_matvec(work.system, uv.T, batch.stencil,
-                           near=scratch[:6].reshape(2, -1), out=scratch[6:8])
-    r = np.subtract(rhs, product.T, out=scratch[8:10])
-    failed = batch.case_max(np.abs(r, out=scratch[6:8])) > bound
-    if failed.any():
-        for j in np.flatnonzero(failed):
-            case, rows, budget = cases[j], slice(*batch.bounds[j]), np.atleast_1d(bound)[j]
-            fix = np.concatenate((case.coeffs[:, :6], r[:, None, rows]), axis=1)
+    for refined in (False, True):
+        product = block_matvec(work.system, uv.T, batch.stencil,
+                               near=scratch[:6].reshape(2, -1), out=scratch[6:8])
+        r = np.subtract(rhs, product.T, out=scratch[8:10])
+        res = batch.case_max(np.abs(r, out=scratch[6:8]))
+        missed = ~(res <= bound)  # a NaN residual misses too
+        if not missed.any():
+            return uv
+        if refined:
+            j = np.argmax(missed)
+            raise _failure(step, f"solve residual {np.ravel(res)[j]:.3e} exceeds budget "
+                                 f"{np.ravel(bound)[j]:.3e} after one refinement step",
+                           batch, j)
+        for j in np.flatnonzero(missed):
+            rows = slice(*batch.bounds[j])
+            fix = np.concatenate((cases[j].coeffs[:, :6], r[:, None, rows]), axis=1)
             uv[:, rows] += solve_cyclic_block_tridiagonal(
                 CyclicBlockTriSystem.packed(fix), solvers[j]).T
-            res = float(np.abs(block_matvec(case, uv[:, rows].T) - case.rhs).max())
-            if not res <= budget:
-                raise SolverFailure(f"step {step}: solve residual {res:.3e} exceeds budget "
-                                    f"{budget:.3e} after one refinement step (case M = {case.m})")
-    return uv
 
 
 def advance(state: StepperState, grid, params: SchemeParams,

@@ -1,10 +1,16 @@
 """CLI subcommands: outputs, determinism, exit codes."""
 
 import os
+import pathlib
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import bbmb.cli
 import bbmb.scheme
 from bbmb.cli import main
 
@@ -237,7 +243,7 @@ def test_singular_pivot_names_its_step_and_case(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(out)]) == 3
     report = (out / "report.txt").read_text().splitlines()
     assert report[1].startswith("FAIL  solver: step 3: singular 2x2 pivot")
-    assert report[1].endswith("(case M = 64)")
+    assert report[1].endswith("(case M = 64, N = 4)")
 
 
 def test_invalid_config_exit_code(tmp_path):
@@ -256,3 +262,64 @@ def test_fifteen_digit_output(tmp_path):
     value = line.split(",")[1]
     digits = value.replace(".", "").replace("-", "").lstrip("0")
     assert len(digits) >= 14
+
+
+# Floats from the edges of the double range, ordinary ones of either
+# sign, and moderate positive ones, which let many drawn configs march
+_VALUE = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-160, 1e300,
+                                    -1e300]),
+                   st.floats(-1e3, 1e3), st.floats(0.01, 10.0))
+
+
+def _chain(draw, starts, lengths):
+    start, length = draw(st.sampled_from(starts)), draw(st.integers(*lengths))
+    return " ".join(str(start * 2 ** i) for i in range(length))
+
+
+@st.composite
+def _any_config(draw):
+    """A mode and the text of a config of any experiment, with wide
+    coefficients, domain, T and profile amplitude, and short M and N
+    chains, so every run takes milliseconds.  A sweep draws two or more
+    M, and a convergence study one chain."""
+    mode = draw(st.sampled_from(["run", "convergence", "invariants", "stability"]))
+    experiment = draw(st.sampled_from(["example1", "example2", "example3", "custom"]))
+    refined = draw(st.sampled_from("MN")) if mode == "convergence" else None
+    m_chain = (2, 3) if mode == "stability" or refined == "M" else (1, 1)
+    lines = [f"experiment = {experiment}",
+             f"M = {_chain(draw, [4, 8], m_chain)}",
+             f"N = {_chain(draw, [2, 4], (3, 3) if refined == 'N' else (1, 2))}"]
+    custom = experiment == "custom"
+    for key in ("T", "x_left", "x_right", "mu", "gamma", "kappa", "nu"):
+        if custom and key in ("T", "x_left", "x_right", "mu") or draw(st.booleans()):
+            lines.append(f"{key} = {draw(_VALUE)!r}")
+    if custom:
+        amp = draw(_VALUE)
+        lines.append(f"phi = sech2 {amp!r} {draw(_VALUE)!r}" if draw(st.booleans())
+                     else f"phi = sine {amp!r} 1")
+    if draw(st.booleans()):
+        lines.append(f"posterior = {draw(st.sampled_from(['on', 'off']))}")
+    return mode, "\n".join(lines) + "\n"
+
+
+def _outputs(cfg, mode, out):
+    code = main([mode, "--config", cfg, "--out", str(out)])
+    return code, {p.name: p.read_bytes() for p in sorted(out.glob("*"))}
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_any_config())
+@example(case=("run", "experiment = example2\nT = 5e-324\nM = 16\nN = 2\n"))
+@example(case=("run", "experiment = custom\nx_left = 0\nx_right = 1e300\nmu = 1\n"
+                      "phi = sine 1 1\nT = 1\nM = 16\nN = 4\n"))
+def test_any_config_ends_in_a_documented_exit_code(case):
+    # every config ends in exit 0, 2, 3 or 4 with no traceback, and a
+    # command that fans out writes the same on one core as on all
+    mode, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write(pathlib.Path(tmp), "drawn.cfg", text)
+        code, files = _outputs(cfg, mode, pathlib.Path(tmp, "all"))
+        assert code in (0, 2, 3, 4)
+        if mode in ("stability", "convergence"):
+            with mock.patch.object(bbmb.cli, "_usable_cores", lambda: 1):
+                assert _outputs(cfg, mode, pathlib.Path(tmp, "one")) == (code, files)

@@ -14,7 +14,7 @@ import bbmb.cli
 from bbmb.cli import _bins, _parts, main
 from bbmb.config import ConfigError
 from bbmb.linalg import CyclicReductionSolver, SingularSystemError
-from bbmb.scheme import DivergenceError, SolverFailure
+from bbmb.scheme import SolverFailure
 
 from test_lockstep import _corrupt_solver
 
@@ -27,14 +27,13 @@ POSTERIOR_TEMPORAL = ("experiment = example2\nT = 0.5\nM = 32\nN = 10 20 40 80\n
                       "posterior = on\n")
 
 
-@pytest.mark.parametrize("exc", [DivergenceError(3, "x"), SolverFailure("step 2: y"),
-                                 SingularSystemError("z"), ConfigError(["a", "b"])],
+@pytest.mark.parametrize("exc", [SolverFailure("step 2: y"), SingularSystemError("z"),
+                                 ConfigError(["a", "b"])],
                          ids=lambda exc: type(exc).__name__)
 def test_exit_code_errors_survive_pickle(exc):
     back = pickle.loads(pickle.dumps(exc))
     assert type(back) is type(exc)
     assert str(back) == str(exc)
-    assert getattr(back, "step", None) == getattr(exc, "step", None)
     assert getattr(back, "violations", None) == getattr(exc, "violations", None)
 
 
@@ -182,7 +181,7 @@ def test_solver_failure_exits_3_with_the_same_report(monkeypatch, tmp_path, capf
     assert code == 3
     report = files["report.txt"].decode().splitlines()
     assert report[1].startswith("FAIL  solver: step 1: solve residual")
-    assert report[1].endswith("(case M = 16)")
+    assert report[1].endswith("(case M = 16, N = 8)")
     assert "Traceback" not in capfd.readouterr().err
     _no_child_left()
 
@@ -193,7 +192,7 @@ def _fail_at_n(monkeypatch, n):
 
     def failing(config, batch):
         if batch.N == n:
-            raise DivergenceError(batch.N, f"failed at N = {batch.N}")
+            raise SolverFailure(f"step {batch.N}: failed at N = {batch.N}")
         return levels(config, batch)
 
     monkeypatch.setattr(bbmb.cli, "_levels", failing)
@@ -227,7 +226,7 @@ def test_first_failing_n_in_config_order_is_reported(monkeypatch, tmp_path, w):
 
     def failing(config, batch):
         if batch.N in (16, 64):
-            raise DivergenceError(batch.N, f"failed at N = {batch.N}")
+            raise SolverFailure(f"step {batch.N}: failed at N = {batch.N}")
         return levels(config, batch)
 
     monkeypatch.setattr(bbmb.cli, "_levels", failing)
@@ -282,7 +281,7 @@ def test_killed_worker_then_a_later_failing_group_gives_the_one_process_report(
 
     def failing(config, batch):
         if batch.N == 64:
-            raise DivergenceError(batch.N, "failed at N = 64")
+            raise SolverFailure("step 64: failed at N = 64")
         return levels(config, batch)
 
     monkeypatch.setattr(bbmb.cli, "_levels", failing)
@@ -330,8 +329,8 @@ def _singular_solver(monkeypatch, m):
 # raised before a residual miss of the same step.
 FAULTS = {
     "miss_16": ({16}, set(), "step 1: solve residual"),
-    "singular_64_miss_16": ({16}, {64}, "step 1: singular 2x2 pivot (case M = 64)"),
-    "singular_16_miss_64": ({64}, {16}, "step 1: singular 2x2 pivot (case M = 16)"),
+    "singular_64_miss_16": ({16}, {64}, "step 1: singular 2x2 pivot (case M = 64, N = 50)"),
+    "singular_16_miss_64": ({64}, {16}, "step 1: singular 2x2 pivot (case M = 16, N = 50)"),
 }
 
 
@@ -355,3 +354,30 @@ def test_split_group_failure_gives_the_one_process_report(monkeypatch, tmp_path,
     assert reports[1] == reports[2]
     assert reports[1].decode().splitlines()[1].startswith(f"FAIL  solver: {reported}")
     assert "Traceback" not in capfd.readouterr().err
+
+
+# example1 with mu = 0.001 meets a singular pivot at M = 64: at step 2 for
+# N = 4, and at step 4 for N = 8 and 16.  A posterior temporal chain drives
+# its runs in step and reports N = 16.  The report names the case's M and
+# N, on any number of cores.
+FAILING = "experiment = example1\nT = 100\nmu = 0.001\n"
+
+
+@pytest.mark.parametrize("mode, text, step, n", [
+    ("stability", FAILING + "M = 8 16 32 64 128\nN = 4 8\n", 2, 4),
+    ("convergence", FAILING + "M = 8 16 32 64 128\nN = 4\n", 2, 4),
+    ("convergence", FAILING + "M = 8 16 32 64 128\nN = 4\nposterior = on\n", 2, 4),
+    ("convergence", FAILING + "M = 64\nN = 4 8 16 32\n", 2, 4),
+    ("convergence", FAILING + "M = 64\nN = 4 8 16 32\nposterior = on\n", 4, 16)],
+    ids=["stability", "spatial", "posterior-spatial", "temporal", "posterior-temporal"])
+@pytest.mark.parametrize("w", [1, 2])
+def test_a_singular_pivot_is_reported_with_its_step_m_and_n(monkeypatch, tmp_path, capfd,
+                                                            mode, text, step, n, w):
+    _cores(monkeypatch, w)
+    code, files = _run(tmp_path, "out", mode, text)
+    assert code == 3
+    report = files["report.txt"].decode().splitlines()
+    assert report[1].startswith(f"FAIL  solver: step {step}: singular 2x2 pivot")
+    assert report[1].endswith(f"(case M = 64, N = {n})")
+    assert "Traceback" not in capfd.readouterr().err
+    _no_child_left()

@@ -1,5 +1,7 @@
 """Grid construction, discrete operators, and their algebraic identities."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,17 @@ def test_grid_steps():
 ])
 def test_grid_rejects_degenerate(kwargs):
     with pytest.raises(ValueError):
+        Grid1D(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs, needle", [
+    # T/N rounds to 0, which time_index would divide by
+    (dict(L=1.0, M=16, T=5e-324, N=2), "tau = T/N = 0 "),
+    # h = 6.25e298, whose fourth power the energy takes
+    (dict(L=1e300, M=16, T=1.0, N=4), "h = L/M = 6.25e+298 "),
+], ids=["subnormal-tau", "huge-h"])
+def test_grid_rejects_steps_out_of_float_range(kwargs, needle):
+    with pytest.raises(ValueError, match=re.escape(needle)):
         Grid1D(**kwargs)
 
 

@@ -8,7 +8,7 @@ from bbmb.cli import run_experiment
 from bbmb.config import parse_config_text
 from bbmb.grid import Batch, Grid1D
 from bbmb.linalg import CyclicReductionSolver
-from bbmb.scheme import DivergenceError, SchemeParams, SolverFailure, march
+from bbmb.scheme import SchemeParams, SolverFailure, march
 
 from conftest import (example1_exact, example1_grid, example1_params,
                       example2_grid, example2_params, example2_phi,
@@ -88,14 +88,14 @@ def test_failing_case_is_named_with_its_step(monkeypatch, tmp_path, unknowns):
     # a constant error survives refinement: the correction solve adds it too
     _corrupt_solver(monkeypatch, 16, unknowns)
     batch = Batch([example1_grid(m, 10) for m in (8, 16, 32)])
-    with pytest.raises(SolverFailure, match=r"^step 1: solve residual .*\(case M = 16\)$"):
+    with pytest.raises(SolverFailure, match=r"^step 1: solve residual .*\(case M = 16, N = 10\)$"):
         for _ in march(lambda x: example1_exact(x, 0.0), batch, example1_params()):
             pass
     config = parse_config_text("experiment = example1\nT = 1\nM = 8 16 32\nN = 10\n")
     assert run_experiment(config, "convergence", str(tmp_path)) == 3
     report = (tmp_path / "report.txt").read_text().splitlines()
     assert report[1].startswith("FAIL  solver: step 1: solve residual")
-    assert report[1].endswith("(case M = 16)")
+    assert report[1].endswith("(case M = 16, N = 10)")
 
 
 @pytest.mark.parametrize("unknowns", sorted(CORRUPTED))
@@ -119,7 +119,7 @@ def test_non_finite_system_names_its_case():
     params = SchemeParams(mu=1.0, source=lambda x, t: np.where(np.arange(x.size) >= 8,
                                                                np.inf, 0.0))
     batch = Batch([Grid1D(L=2.0, M=m, T=1.0, N=4) for m in (8, 16)])
-    with pytest.raises(DivergenceError, match=r"^step 1: step system: .*\(case M = 16\)$"):
+    with pytest.raises(SolverFailure, match=r"^step 1: step system: .*\(case M = 16, N = 4\)$"):
         for _ in march(lambda x: np.sin(np.pi * x), batch, params):
             pass
 

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 import bbmb.analysis
 import bbmb.scheme
-from bbmb.analysis import fit_order, gradient_energy, initial_energy, max_norm_error
-from bbmb.cli import run_experiment
+from bbmb.analysis import (convergence_table, fit_order, gradient_energy, initial_energy,
+                           max_norm_error, max_norm_errors)
+from bbmb.cli import SPATIAL_ORDER_WINDOW, TEMPORAL_ORDER_WINDOW, run_experiment
 from bbmb.config import parse_config_text, preset_callbacks
 from bbmb.grid import Batch, Grid1D, central_diff, norms, second_diff, skew_advection
 from bbmb.linalg import CyclicReductionSolver, block_system_matrix
-from bbmb.scheme import (DivergenceError, SchemeParams, StepWorkspace,
+from bbmb.scheme import (SchemeParams, SolverFailure, StepWorkspace,
                          advance, assemble_first_step, assemble_interior_step,
                          init_state, march, newton_reaction_terms,
                          run, solve_cyclic_block_tridiagonal, truncation_residual)
@@ -409,7 +410,7 @@ def test_even_symmetry_without_advection():
 def test_divergence_reports_step_index():
     grid = Grid1D(L=2.0, M=8, T=1.0, N=10)
     params = SchemeParams(mu=1.0, source=lambda x, t: np.full_like(x, np.inf))
-    with pytest.raises((DivergenceError, ValueError)):
+    with pytest.raises((SolverFailure, ValueError)):
         run(lambda x: np.zeros_like(x), grid, params)
 
 
@@ -484,6 +485,49 @@ def test_reaction_exact_solution_orders():
     assert 3.7 <= spatial <= 4.5, f"spatial order {spatial:.3f}"
     temporal = fit_order([(1.0 / n, _reaction_error(64, n)) for n in (20, 40, 80)])
     assert 1.9 <= temporal <= 2.1, f"temporal order {temporal:.3f}"
+
+
+# The BBM solitary wave (Benjamin, Bona & Mahony 1972): with nu = 0 and no
+# source, u = A*sech^2(K*(x - c*t)) is exact, with c = kappa + gamma*A/3
+# and K = sqrt(gamma*A/(3*mu*c))/2, from the travelling-wave equation
+# (kappa - c)*f + mu*c*f'' + gamma*f^2/2 = 0.  No code of the package
+# derives it, so it checks gamma and kappa against a solution the scheme
+# and the presets' sources could not both get wrong.  On L = 200 the
+# periodic wrap changes u by about 1e-16.
+WAVE_A, WAVE_T = 0.5, 4.0
+
+
+def _wave_errors(ms, n):
+    """max_norm_error of the solitary wave at mu = gamma = kappa = 1 for
+    each M of ms, marched in lockstep with N = n."""
+    mu = gamma = kappa = 1.0
+    c = kappa + gamma * WAVE_A / 3.0
+    k = 0.5 * np.sqrt(gamma * WAVE_A / (3.0 * mu * c))
+
+    def exact(x, t):
+        return WAVE_A / np.cosh(k * (x - c * t)) ** 2
+
+    batch = Batch([Grid1D(L=200.0, M=m, T=WAVE_T, N=n, x_left=-100.0) for m in ms])
+    params = SchemeParams(mu=mu, gamma=gamma, kappa=kappa, nu=0.0)
+    stream = ((state.k * batch.tau, state.u_curr)
+              for state in march(lambda x: exact(x, 0.0), batch, params))
+    return max_norm_errors(stream, exact, batch)
+
+
+@pytest.mark.parametrize("direction", ["spatial", "temporal"])
+def test_solitary_wave_orders(direction):
+    # N = 1600 keeps the time error below 10 % of the finest space error,
+    # and M = 1600 the space error below 1 % of the finest time error
+    if direction == "spatial":
+        ms = (100, 200, 400, 800)
+        errors = list(zip((200.0 / m for m in ms), _wave_errors(ms, 1600)))
+        lo, hi = SPATIAL_ORDER_WINDOW
+    else:
+        ns = (8, 16, 32, 64, 128)
+        errors = [(WAVE_T / n, _wave_errors((1600,), n)[0]) for n in ns]
+        lo, hi = TEMPORAL_ORDER_WINDOW
+    orders = [row.order for row in convergence_table(errors)[1:]] + [fit_order(errors)]
+    assert all(lo <= order <= hi for order in orders), f"{direction} orders {orders}"
 
 
 def test_reaction_truncation_defects_decay():
