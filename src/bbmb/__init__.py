@@ -1,11 +1,11 @@
 """Conservative fourth-order compact solver for the BBM-Burgers equation
 on a periodic interval, with a verification CLI."""
 
-from .analysis import (ConvergenceRow, boundedness_bound, convergence_table,
-                       fit_order, gradient_energy, initial_energy, max_norm_bound,
-                       max_norm_error, max_norm_errors, posterior_spatial_error,
-                       posterior_spatial_errors, posterior_temporal_error,
-                       posterior_temporal_errors, stability_gap)
+from .analysis import (ConvergenceRow, a_priori_bounds, boundedness_bound,
+                       convergence_table, energy_drift, fit_order, gradient_energy,
+                       initial_energy, max_norm_error, max_norm_errors,
+                       posterior_spatial_error, posterior_spatial_errors,
+                       posterior_temporal_error, posterior_temporal_errors, stability_gap)
 from .grid import (Batch, FieldNorms, Grid1D, as_field, backward_diff, central_diff,
                    inner_product, norms, second_diff, skew_advection)
 from .linalg import (CyclicBlockTriSystem, ScalarCyclicTriSystem,

@@ -9,7 +9,9 @@ E(0) = e(u^0, v^0).  With nu >= 0 the dissipation is nonnegative,
 so a conservative run has ||u^k||^2 + mu*|u^k|_1^2 <= 2*E(0) at every
 level: ||u^k|| <= sqrt(2*E(0)), and, as ||u||_inf <= ||u||/sqrt(L) +
 sqrt(L)*|u|_1 on a period L, ||u^k||_inf <= sqrt(2*E(0))*(1/sqrt(L) +
-sqrt(L/mu)).
+sqrt(L/mu)).  scheme.run folds every energy on the fields divided by
+_data_scale(u^0, v^0), so no square of tiny data underflows, and the
+drift (energy_drift) and both bounds (a_priori_bounds) come from it.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ __all__ = [
     "ConvergenceRow",
     "gradient_energy",
     "initial_energy",
+    "a_priori_bounds",
     "boundedness_bound",
-    "max_norm_bound",
+    "energy_drift",
     "max_norm_error",
     "max_norm_errors",
     "posterior_spatial_error",
@@ -64,18 +67,27 @@ def _data_scale(u0, v0) -> float:
     return float(np.ldexp(1.0, np.frexp(max(np.abs(u0).max(), np.abs(v0).max()))[1]))
 
 
+def a_priori_bounds(scaled_e0: float, scale: float, grid: Grid1D, params) -> tuple:
+    """The bounds sqrt(2*E(0)) on ||u^k|| and sqrt(2*E(0))*(1/sqrt(L) +
+    sqrt(L/mu)) on ||u^k||_inf of conservative runs with nu >= 0, from
+    E(0) on the data's scale, scaled_e0 = E(0)/scale^2."""
+    l2 = float(scale * np.sqrt(2.0 * scaled_e0))
+    return l2, l2 * float(1.0 / np.sqrt(grid.L) + np.sqrt(grid.L / params.mu))
+
+
 def boundedness_bound(u0, v0, grid: Grid1D, params) -> float:
-    """A-priori bound sqrt(2*E(0)) on ||u^k|| for conservative runs with
-    nu >= 0.  E(0) is evaluated on the data divided by _data_scale."""
-    scale = _data_scale(u0, v0)
-    return float(scale * np.sqrt(2.0 * initial_energy(u0 / scale, v0 / scale, grid, params)))
+    """The bound sqrt(2*E(0)) on ||u^k|| of a_priori_bounds, with E(0)
+    evaluated on the data divided by _data_scale."""
+    s = _data_scale(u0, v0)
+    return a_priori_bounds(initial_energy(u0 / s, v0 / s, grid, params), s, grid, params)[0]
 
 
-def max_norm_bound(u0, v0, grid: Grid1D, params) -> float:
-    """A-priori bound sqrt(2*E(0))*(1/sqrt(L) + sqrt(L/mu)) on ||u^k||_inf
-    for conservative runs with nu >= 0."""
-    factor = 1.0 / np.sqrt(grid.L) + np.sqrt(grid.L / params.mu)
-    return boundedness_bound(u0, v0, grid, params) * float(factor)
+def energy_drift(series) -> "tuple[float, str]":
+    """Largest departure of an energy series from its first value E(0), as
+    (drift, kind): relative to |E(0)|, or absolute when E(0) = 0."""
+    e0 = series[0]
+    drift = max(abs(e - e0) for e in series)
+    return (drift, "absolute") if e0 == 0 else (drift / abs(e0), "relative")
 
 
 def max_norm_error(levels, exact, grid: Grid1D) -> float:

@@ -49,9 +49,8 @@ import sys
 
 import numpy as np
 
-from .analysis import (boundedness_bound, convergence_table, fit_order,
-                       max_norm_bound, max_norm_errors, posterior_spatial_errors,
-                       posterior_temporal_errors)
+from .analysis import (a_priori_bounds, convergence_table, fit_order, max_norm_errors,
+                       posterior_spatial_errors, posterior_temporal_errors)
 from .config import ConfigError, ExperimentConfig, parse_config
 from .grid import Batch, Grid1D
 from .linalg import SingularSystemError
@@ -229,23 +228,11 @@ def _conservative(config: ExperimentConfig) -> bool:
     return config.source is None and config.reaction is None and config.nu >= 0
 
 
-def _energy_drift(energy):
-    """Largest departure of the energy series from E(0), as (drift, kind):
-    relative to |E(0)|, or absolute when E(0) = 0 (the zero solution)."""
-    e0 = energy[0][1]
-    drift = max(abs(e - e0) for _, e in energy)
-    if e0 == 0:
-        return drift, "absolute"
-    return drift / abs(e0), "relative"
-
-
 def _boundedness_check(config: ExperimentConfig, grid: Grid1D, result):
     """Check the largest L2 and max norms over the levels of a
-    conservative run against the a-priori bounds sqrt(2*E(0)) and
-    sqrt(2*E(0))*(1/sqrt(L) + sqrt(L/mu)) from its initial data."""
-    u0, v0, params = result.initial.u_curr, result.initial.v_curr, config.params()
-    l2_bound = boundedness_bound(u0, v0, grid, params)
-    max_bound = max_norm_bound(u0, v0, grid, params)
+    conservative run against the a-priori bounds from its E(0)."""
+    l2_bound, max_bound = a_priori_bounds(result.scaled_e0, result.scale, grid,
+                                          config.params())
     ok = result.max_l2 <= l2_bound and result.max_abs <= max_bound
     return (ok, "boundedness",
             f"max ||u|| = {result.max_l2:.6g} vs bound {l2_bound:.6g}, "
@@ -268,7 +255,7 @@ def _cmd_run(config: ExperimentConfig, out_dir) -> list:
     if config.energy:
         _write_csv(os.path.join(out_dir, "energy.csv"), ["t", "E"], result.energy)
         if _conservative(config):
-            drift, kind = _energy_drift(result.energy)
+            drift, kind = result.drift
             checks.append((drift <= ENERGY_DRIFT_RTOL, "energy drift",
                            f"{kind} drift {drift:.3e} (budget {ENERGY_DRIFT_RTOL:.0e})"))
     if _conservative(config):
@@ -334,7 +321,7 @@ def _cmd_invariants(config: ExperimentConfig, out_dir) -> list:
     _write_csv(os.path.join(out_dir, "energy.csv"), ["t", "E"], result.energy)
 
     checks = []
-    drift, kind = _energy_drift(result.energy)
+    drift, kind = result.drift
     ok = drift <= ENERGY_DRIFT_RTOL if _conservative(config) else True
     checks.append((ok, "energy drift",
                    f"{kind} drift {drift:.3e} over t in [0, {config.T}]"

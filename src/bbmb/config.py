@@ -22,6 +22,7 @@ The bundled experiments:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -40,6 +41,8 @@ __all__ = [
 ]
 
 EXPERIMENTS = ("example1", "example2", "example3", "custom")
+# M counts nodes and N time steps, each the length of an array
+_MAX_COUNT = sys.maxsize
 
 _KNOWN_KEYS = {
     "experiment", "T", "M", "N", "x_left", "x_right",
@@ -166,7 +169,7 @@ def _named_profile(profile_text: str, m_values, violations):
     if kind == "sine" and not b.is_integer():
         violations.append(f"phi: sine mode must be a whole number, got {b_text!r}")
         return None
-    if kind == "sine" and m_values and abs(b) >= min(m_values) / 2:
+    if kind == "sine" and m_values and 2 * abs(b) >= min(m_values):
         violations.append(f"phi: sine mode {b_text} needs |MODE| < min(M)/2 = "
                           f"{min(m_values) / 2:g} to be resolved")
         return None
@@ -329,8 +332,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if values is None:
             continue
         bad = [v for v in values if v < (4 if key == "M" else 2)]
+        huge = [v for v in values if v > _MAX_COUNT]
         if bad:
             violations.append(f"{key}: entries too small: {bad}")
+        elif huge:
+            violations.append(f"{key}: entries too large for an array length "
+                              f"(at most {_MAX_COUNT}): {huge}")
         else:
             _check_halving_chain(key, values, violations)
     if base.get("T") is not None:

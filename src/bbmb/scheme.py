@@ -23,9 +23,8 @@ same pass checks the batch again.  The compact relation is the second
 block row of the system, so that one gate also holds it.  Every way a
 step can fail raises one SolverFailure that names the step and the
 case's M and N.  A single grid is a batch of one and does the same
-arithmetic as on its own.  A step keeps no energy books: run, the one
-caller that reports the invariant, sums the dissipation from the levels
-it is handed.
+arithmetic as on its own.  A step keeps no energy books: run computes
+every energy from the levels it is handed, on the data's scale.
 
 Memory: march builds one StepWorkspace per batch.  It binds what does
 not change between steps once: the h-dependent factors of assembly, the
@@ -50,7 +49,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .analysis import _data_scale, gradient_energy, initial_energy
+from .analysis import _data_scale, energy_drift, gradient_energy
 from .grid import Batch, Grid1D, as_field, second_diff
 from .linalg import (CyclicBlockTriSystem, CyclicReductionSolver, ScalarCyclicTriSystem,
                      SingularSystemError, block_matvec, solve_cyclic_block_tridiagonal,
@@ -194,14 +193,16 @@ def _failure(step: int, reason: str, batch: Batch, j) -> SolverFailure:
 class RunResult:
     """Outcome of a full march: requested snapshots as (t, field) pairs,
     the per-level energy series, the largest L2 norm and largest |u|
-    over all levels, and the k = 0 state, whose (u_curr, v_curr) are
-    the initial data that the analysis bounds take."""
+    over all levels, the data's power-of-two scale, E(0)/scale^2 and the
+    series' (drift, kind) (analysis.energy_drift; None when untracked)."""
 
     snapshots: list
     energy: list
     max_l2: float
     max_abs: float
-    initial: StepperState
+    scale: float
+    scaled_e0: float
+    drift: Optional[tuple]
 
 
 def compact_curvature(u, h: float) -> np.ndarray:
@@ -459,50 +460,50 @@ def run(phi, grid: Grid1D, params: SchemeParams, snapshot_times=None,
     RunResult.
 
     snapshot_times must each lie within tau/2 of a grid time; snapshots
-    are recorded at the nearest grid time without interpolation.  The
-    energy series carries one invariant value per level: E(0) from
-    initial_energy at t = 0, then (e_k + e_{k-1})/2 plus the dissipation
-    summed over the steps so far.  Each level's energy
-    e = ||u||^2 + mu*G is computed once and reused for the next pair,
-    and each step's dissipation is its weight (nu*tau for the starting
-    step, 2*nu*tau after) times G at the average of the new level and
-    the one it mirrors, which run keeps from the step before.  With
-    track_energy off no energy is computed.  ||u||^2 is summed on u
-    divided by the initial data's power-of-two scale (as
-    boundedness_bound does), so max_l2 does not underflow on tiny data.
-    Callers that need every level iterate march() instead.
+    are recorded at the nearest grid time without interpolation.  Norms
+    and energies are taken on the fields divided by the initial data's
+    power-of-two scale s (analysis._data_scale), which changes no bit in
+    normal range and keeps tiny data's squares from underflowing.  Each
+    level's energy e = ||u/s||^2 + mu*G(u/s, v/s) is computed once; level
+    0's is E(0)/s^2, and level k's invariant is (e_k + e_{k-1})/2 plus
+    the dissipation of steps 1..k, each step's weight (nu*tau for the
+    starting step, 2*nu*tau after) times G at the average of its new
+    level and the one it mirrors.  The drift is taken on this series,
+    and RunResult.energy is it times s^2.  With track_energy off only
+    E(0) is computed.  Callers that need every level iterate march().
     """
     wanted = (set() if snapshot_times is None
               else {grid.time_index(t) for t in snapshot_times})
-    snapshots, energy, max_l2_sq, max_abs = [], [], 0.0, 0.0
-    dissipation = 0.0
+    snapshots, series, max_l2_sq, max_abs, dissipation = [], [], 0.0, 0.0, 0.0
     for st in march(phi, grid, params):
-        u, v = st.u_curr, st.v_curr
-        t = st.k * grid.tau
         if st.k == 0:
-            initial = st
-            scale = _data_scale(u, v)
+            scale = _data_scale(st.u_curr, st.v_curr)
         if st.k in wanted:
-            snapshots.append((t, u))
-        w = u / scale
-        l2_sq = grid.h * float((w * w).sum())  # ||u / scale||^2
-        if track_energy:
-            e = l2_sq * scale * scale + params.mu * gradient_energy(u, v, grid.h)
-            if st.k == 0:
-                energy.append((t, initial_energy(u, v, grid, params)))
-            else:
-                # diffusion at the average of the new level and the one it mirrors
-                weight = (1.0 if st.k == 1 else 2.0) * params.nu * grid.tau
-                dissipation += weight * gradient_energy(0.5 * (u_old + u), 0.5 * (v_old + v),
-                                                        grid.h)
-                energy.append((t, 0.5 * (e + e_prev) + dissipation))
-            e_prev = e
-            # the level the next step mirrors: k - 1, or 0 for the starting step
-            u_old, v_old = (u, v) if st.k == 0 else (st.u_prev, st.v_prev)
+            snapshots.append((st.k * grid.tau, st.u_curr))
+        u = st.u_curr / scale
+        l2_sq = grid.h * float((u * u).sum())
         max_l2_sq = max(max_l2_sq, l2_sq)
-        max_abs = max(max_abs, float(np.abs(u).max()))
-    return RunResult(snapshots=snapshots, energy=energy,
-                     max_l2=scale * float(np.sqrt(max_l2_sq)), max_abs=max_abs, initial=initial)
+        max_abs = max(max_abs, float(np.abs(st.u_curr).max()))
+        if st.k > 0 and not track_energy:
+            continue
+        v = st.v_curr / scale
+        e = l2_sq + params.mu * gradient_energy(u, v, grid.h)
+        if st.k == 0:
+            series.append(e)
+        else:
+            # diffusion at the average of the new level and the one it mirrors
+            u_old, v_old = mirrored
+            weight = (1.0 if st.k == 1 else 2.0) * params.nu * grid.tau
+            dissipation += weight * gradient_energy(0.5 * (u_old + u), 0.5 * (v_old + v),
+                                                    grid.h)
+            series.append(0.5 * (e + e_prev) + dissipation)
+        # the level the next step mirrors: k - 1, or 0 for the starting step
+        mirrored = (u, v) if st.k == 0 else level
+        level, e_prev = (u, v), e
+    energy = [(k * grid.tau, e * scale * scale) for k, e in enumerate(series)]
+    return RunResult(snapshots=snapshots, energy=energy if track_energy else [],
+                     max_l2=scale * float(np.sqrt(max_l2_sq)), max_abs=max_abs, scale=scale,
+                     scaled_e0=series[0], drift=energy_drift(series) if track_energy else None)
 
 
 @dataclass(frozen=True)

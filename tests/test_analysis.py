@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbmb.analysis import (boundedness_bound, convergence_table, fit_order,
-                           gradient_energy, initial_energy, max_norm_bound,
-                           max_norm_error, posterior_spatial_error,
-                           posterior_temporal_error, posterior_temporal_errors,
-                           stability_gap)
+from bbmb.analysis import (a_priori_bounds, boundedness_bound, convergence_table,
+                           fit_order, gradient_energy, initial_energy, max_norm_error,
+                           posterior_spatial_error, posterior_temporal_error,
+                           posterior_temporal_errors, stability_gap)
 from bbmb.config import parse_config_text
 from bbmb.grid import Grid1D, norms
 from bbmb.scheme import SchemeParams, init_state, run
@@ -56,7 +55,8 @@ def test_bounds_do_not_underflow():
     assert initial_energy(u0, v0, grid, params) == 0.0
     # ||u0|| >= sqrt(h) * max |u0|, though norms() underflows to 0 here
     assert boundedness_bound(u0, v0, grid, params) >= np.sqrt(grid.h) * np.abs(u0).max()
-    assert max_norm_bound(u0, v0, grid, params) >= np.abs(u0).max()
+    result = run(lambda x: 1.68e-280 / np.cosh(x) ** 2, grid, params)
+    assert a_priori_bounds(result.scaled_e0, result.scale, grid, params)[1] >= np.abs(u0).max()
 
 
 _POSITIVE = st.floats(0.05, 20.0)
@@ -100,16 +100,13 @@ def test_bounds_hold_on_conservative_runs_property(text):
     params = config.params()
     with np.errstate(over="ignore"):  # cosh of a narrow sech2 far out
         result = run(config.phi, grid, params)
-    u0, v0 = result.initial.u_curr, result.initial.v_curr
-    e0 = initial_energy(u0, v0, grid, params)
-    bound = boundedness_bound(u0, v0, grid, params)
-    assert result.max_l2 <= bound
-    assert result.max_abs <= max_norm_bound(u0, v0, grid, params)
-    # both quantities are the one level energy e(u0, v0); below the
-    # smallest normal float its sums lose relative precision
-    tiny = np.finfo(float).tiny
-    assert bound ** 2 / 2 == pytest.approx(e0, rel=1e-14, abs=tiny)
-    assert result.energy[0][1] == e0
+        state = init_state(config.phi, grid, params)
+    l2_bound, max_bound = a_priori_bounds(result.scaled_e0, result.scale, grid, params)
+    assert result.max_l2 <= l2_bound
+    assert result.max_abs <= max_bound
+    # the run's E(0) is the one boundedness_bound takes from the same data
+    assert boundedness_bound(state.u_curr, state.v_curr, grid, params) == l2_bound
+    assert result.energy[0][1] == result.scaled_e0 * result.scale ** 2
 
 
 def test_max_norm_error_exact_match():

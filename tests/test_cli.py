@@ -1,5 +1,6 @@
 """CLI subcommands: outputs, determinism, exit codes."""
 
+import functools
 import os
 import pathlib
 import tempfile
@@ -111,6 +112,37 @@ def test_zero_initial_energy_uses_absolute_drift(tmp_path):
         assert "PASS  energy drift: absolute drift 0.000e+00" in report
 
 
+def _drift_line(mode, j):
+    """The energy drift line of a linear run (gamma = 0) from
+    sech2 0.5*2^-j 4, marched with M = 64 and N = 20."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write(pathlib.Path(tmp), "tiny.cfg",
+                    "experiment = custom\nx_left = -25\nx_right = 25\nmu = 1\ngamma = 0\n"
+                    f"kappa = 1\nnu = 1\nphi = sech2 {0.5 * 2.0 ** -j!r} 4\nT = 1\n"
+                    "M = 64\nN = 20\n")
+        out = pathlib.Path(tmp, "out")
+        assert main([mode, "--config", cfg, "--out", str(out)]) == 0
+        return next(line for line in (out / "report.txt").read_text().splitlines()
+                    if "energy drift" in line)
+
+
+@functools.cache
+def _unscaled_drift_line(mode):
+    return _drift_line(mode, 0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(mode=st.sampled_from(["invariants", "run"]), j=st.integers(0, 1000))
+@example(mode="invariants", j=1000)
+@example(mode="run", j=540)
+def test_drift_of_a_linear_run_does_not_depend_on_its_amplitude(mode, j):
+    # a linear run scales every level by 2^-j, down to the smallest normal
+    # float, so the drift of its energy series is the same for every j
+    line = _drift_line(mode, j)
+    assert line == _unscaled_drift_line(mode)
+    assert "relative drift" in line
+
+
 def test_invariants_and_determinism(tmp_path):
     cfg = write(tmp_path, "inv.cfg",
                 "experiment = example2\nT = 0.5\nM = 64\nN = 128\n")
@@ -159,13 +191,22 @@ def test_bad_custom_coefficient_or_profile_exits_2(tmp_path, capsys):
         assert needle in capsys.readouterr().err
 
 
+_HUGE = "1" + "0" * 400
+
+
 @pytest.mark.parametrize("text, needle", [
     # T/N rounds to 0
     ("experiment = example2\nT = 5e-324\nM = 16\nN = 2\n", "N: time step tau = T/N = 0 "),
     # h = 6.25e298, whose fourth power the energy takes
     ("experiment = custom\nx_left = 0\nx_right = 1e300\nmu = 1\nphi = sine 1 1\n"
      "T = 1\nM = 16\nN = 4\n", "M: grid step h = (x_right - x_left)/M = 6.25e+298 "),
-], ids=["subnormal-tau", "huge-h"])
+    # M and N past the float range, which no array length reaches
+    (f"experiment = example2\nT = 1\nM = {_HUGE}\nN = 4\n", "M: entries too large"),
+    (f"experiment = example2\nT = 1\nM = 16\nN = {_HUGE}\n", "N: entries too large"),
+    # the sine profile's mode check compares against min(M)
+    ("experiment = custom\nx_left = 0\nx_right = 1\nmu = 1\nphi = sine 1 1\n"
+     f"T = 1\nM = {_HUGE}\nN = 4\n", "M: entries too large"),
+], ids=["subnormal-tau", "huge-h", "huge-M", "huge-N", "huge-M-sine"])
 def test_grid_steps_out_of_float_range_are_config_errors(tmp_path, capsys, text, needle):
     cfg = write(tmp_path, "steps.cfg", text)
     out = tmp_path / "out"
@@ -312,6 +353,8 @@ def _outputs(cfg, mode, out):
 @example(case=("run", "experiment = example2\nT = 5e-324\nM = 16\nN = 2\n"))
 @example(case=("run", "experiment = custom\nx_left = 0\nx_right = 1e300\nmu = 1\n"
                       "phi = sine 1 1\nT = 1\nM = 16\nN = 4\n"))
+@example(case=("run", f"experiment = example2\nT = 1\nM = {_HUGE}\nN = 4\n"))
+@example(case=("run", f"experiment = example2\nT = 1\nM = 16\nN = {_HUGE}\n"))
 def test_any_config_ends_in_a_documented_exit_code(case):
     # every config ends in exit 0, 2, 3 or 4 with no traceback, and a
     # command that fans out writes the same on one core as on all

@@ -290,9 +290,11 @@ def test_march_yields_every_level_and_run_folds_it():
         assert curr.u_prev is prev.u_curr  # the previous level, not a copy
 
     result = run(example2_phi, grid, params, snapshot_times=[0.5, 1.0])
-    assert result.initial.k == 0
-    assert np.array_equal(result.initial.u_curr, states[0].u_curr)
-    assert np.array_equal(result.initial.v_curr, states[0].v_curr)
+    u0, v0 = states[0].u_curr, states[0].v_curr
+    assert result.scale == bbmb.analysis._data_scale(u0, v0)
+    assert result.scaled_e0 == initial_energy(u0 / result.scale, v0 / result.scale,
+                                              grid, params)
+    assert result.energy[0][1] == result.scaled_e0 * result.scale ** 2
     assert result.max_l2 == max(norms(s.u_curr, grid.h).l2 for s in states)
     assert [t for t, _ in result.snapshots] == [6 * grid.tau, 12 * grid.tau]
     assert np.array_equal(result.snapshots[1][1], states[-1].u_curr)
@@ -497,6 +499,15 @@ def test_reaction_exact_solution_orders():
 WAVE_A, WAVE_T = 0.5, 4.0
 
 
+def _exact_errors(exact, params, grids):
+    """max_norm_error of each grid's run from exact's data at t = 0,
+    marched in lockstep."""
+    batch = Batch(grids)
+    stream = ((state.k * batch.tau, state.u_curr)
+              for state in march(lambda x: exact(x, 0.0), batch, params))
+    return max_norm_errors(stream, exact, batch)
+
+
 def _wave_errors(ms, n):
     """max_norm_error of the solitary wave at mu = gamma = kappa = 1 for
     each M of ms, marched in lockstep with N = n."""
@@ -507,11 +518,8 @@ def _wave_errors(ms, n):
     def exact(x, t):
         return WAVE_A / np.cosh(k * (x - c * t)) ** 2
 
-    batch = Batch([Grid1D(L=200.0, M=m, T=WAVE_T, N=n, x_left=-100.0) for m in ms])
-    params = SchemeParams(mu=mu, gamma=gamma, kappa=kappa, nu=0.0)
-    stream = ((state.k * batch.tau, state.u_curr)
-              for state in march(lambda x: exact(x, 0.0), batch, params))
-    return max_norm_errors(stream, exact, batch)
+    return _exact_errors(exact, SchemeParams(mu=mu, gamma=gamma, kappa=kappa, nu=0.0),
+                         [Grid1D(L=200.0, M=m, T=WAVE_T, N=n, x_left=-100.0) for m in ms])
 
 
 @pytest.mark.parametrize("direction", ["spatial", "temporal"])
@@ -528,6 +536,53 @@ def test_solitary_wave_orders(direction):
         lo, hi = TEMPORAL_ORDER_WINDOW
     orders = [row.order for row in convergence_table(errors)[1:]] + [fit_order(errors)]
     assert all(lo <= order <= hi for order in orders), f"{direction} orders {orders}"
+
+
+# A linear Fourier mode: with gamma = 0 and no source,
+# u = exp(-nu*k^2*t/q)*sin(k*(x - kappa*t/q)), q = 1 + mu*k^2, is exact,
+# since (1 + mu*k^2)*u_t + kappa*u_x + nu*k^2*u = 0 for a mode of
+# wavenumber k.  It checks nu and kappa one at a time, then with mu, against
+# a solution that no code of the package derives.
+MODE_COEFFICIENTS = {"nu": (1.0, 0.0, 1.0), "kappa": (1.0, 1.0, 0.0),
+                     "all": (0.5, 2.0, 0.3), "steady": (1.0, 0.0, 0.0)}
+
+
+def _mode_errors(case, ms, n):
+    """max_norm_error of the k = 1 mode on L = 2*pi up to T = 1, with
+    (mu, kappa, nu) of MODE_COEFFICIENTS[case], for each M of ms, marched
+    in lockstep with N = n."""
+    mu, kappa, nu = MODE_COEFFICIENTS[case]
+    q = 1.0 + mu
+
+    def exact(x, t):
+        return np.exp(-nu * t / q) * np.sin(x - kappa * t / q)
+
+    return _exact_errors(exact, SchemeParams(mu=mu, kappa=kappa, nu=nu),
+                         [Grid1D(L=2.0 * np.pi, M=m, T=1.0, N=n) for m in ms])
+
+
+@pytest.mark.parametrize("direction", ["spatial", "temporal"])
+@pytest.mark.parametrize("case", ["nu", "kappa", "all"])
+def test_linear_mode_orders(case, direction):
+    # N = 2000 keeps the time error far below the finest space error, and
+    # M = 256 the space error below the finest time error
+    if direction == "spatial":
+        ms = (8, 16, 32, 64)
+        errors = list(zip((2.0 * np.pi / m for m in ms), _mode_errors(case, ms, 2000)))
+        lo, hi = SPATIAL_ORDER_WINDOW
+    else:
+        ns = (8, 16, 32, 64)
+        errors = [(1.0 / n, _mode_errors(case, (256,), n)[0]) for n in ns]
+        lo, hi = TEMPORAL_ORDER_WINDOW
+    orders = [row.order for row in convergence_table(errors)[1:]] + [fit_order(errors)]
+    assert all(lo <= order <= hi for order in orders), f"{case} {direction} orders {orders}"
+
+
+def test_steady_linear_mode_stays_at_roundoff():
+    # kappa = nu = 0: the mode does not move, and neither do the levels,
+    # so there is no order to fit
+    errors = _mode_errors("steady", (8, 16, 32, 64), 64)
+    assert max(errors) <= 1e-13, errors
 
 
 def test_reaction_truncation_defects_decay():
@@ -588,9 +643,9 @@ def _energy_from_levels(phi, grid, params):
     plus the dissipation of steps 1..k, each step's at the average of
     its new level and the level it mirrors (level 0 for the first step,
     k-2 after), weighted nu*tau for the first step and 2*nu*tau after.
-    initial_energy gives each level's energy e(u, v), summing ||u||^2 on
-    u itself; run divides u by a power of two first, which changes no
-    bit for data of normal range."""
+    initial_energy gives each level's energy e(u, v) on the fields
+    themselves; run divides u and v by a power of two first, which
+    changes no bit for data of normal range."""
     levels = [(st.u_curr, st.v_curr) for st in march(phi, grid, params)]
     energy = [(0.0, initial_energy(*levels[0], grid, params))]
     dissipation = 0.0
