@@ -25,12 +25,19 @@ reaches 6/h^2: a solve can then miss its budget, which the stepper
 repairs with one refinement step, or meet a singular pivot.
 
 A CyclicReductionSolver is built for one M and owns the buffers of
-every reduction level, with the views of them that each level reads and
-writes; the stepper keeps one per case, so a step's solve allocates
-nothing but the (2, M) solution it returns, or writes it into a given
-array.  The views of the input system are taken when its array first
-arrives and kept while the same array comes back, as the stepper's
-per-case view of its step buffer does at every step.
+every reduction level that outlive one level's work: the odd blocks'
+factors, the reduced system and the level's solution, with the views of
+them that each level reads and writes.  The rest, which a level only
+reduces or back-substitutes in, are views of one flat scratch array.
+The solver allocates that scratch unless its owner hands it one, as the
+stepper's workspace does, so that every case's solver, the assembly
+and the residual gate share one array; a solve writes the scratch
+before it reads it, and nothing it leaves there is read by a later
+solve.  The stepper keeps one solver per case, so a step's solve
+allocates nothing but the (2, M) solution it returns, or writes it into
+a given array.  The views of the input system are taken when its
+array first arrives and kept while the same array comes back, as the
+stepper's per-case view of its step buffer does at every step.
 solve_cyclic_block_tridiagonal without a solver builds one for the call.
 
 Cases marched in lockstep share one (2, 7, sum of M) array, their
@@ -39,7 +46,10 @@ node axis, and block_matvec applies all of them at once through a
 stencil index that wraps inside each case.
 
 The scalar solver runs once per case and keeps its elimination loops
-on plain Python floats.
+on plain Python floats.  It sweeps the rows forward, then backward, in
+chunks of SWEEP_CHUNK rows, so only one chunk's coefficients and
+columns are Python floats at a time; its three columns and its pivots
+are rows of one (4, M) array.
 """
 
 from __future__ import annotations
@@ -68,6 +78,10 @@ DENSE_ORACLE_MAX_N = 4096
 # Cyclic reduction stops once this many blocks remain; the rest is one
 # dense LU solve of a 2n x 2n matrix.
 REDUCTION_BASE = 32
+
+# The scalar solver sweeps its rows in chunks of this many, so only one
+# chunk's coefficients and columns are Python floats at a time.
+SWEEP_CHUNK = 512
 
 # Pivot floor: a 2x2 determinant (or scalar pivot) is declared singular
 # below 1e-14 of the natural scale of the system's coefficients.
@@ -190,67 +204,75 @@ def solve_scalar_cyclic(system: ScalarCyclicTriSystem) -> np.ndarray:
 
     Thomas elimination on the acyclic core; the two corner entries are
     peeled off as a rank-2 update and restored with a Sherman-Morrison-
-    Woodbury correction (2x2 capacitance matrix).
+    Woodbury correction (2x2 capacitance matrix).  Both sweeps run over
+    chunks of SWEEP_CHUNK rows.
     """
     m = system.m
-    sub = system.sub.tolist()
-    diag = system.diag.tolist()
-    sup = system.sup.tolist()
-
     scale = max(float(np.max(np.abs(system.sub))),
                 float(np.max(np.abs(system.diag))),
                 float(np.max(np.abs(system.sup))))
     floor = PIVOT_RTOL * scale
-    ca = sub[0]        # corner entry at (0, M-1)
-    cb = sup[m - 1]    # corner entry at (M-1, 0)
 
-    # Columns: actual rhs, then the two Woodbury columns ca*e_0, cb*e_{M-1}.
-    b0 = system.rhs.tolist()
-    b1 = [0.0] * m
-    b2 = [0.0] * m
-    b1[0] = ca
-    b2[m - 1] = cb
+    # Rows: the actual rhs, the two Woodbury columns ca*e_0 and
+    # cb*e_{M-1} (ca = sub[0] is the corner entry at (0, M-1), cb =
+    # sup[M-1] the one at (M-1, 0)), then the pivots' reciprocals.
+    cols = np.zeros((4, m))
+    cols[0] = system.rhs
+    cols[1, 0] = system.sub[0]
+    cols[2, m - 1] = system.sup[m - 1]
 
-    piv = [0.0] * m
-    p = diag[0]
+    p = float(system.diag[0])
     if abs(p) <= floor:
         raise SingularSystemError(f"zero pivot in row 0 (|{p}| <= {floor})")
-    piv[0] = 1.0 / p
-    for i in range(1, m):
-        w = sub[i] * piv[i - 1]
-        p = diag[i] - w * sup[i - 1]
-        if abs(p) <= floor:
-            raise SingularSystemError(f"zero pivot in row {i} (|{p}| <= {floor})")
-        piv[i] = 1.0 / p
-        b0[i] -= w * b0[i - 1]
-        b1[i] -= w * b1[i - 1]
-        b2[i] -= w * b2[i - 1]
+    cols[3, 0] = 1.0 / p
+    # Each chunk's lists start one row before it, at the row it carries on
+    # from, so index i below is row lo + i.
+    for lo in range(0, m - 1, SWEEP_CHUNK):
+        hi = min(lo + SWEEP_CHUNK, m - 1)
+        sub = system.sub[lo:hi + 1].tolist()
+        diag = system.diag[lo:hi + 1].tolist()
+        sup = system.sup[lo:hi].tolist()
+        b0, b1, b2, piv = cols[:, lo:hi + 1].tolist()
+        for i in range(1, hi - lo + 1):
+            w = sub[i] * piv[i - 1]
+            p = diag[i] - w * sup[i - 1]
+            if abs(p) <= floor:
+                raise SingularSystemError(f"zero pivot in row {lo + i} (|{p}| <= {floor})")
+            piv[i] = 1.0 / p
+            b0[i] -= w * b0[i - 1]
+            b1[i] -= w * b1[i - 1]
+            b2[i] -= w * b2[i - 1]
+        cols[:, lo:hi + 1] = b0, b1, b2, piv
 
-    b0[m - 1] *= piv[m - 1]
-    b1[m - 1] *= piv[m - 1]
-    b2[m - 1] *= piv[m - 1]
-    for i in range(m - 2, -1, -1):
-        s = sup[i]
-        q = piv[i]
-        b0[i] = (b0[i] - s * b0[i + 1]) * q
-        b1[i] = (b1[i] - s * b1[i + 1]) * q
-        b2[i] = (b2[i] - s * b2[i + 1]) * q
+    cols[:3, m - 1] *= cols[3, m - 1]
+    # Each chunk's lists end one row after it, at the row it carries on from.
+    for hi in range(m - 1, 0, -SWEEP_CHUNK):
+        lo = max(hi - SWEEP_CHUNK, 0)
+        sup = system.sup[lo:hi].tolist()
+        b0, b1, b2, piv = cols[:, lo:hi + 1].tolist()
+        for i in range(hi - lo - 1, -1, -1):
+            s = sup[i]
+            q = piv[i]
+            b0[i] = (b0[i] - s * b0[i + 1]) * q
+            b1[i] = (b1[i] - s * b1[i + 1]) * q
+            b2[i] = (b2[i] - s * b2[i + 1]) * q
+        cols[:3, lo:hi + 1] = b0, b1, b2
 
     # Capacitance C = I2 + [[z1[M-1], z2[M-1]], [z1[0], z2[0]]]
-    c11 = 1.0 + b1[m - 1]
-    c12 = b2[m - 1]
+    b0, b1, b2 = cols[:3, [0, -1]].tolist()
+    c11 = 1.0 + b1[-1]
+    c12 = b2[-1]
     c21 = b1[0]
     c22 = 1.0 + b2[0]
     det = c11 * c22 - c12 * c21
     if abs(det) <= PIVOT_RTOL * max(1.0, abs(c11), abs(c12), abs(c21), abs(c22)) ** 2:
         raise SingularSystemError("singular Woodbury capacitance matrix")
-    g1 = b0[m - 1]
+    g1 = b0[-1]
     g2 = b0[0]
     w1 = (c22 * g1 - c12 * g2) / det
     w2 = (c11 * g2 - c21 * g1) / det
 
-    y = np.asarray(b0)
-    return y - w1 * np.asarray(b1) - w2 * np.asarray(b2)
+    return cols[0] - w1 * cols[1] - w2 * cols[2]
 
 
 # The block solver works on CyclicBlockTriSystem.coeffs and on one array
@@ -395,9 +417,14 @@ class CyclicReductionSolver:
     when a system's array first arrives and reused while the same array
     comes back, as a step workspace's system does at every step; any
     other array is bound anew.
+
+    scratch, if given, is a flat float array of at least scratch_size(m)
+    entries that the levels reduce and back-substitute in, and that code
+    running before or after a solve may share (see the module
+    docstring); without it the solver allocates its own.
     """
 
-    def __init__(self, m: int):
+    def __init__(self, m: int, scratch: np.ndarray | None = None):
         if m < 4:
             raise ValueError(f"need M >= 4 block rows, got {m}")
         self.m = m
@@ -405,8 +432,8 @@ class CyclicReductionSolver:
         while n > REDUCTION_BASE:
             sizes.append((n, n // 2))
             n -= n // 2
-        # scratch for level 0's reduce buffers, the most any level uses
-        scratch = np.empty(16 * (m // 2) + 40 * (m - m // 2))
+        if scratch is None:
+            scratch = np.empty(self.scratch_size(m))
         self._levels = levels = [_Level(n, k, scratch, top=i == 0)
                                  for i, (n, k) in enumerate(sizes)]
         self._base = np.zeros((2 * n, 2 * n))  # the base solve's dense matrix
@@ -420,6 +447,12 @@ class CyclicReductionSolver:
             levels[-1].bind_solution(self._x_base)
             self._bind_base(levels[-1].reduced)
         self._input = None
+
+    @staticmethod
+    def scratch_size(m: int) -> int:
+        """Floats of scratch a solver for m block rows works in: level 0's
+        reduce buffers, the most any level uses."""
+        return 16 * (m // 2) + 40 * (m - m // 2)
 
     def _bind_base(self, s: np.ndarray):
         """Take the views of s, the (2, 7, n) system of the base solve."""

@@ -32,9 +32,17 @@ packed (2, 7, M) step-system buffer with its constant entries (the
 compact relation row and v's kappa coupling) and each case's view of
 it, the compact row's absolute row sums for the gate, and each case's
 cyclic-reduction solver, whose level views stay bound to that view.
-Each step overwrites the rest of the buffer through scratch rows that
-the assembly and the gate share, so a step allocates little beyond its
-fresh (u, v) solution, which no later step touches.
+The workspace owns one flat scratch array, as large as the larger of
+thirteen rows of the batch's nodes and the largest case's level
+scratch.  Assembly and the gate work in its rows, and every case's
+solver reduces in it.  These phases run one after another, and each
+writes the scratch it reads, so no scratch content outlives its phase;
+the one value a phase keeps past another's use of the scratch, the
+gate's residual while it refines the cases that missed, is copied out
+first.  A step allocates little beyond its fresh (u, v) solution, which
+no later step touches.  At M = 5000 a case's workspace holds 5.07
+packed systems.  init_state's curvature solve sweeps its rows in
+chunks, so it peaks near one packed system.
 
 Consistency: _assemble_step is the one transcription of the difference
 equations.  truncation_residual assembles each step's system at an
@@ -145,7 +153,8 @@ class StepWorkspace:
 
     coeffs is the packed system of all the cases, system the system that
     holds it and cases each case's view of it; solvers holds one solver
-    per case.  The factors below are those of the assembly's terms,
+    per case, each reducing in the flat array whose first rows are
+    scratch.  The factors below are those of the assembly's terms,
     evaluated once in the same association, so each step computes the
     bits it did when it evaluated them itself.
     """
@@ -166,7 +175,6 @@ class StepWorkspace:
         self.system = CyclicBlockTriSystem.packed(c)
         self.cases = [CyclicBlockTriSystem.packed(c[:, :, start:stop])
                       for start, stop in batch.bounds]
-        self.solvers = [CyclicReductionSolver(g.M) for g in batch.grids]
         # evolution equation: v's coefficients in the sub and sup blocks
         c[0, 1] = kappa * h / 24.0
         c[0, 5] = -kappa * h / 24.0
@@ -176,10 +184,14 @@ class StepWorkspace:
         # the largest absolute row sum of each case's compact row, for
         # the gate's matrix norm
         self.compact_norm = batch.case_max(np.abs(c[1, :6]).sum(axis=0))
-        # scratch: six (2, M) pairs and one row, shared by assembly and
-        # the gate, which run one after the other
-        self.scratch = np.empty((13, batch.M))
+        # one flat scratch array for the phases of a step (see the module
+        # docstring): assembly and the gate use six (2, M) pairs and one
+        # row of it, each case's solver its reduction levels' buffers
+        flat = np.empty(max(13 * batch.M,
+                            *(CyclicReductionSolver.scratch_size(g.M) for g in batch.grids)))
+        self.scratch = flat[:13 * batch.M].reshape(13, batch.M)
         self.pairs = self.scratch[:12].reshape(6, 2, batch.M)
+        self.solvers = [CyclicReductionSolver(g.M, scratch=flat) for g in batch.grids]
 
 
 def _failure(step: int, reason: str, batch: Batch, j) -> SolverFailure:
@@ -404,6 +416,7 @@ def _checked_solve(work: StepWorkspace, step: int) -> np.ndarray:
             raise _failure(step, f"solve residual {np.ravel(res)[j]:.3e} exceeds budget "
                                  f"{np.ravel(bound)[j]:.3e} after one refinement step",
                            batch, j)
+        r = r.copy()  # the correction solves overwrite the scratch that holds r
         for j in np.flatnonzero(missed):
             rows = slice(*batch.bounds[j])
             fix = np.concatenate((cases[j].coeffs[:, :6], r[:, None, rows]), axis=1)

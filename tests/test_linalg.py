@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bbmb.grid import Batch
-from bbmb.linalg import (REDUCTION_BASE, CyclicBlockTriSystem,
+from bbmb.linalg import (PIVOT_RTOL, REDUCTION_BASE, SWEEP_CHUNK, CyclicBlockTriSystem,
                          CyclicReductionSolver, ScalarCyclicTriSystem,
                          SingularSystemError, _dense_block_matrix,
                          block_matvec, block_system_matrix,
@@ -76,6 +76,99 @@ def test_scalar_round_trip(rng):
         sys_.rhs = a @ x
         got = solve_scalar_cyclic(sys_)
         assert np.max(np.abs(got - x)) <= 1e-10 * max(1.0, np.max(np.abs(x)))
+
+
+def _list_sweep(system):
+    """The scalar solve as one sweep over whole-length lists of Python
+    floats: the reference whose bits the chunked sweep must keep."""
+    m = system.m
+    sub = system.sub.tolist()
+    diag = system.diag.tolist()
+    sup = system.sup.tolist()
+
+    scale = max(float(np.max(np.abs(system.sub))),
+                float(np.max(np.abs(system.diag))),
+                float(np.max(np.abs(system.sup))))
+    floor = PIVOT_RTOL * scale
+    ca = sub[0]
+    cb = sup[m - 1]
+
+    b0 = system.rhs.tolist()
+    b1 = [0.0] * m
+    b2 = [0.0] * m
+    b1[0] = ca
+    b2[m - 1] = cb
+
+    piv = [0.0] * m
+    p = diag[0]
+    if abs(p) <= floor:
+        raise SingularSystemError(f"zero pivot in row 0 (|{p}| <= {floor})")
+    piv[0] = 1.0 / p
+    for i in range(1, m):
+        w = sub[i] * piv[i - 1]
+        p = diag[i] - w * sup[i - 1]
+        if abs(p) <= floor:
+            raise SingularSystemError(f"zero pivot in row {i} (|{p}| <= {floor})")
+        piv[i] = 1.0 / p
+        b0[i] -= w * b0[i - 1]
+        b1[i] -= w * b1[i - 1]
+        b2[i] -= w * b2[i - 1]
+
+    b0[m - 1] *= piv[m - 1]
+    b1[m - 1] *= piv[m - 1]
+    b2[m - 1] *= piv[m - 1]
+    for i in range(m - 2, -1, -1):
+        s = sup[i]
+        q = piv[i]
+        b0[i] = (b0[i] - s * b0[i + 1]) * q
+        b1[i] = (b1[i] - s * b1[i + 1]) * q
+        b2[i] = (b2[i] - s * b2[i + 1]) * q
+
+    c11 = 1.0 + b1[m - 1]
+    c12 = b2[m - 1]
+    c21 = b1[0]
+    c22 = 1.0 + b2[0]
+    det = c11 * c22 - c12 * c21
+    if abs(det) <= PIVOT_RTOL * max(1.0, abs(c11), abs(c12), abs(c21), abs(c22)) ** 2:
+        raise SingularSystemError("singular Woodbury capacitance matrix")
+    g1 = b0[m - 1]
+    g2 = b0[0]
+    w1 = (c22 * g1 - c12 * g2) / det
+    w2 = (c11 * g2 - c21 * g1) / det
+
+    y = np.asarray(b0)
+    return y - w1 * np.asarray(b1) - w2 * np.asarray(b2)
+
+
+@pytest.mark.parametrize("m", [4, 5, SWEEP_CHUNK - 1, SWEEP_CHUNK, SWEEP_CHUNK + 1,
+                               2 * SWEEP_CHUNK + 1, 5000])
+def test_chunked_scalar_sweep_matches_list_sweep_bitwise(rng, m):
+    # the compact relation's system, then random ones, diagonally dominant
+    # or not, at coefficient scales from 1e-3 to 1e3
+    systems = [ScalarCyclicTriSystem(sub=np.full(m, 1 / 12), diag=np.full(m, 5 / 6),
+                                     sup=np.full(m, 1 / 12), rhs=rng.standard_normal(m))]
+    for k in range(19):
+        system = random_scalar_system(rng, m, dominance=4.0 if k % 2 else 0.0)
+        scale = 10.0 ** (k % 7 - 3)
+        system.sub, system.diag, system.sup = (scale * a for a in
+                                               (system.sub, system.diag, system.sup))
+        systems.append(system)
+    for system in systems:
+        want, got = _list_sweep(system), solve_scalar_cyclic(system)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_chunked_scalar_sweep_names_the_absolute_pivot_row(rng):
+    m, row = 1500, 1200
+    system = random_scalar_system(rng, m)
+    system.sub[row] = system.diag[row] = 0.0
+    with pytest.raises(SingularSystemError) as want:
+        _list_sweep(system)
+    assert str(want.value).startswith(f"zero pivot in row {row} (")
+    with pytest.raises(SingularSystemError) as got:
+        solve_scalar_cyclic(system)
+    assert str(got.value) == str(want.value)
 
 
 # -- block solver --------------------------------------------------------------

@@ -63,19 +63,19 @@ CORRUPTED = {"u_and_v": slice(None), "v_only": 1}
 
 
 def _corrupt_solver(monkeypatch, m, unknowns, refinement_too=True):
-    """Make the solver of the M = m case return a solution that misses its
-    residual budget, in the CORRUPTED[unknowns] columns, at every solve
-    or only at the first solve of each step (a step's second solve is its
-    refinement).  Returns the list that gets one entry per solve of that
-    case."""
+    """Make the solvers of the M = m cases return a solution that misses
+    its residual budget, in the CORRUPTED[unknowns] columns, at every
+    solve or only at the first solve of each step (a solver's second
+    solve of a step is its refinement).  Returns the list that gets the
+    solver of each solve of those cases."""
     solve = CyclicReductionSolver.solve
     calls = []
 
     def corrupted(self, system, out=None):
         x = solve(self, system, out)
         if self.m == m:
-            calls.append(self.m)
-            if refinement_too or len(calls) % 2:
+            calls.append(self)
+            if refinement_too or calls.count(self) % 2:
                 x[:, CORRUPTED[unknowns]] += 1e-3
         return x
 
@@ -112,6 +112,23 @@ def test_refinement_repairs_only_the_failing_case(monkeypatch, unknowns):
         assert np.array_equal(coarse, alone[0][k][0])
         assert np.array_equal(fine, alone[2][k][0])
         assert np.allclose(middle, alone[1][k][0], rtol=0, atol=1e-12)
+
+
+def test_cases_refined_in_one_step_share_no_scratch(monkeypatch):
+    # two equal cases, both refined at every step: each correction solve
+    # overwrites the scratch that holds the gate's residual of both
+    params, phi = example1_params(), lambda x: example1_exact(x, 0.0)
+    grid = example1_grid(64, 4)
+    alone = _alone(phi, grid, params)
+    calls = _corrupt_solver(monkeypatch, 64, "u_and_v", refinement_too=False)
+    batch = Batch([grid] * 2)
+    levels = [(st.u_curr, st.v_curr) for st in march(phi, batch, params)]
+    assert len(set(calls)) == 2
+    assert all(calls.count(solver) == 2 * batch.N for solver in calls)
+    for k, (u, v) in enumerate(levels):
+        for j in range(2):
+            assert np.allclose(batch.split(u)[j], alone[k][0], rtol=0, atol=1e-12)
+            assert np.allclose(batch.split(v)[j], alone[k][1], rtol=0, atol=1e-12)
 
 
 def test_non_finite_system_names_its_case():

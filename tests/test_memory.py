@@ -8,7 +8,7 @@ import pytest
 import bbmb.cli
 from bbmb.cli import run_experiment
 from bbmb.config import parse_config_text
-from bbmb.scheme import march
+from bbmb.scheme import StepWorkspace, init_state, march
 
 from conftest import example2_grid, example2_params, example2_phi
 
@@ -84,3 +84,44 @@ def test_march_step_allocates_less_than_two_systems():
         tracemalloc.stop()
     assert worst < STEP_TRANSIENT_SYSTEMS * system_bytes, (
         f"a step allocated {worst / system_bytes:.2f} packed systems")
+
+
+# At M = 5000 a case's workspace holds its packed step system, one flat
+# scratch array that assembly, the solver's levels and the gate share
+# (2.0 packed systems) and the levels' own buffers: 5.07 packed systems
+# in all (6.00 when each solver had scratch of its own).
+WORKSPACE_SYSTEMS = 5.3
+# init_state's curvature solve sweeps its rows in chunks of Python floats,
+# so its peak is a few arrays of M floats: 1.04 packed systems (2.72 when
+# it held lists of all M rows).
+INIT_PEAK_SYSTEMS = 1.5
+
+
+def _traced_bytes(make):
+    """The bytes make() leaves allocated and the peak it reached, both
+    above what was allocated before it ran."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        kept = make()
+        now, peak = tracemalloc.get_traced_memory()
+        del kept  # held until the memory is read
+    finally:
+        tracemalloc.stop()
+    return now - held, peak - held
+
+
+def test_step_workspace_shares_one_scratch_array():
+    m = 5000
+    grid, params = example2_grid(m, 20), example2_params()
+    held, _ = _traced_bytes(lambda: StepWorkspace(grid, params))
+    assert held <= WORKSPACE_SYSTEMS * 2 * 7 * m * 8, (
+        f"the workspace holds {held / (2 * 7 * m * 8):.2f} packed systems")
+
+
+def test_init_state_peaks_below_one_and_a_half_systems():
+    m = 5000
+    grid, params = example2_grid(m, 20), example2_params()
+    _, peak = _traced_bytes(lambda: init_state(example2_phi, grid, params))
+    assert peak <= INIT_PEAK_SYSTEMS * 2 * 7 * m * 8, (
+        f"init_state peaked at {peak / (2 * 7 * m * 8):.2f} packed systems")
