@@ -53,7 +53,6 @@ from .analysis import (a_priori_bounds, convergence_table, fit_order, max_norm_e
                        posterior_spatial_errors, posterior_temporal_errors)
 from .config import ConfigError, ExperimentConfig, parse_config
 from .grid import Batch, Grid1D
-from .linalg import SingularSystemError
 from .scheme import SolverFailure, march, run
 
 __all__ = ["main", "run_experiment"]
@@ -384,7 +383,7 @@ def run_experiment(config: ExperimentConfig, mode: str, out_dir: str) -> int:
             checks = _COMMANDS[mode](config, out_dir)
     except ConfigError:
         raise
-    except (SolverFailure, SingularSystemError) as exc:
+    except SolverFailure as exc:
         _write_report(out_dir, [(False, "solver", str(exc))], stale=True)
         return EXIT_SOLVER
     passed = _write_report(out_dir, checks)

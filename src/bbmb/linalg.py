@@ -24,21 +24,22 @@ mu*rate + nu/2 < 0 it is indefinite at high wavenumbers, where A^-1 P
 reaches 6/h^2: a solve can then miss its budget, which the stepper
 repairs with one refinement step, or meet a singular pivot.
 
-A CyclicReductionSolver is built for one M and owns the buffers of
-every reduction level that outlive one level's work: the odd blocks'
-factors, the reduced system and the level's solution, with the views of
-them that each level reads and writes.  The rest, which a level only
-reduces or back-substitutes in, are views of one flat scratch array.
-The solver allocates that scratch unless its owner hands it one, as the
-stepper's workspace does, so that every case's solver, the assembly
-and the residual gate share one array; a solve writes the scratch
-before it reads it, and nothing it leaves there is read by a later
-solve.  The stepper keeps one solver per case, so a step's solve
-allocates nothing but the (2, M) solution it returns, or writes it into
-a given array.  The views of the input system are taken when its
-array first arrives and kept while the same array comes back, as the
-stepper's per-case view of its step buffer does at every step.
-solve_cyclic_block_tridiagonal without a solver builds one for the call.
+A CyclicReductionSolver is built for one system and owns the buffers
+of every reduction level that outlive one level's work: the odd blocks'
+factors, the reduced system and the level's solution.  It takes the
+views of that system and of every level once, when it is built, and
+each solve reads the system's array as it is then, so a caller that
+rewrites the array in place solves the new system with the same
+solver.  The buffers a level only reduces or back-substitutes in are
+views of one flat scratch array.  The solver allocates that scratch
+unless its owner hands it one, as the stepper's workspace does, so that
+every case's solver, the assembly and the residual gate share one
+array; a solve writes the scratch before it reads it, and nothing it
+leaves there is read by a later solve.  The stepper keeps one solver
+per case, built for the case's view of its step buffer, so a step's
+solve allocates nothing but the (2, M) solution it returns, or writes
+it into a given array.  solve_cyclic_block_tridiagonal without a solver
+builds one for the call.
 
 Cases marched in lockstep share one (2, 7, sum of M) array, their
 systems end to end: each case's system is packed() on its slice of the
@@ -299,20 +300,22 @@ def _views(flat: np.ndarray, *shapes) -> list:
 
 
 class _Level:
-    """Buffers of one reduction level of n blocks, k = n // 2 of them odd,
-    and the views of them that every solve reuses.
+    """Buffers of one reduction level of the (2, 7, n) system s, k = n // 2
+    of its blocks odd, and the views of them and of s that every solve
+    reuses, all taken when the level is built.
 
     The odd blocks' factors p, the reduced system and (below the top
     level) the level's solution x are its own; the other buffers are
     views of scratch that every level reuses while it reduces or
-    back-substitutes.  bind() takes the views of the level's input
-    system and bind_solution() those of the solution of its reduced
-    system.  Both arrays are the neighbouring levels' own buffers,
-    bound once, except the top level's input, the system being solved,
-    which the solver binds again when a different array arrives.
+    back-substitutes.  s is the system being solved at the top level,
+    else the reduced system of the level above.  bind_solution() takes
+    the views of the solution of the level's reduced system, which the
+    level below (or the base solve) owns.
     """
 
-    def __init__(self, n: int, k: int, scratch: np.ndarray, top: bool):
+    def __init__(self, s: np.ndarray, scratch: np.ndarray, top: bool):
+        n = s.shape[2]
+        k = n // 2
         m = n - k
         self.n, self.k = n, k
         p = self.p = np.empty((2, 5, k))
@@ -335,9 +338,7 @@ class _Level:
         self.r_a, self.r_d, self.r_c, self.r_g = r[:, 0:2], r[:, 2:4], r[:, 4:6], r[:, 6:]
         if self.x is not None:
             self.x_even, self.x_odd = self.x[:, 0::2], self.x[:, 1::2]
-
-    def bind(self, s: np.ndarray):
-        """Take the views of s, the (2, 7, n) system this level reduces."""
+        # the views of s that reduce() reads
         odd, even = s[..., 1::2], s[..., 0::2]
         piv = odd[:, 2:4]
         self.piv = (piv[0, 0], piv[1, 1], piv[0, 1], piv[1, 0])
@@ -362,7 +363,7 @@ class _Level:
             self.x_right = self.x_next
 
     def reduce(self, floor: float):
-        """Eliminate the odd-indexed blocks of the bound system.
+        """Eliminate the odd-indexed blocks of the level's system.
 
         Each odd block j is solved for x[j] = g - Pa @ x[j-1] - Pc @ x[j+1]
         and substituted into its even neighbours, which leaves a periodic
@@ -409,14 +410,11 @@ class _Level:
 
 
 class CyclicReductionSolver:
-    """Periodic block cyclic reduction for systems of m block rows, with
-    every level's buffers allocated once, when the solver is built.
-    solve() overwrites them, so a solver serves one solve at a time.
-
-    The views of the input system that the reduction reads are taken
-    when a system's array first arrives and reused while the same array
-    comes back, as a step workspace's system does at every step; any
-    other array is bound anew.
+    """Periodic block cyclic reduction for one CyclicBlockTriSystem, with
+    every level's buffers allocated and every view of the system and of
+    the levels taken once, when the solver is built.  solve() solves the
+    system as its array holds it at the call and overwrites the level
+    buffers, so a solver serves one solve at a time.
 
     scratch, if given, is a flat float array of at least scratch_size(m)
     entries that the levels reduce and back-substitute in, and that code
@@ -424,29 +422,28 @@ class CyclicReductionSolver:
     docstring); without it the solver allocates its own.
     """
 
-    def __init__(self, m: int, scratch: np.ndarray | None = None):
-        if m < 4:
-            raise ValueError(f"need M >= 4 block rows, got {m}")
-        self.m = m
-        sizes, n = [], m
-        while n > REDUCTION_BASE:
-            sizes.append((n, n // 2))
-            n -= n // 2
+    def __init__(self, system: CyclicBlockTriSystem, scratch: np.ndarray | None = None):
+        s = self.coeffs = system.coeffs
+        self.m = s.shape[2]
+        self._blocks = s[:, :6]
         if scratch is None:
-            scratch = np.empty(self.scratch_size(m))
-        self._levels = levels = [_Level(n, k, scratch, top=i == 0)
-                                 for i, (n, k) in enumerate(sizes)]
+            scratch = np.empty(self.scratch_size(self.m))
+        # each level reduces the system above it; the base solves the last
+        self._levels = levels = []
+        while s.shape[2] > REDUCTION_BASE:
+            levels.append(_Level(s, scratch, top=not levels))
+            s = levels[-1].reduced
+        n = s.shape[2]
         self._base = np.zeros((2 * n, 2 * n))  # the base solve's dense matrix
         self._scatter = _block_scatter(n)
+        b = s.transpose(2, 0, 1)
+        self._base_blocks, self._base_rhs = b[..., :6], b[..., 6]
         # the base solve's solution, which the deepest level reads
         self._x_base = np.empty((2, n))
         for level, below in zip(levels, levels[1:]):
-            below.bind(level.reduced)
             level.bind_solution(below.x)
         if levels:
             levels[-1].bind_solution(self._x_base)
-            self._bind_base(levels[-1].reduced)
-        self._input = None
 
     @staticmethod
     def scratch_size(m: int) -> int:
@@ -454,28 +451,10 @@ class CyclicReductionSolver:
         reduce buffers, the most any level uses."""
         return 16 * (m // 2) + 40 * (m - m // 2)
 
-    def _bind_base(self, s: np.ndarray):
-        """Take the views of s, the (2, 7, n) system of the base solve."""
-        b = s.transpose(2, 0, 1)
-        self._base_blocks, self._base_rhs = b[..., :6], b[..., 6]
-
-    def _bind(self, s: np.ndarray):
-        """Take the views of the input system's (2, 7, m) array s."""
-        if s.shape[2] != self.m:
-            raise ValueError(f"solver built for M = {self.m}, system has M = {s.shape[2]}")
-        self._blocks = s[:, :6]
-        if self._levels:
-            self._levels[0].bind(s)
-        else:
-            self._bind_base(s)
-        self._input = s
-
-    def solve(self, system: CyclicBlockTriSystem, out=None) -> np.ndarray:
-        """Solve system in O(M); returns (M, 2), the transpose of a (2, M)
-        array whose rows are the two unknowns: out if given, else a
-        fresh one."""
-        if system.coeffs is not self._input:
-            self._bind(system.coeffs)
+    def solve(self, out=None) -> np.ndarray:
+        """Solve the system in O(M); returns (M, 2), the transpose of a
+        (2, M) array whose rows are the two unknowns: out if given, else
+        a fresh one."""
         if out is None:
             out = np.empty((2, self.m))
         blocks = self._blocks
@@ -515,12 +494,14 @@ def solve_cyclic_block_tridiagonal(system: CyclicBlockTriSystem,
     periodic system is solved densely by LU with partial pivoting, and
     the eliminated blocks are recovered level by level.  The 2x2 pivots
     are not row-pivoted; each must clear PIVOT_RTOL of the squared
-    coefficient scale.  solver, built for the system's M, supplies the
-    level buffers; without one, a solver is built for this call.
+    coefficient scale.  solver, built for this system's array, supplies
+    the level buffers; without one, a solver is built for this call.
     """
     if solver is None:
-        solver = CyclicReductionSolver(system.m)
-    return solver.solve(system, out)
+        solver = CyclicReductionSolver(system)
+    elif solver.coeffs is not system.coeffs:
+        raise ValueError("solver was built for another system's array")
+    return solver.solve(out)
 
 
 def solve_dense_oracle(matrix, rhs) -> np.ndarray:

@@ -31,18 +31,20 @@ not change between steps once: the h-dependent factors of assembly, the
 packed (2, 7, M) step-system buffer with its constant entries (the
 compact relation row and v's kappa coupling) and each case's view of
 it, the compact row's absolute row sums for the gate, and each case's
-cyclic-reduction solver, whose level views stay bound to that view.
+cyclic-reduction solver, built for that view.
 The workspace owns one flat scratch array, as large as the larger of
 thirteen rows of the batch's nodes and the largest case's level
 scratch.  Assembly and the gate work in its rows, and every case's
 solver reduces in it.  These phases run one after another, and each
 writes the scratch it reads, so no scratch content outlives its phase;
 the one value a phase keeps past another's use of the scratch, the
-gate's residual while it refines the cases that missed, is copied out
-first.  A step allocates little beyond its fresh (u, v) solution, which
-no later step touches.  At M = 5000 a case's workspace holds 5.07
-packed systems.  init_state's curvature solve sweeps its rows in
-chunks, so it peaks near one packed system.
+gate's residual while it refines the cases that missed, moves into the
+step buffer's right-hand side rows, whose values are copied out first
+and written back after.  A step allocates little beyond its fresh
+(u, v) solution, which no later step touches.  At M = 5000 a case's
+workspace holds 5.07 packed systems.  init_state's curvature solve
+sweeps its rows in chunks and reads constant coefficients broadcast
+from one stencil, so it peaks below one packed system.
 
 Consistency: _assemble_step is the one transcription of the difference
 equations.  truncation_residual assembles each step's system at an
@@ -153,10 +155,10 @@ class StepWorkspace:
 
     coeffs is the packed system of all the cases, system the system that
     holds it and cases each case's view of it; solvers holds one solver
-    per case, each reducing in the flat array whose first rows are
-    scratch.  The factors below are those of the assembly's terms,
-    evaluated once in the same association, so each step computes the
-    bits it did when it evaluated them itself.
+    per case, built for the case's view and reducing in the flat array
+    whose first rows are scratch.  The factors below are those of the
+    assembly's terms, evaluated once in the same association, so each
+    step computes the bits it did when it evaluated them itself.
     """
 
     def __init__(self, grid, params: SchemeParams):
@@ -191,7 +193,7 @@ class StepWorkspace:
                             *(CyclicReductionSolver.scratch_size(g.M) for g in batch.grids)))
         self.scratch = flat[:13 * batch.M].reshape(13, batch.M)
         self.pairs = self.scratch[:12].reshape(6, 2, batch.M)
-        self.solvers = [CyclicReductionSolver(g.M, scratch=flat) for g in batch.grids]
+        self.solvers = [CyclicReductionSolver(case, scratch=flat) for case in self.cases]
 
 
 def _failure(step: int, reason: str, batch: Batch, j) -> SolverFailure:
@@ -221,7 +223,7 @@ def compact_curvature(u, h: float) -> np.ndarray:
     """Solve the compact relation v + (h^2/12)*second_diff(v) = second_diff(u)
     for the fourth-order curvature v of a periodic field."""
     u = np.asarray(u, dtype=float)
-    sub, diag, sup = np.repeat(_COMPACT_V, u.shape[0], axis=1)
+    sub, diag, sup = np.broadcast_to(_COMPACT_V, (3, u.shape[0]))
     return solve_scalar_cyclic(ScalarCyclicTriSystem(sub=sub, diag=diag, sup=sup,
                                                      rhs=second_diff(u, h)))
 
@@ -239,7 +241,7 @@ def init_state(phi, grid, params: SchemeParams) -> StepperState:
     for j, (g, u) in enumerate(zip(batch.grids, batch.split(u0))):
         try:
             v0.append(compact_curvature(u, g.h))
-        except ValueError as exc:  # the second difference of u0 overflowed
+        except (ValueError, SingularSystemError) as exc:  # an overflowed rhs, a zero pivot
             raise _failure(0, f"initial curvature: {exc}", batch, j) from exc
     v0 = v0[0] if len(v0) == 1 else np.concatenate(v0)
     return StepperState(k=0, u_curr=u0, v_curr=v0, u_prev=None, v_prev=None)
@@ -379,10 +381,12 @@ def _checked_solve(work: StepWorkspace, step: int) -> np.ndarray:
     """Solve each case's block of the step system in work with the case's
     solver and hold every case to its own residual budget.  The cases
     that miss it get one refinement step (Skeel 1980; Higham 2002,
-    ch. 12): each one's residual r = b - A x is solved with the same
-    blocks and solver and added to x, and the gate then checks the batch
-    again against the budgets of its first pass.  Returns the solution
-    rows (u, v) as one fresh (2, M) array."""
+    ch. 12): the residual r = b - A x takes the place of b in the step
+    buffer's right-hand side rows, each case that missed solves it with
+    its own solver and adds the correction to x, and b is written back
+    before the gate checks the batch again against the budgets of its
+    first pass.  Returns the solution rows (u, v) as one fresh (2, M)
+    array."""
     batch, cases, solvers = work.batch, work.cases, work.solvers
     uv = np.empty((2, batch.M))
     for j, (case, solver, (start, stop)) in enumerate(zip(cases, solvers, batch.bounds)):
@@ -416,12 +420,13 @@ def _checked_solve(work: StepWorkspace, step: int) -> np.ndarray:
             raise _failure(step, f"solve residual {np.ravel(res)[j]:.3e} exceeds budget "
                                  f"{np.ravel(bound)[j]:.3e} after one refinement step",
                            batch, j)
-        r = r.copy()  # the correction solves overwrite the scratch that holds r
+        # r moves out of the scratch that the correction solves overwrite
+        b = rhs.copy()
+        rhs[...] = r
         for j in np.flatnonzero(missed):
-            rows = slice(*batch.bounds[j])
-            fix = np.concatenate((cases[j].coeffs[:, :6], r[:, None, rows]), axis=1)
-            uv[:, rows] += solve_cyclic_block_tridiagonal(
-                CyclicBlockTriSystem.packed(fix), solvers[j]).T
+            uv[:, slice(*batch.bounds[j])] += solve_cyclic_block_tridiagonal(
+                cases[j], solvers[j]).T
+        rhs[...] = b
 
 
 def advance(state: StepperState, grid, params: SchemeParams,

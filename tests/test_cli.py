@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import bbmb.cli
 import bbmb.scheme
 from bbmb.cli import main
+from bbmb.linalg import SingularSystemError
 
 
 def write(tmp_path, name, text):
@@ -285,6 +286,21 @@ def test_singular_pivot_names_its_step_and_case(tmp_path):
     report = (out / "report.txt").read_text().splitlines()
     assert report[1].startswith("FAIL  solver: step 3: singular 2x2 pivot")
     assert report[1].endswith("(case M = 64, N = 4)")
+
+
+def test_singular_initial_curvature_names_step_0_and_its_case(tmp_path, monkeypatch):
+    # the CLI maps SolverFailure alone to exit 3, so a pivot failure of the
+    # initial curvature solve must reach it as one, naming step and case
+    def singular(system):
+        raise SingularSystemError("zero pivot in row 0")
+
+    monkeypatch.setattr(bbmb.scheme, "solve_scalar_cyclic", singular)
+    cfg = write(tmp_path, "sing0.cfg", "experiment = example2\nT = 1\nM = 16\nN = 4\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    report = (out / "report.txt").read_text().splitlines()
+    assert report[1] == ("FAIL  solver: step 0: initial curvature: zero pivot in row 0 "
+                         "(case M = 16, N = 4)")
 
 
 def test_invalid_config_exit_code(tmp_path):

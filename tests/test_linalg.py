@@ -366,19 +366,19 @@ def test_block_reduction_zero_system_raises():
 @pytest.mark.parametrize("m", [5, 32, 33, 64, 65, 250, 1001])
 def test_reused_solver_matches_fresh_solver_bitwise(rng, m):
     # the level buffers are overwritten by every solve and the views of
-    # the last array solved are kept: arrays A, B, A in turn, then A with
-    # its entries rewritten in place (as a step workspace does), must
-    # each give a fresh solver's bits, and each solution is a fresh array
-    solver = CyclicReductionSolver(m)
-    a, b = random_block_system(rng, m), random_block_system(rng, m)
+    # the system are taken once: its array rewritten in place (as a step
+    # workspace does) three times must each give a fresh solver's bits,
+    # and each solution is a fresh array
+    a = random_block_system(rng, m)
+    solver = CyclicReductionSolver(a)
     solutions = []
-    for system in (a, b, a, a):
-        if len(solutions) == 3:
+    for _ in range(4):
+        if solutions:
             a.coeffs[...] = random_block_system(rng, m).coeffs
-        x = solve_cyclic_block_tridiagonal(system, solver)
-        fresh = CyclicReductionSolver(m).solve(system)
+        x = solve_cyclic_block_tridiagonal(a, solver)
+        fresh = CyclicReductionSolver(a).solve()
         assert np.array_equal(x, fresh) and np.array_equal(np.signbit(x), np.signbit(fresh))
-        assert np.array_equal(x, solve_cyclic_block_tridiagonal(system))
+        assert np.array_equal(x, solve_cyclic_block_tridiagonal(a))
         solutions.append((x, x.copy()))
     for x, kept in solutions:
         assert np.array_equal(x, kept)
@@ -386,10 +386,12 @@ def test_reused_solver_matches_fresh_solver_bitwise(rng, m):
 
 
 def test_solver_rejects_other_sizes(rng):
-    with pytest.raises(ValueError):
-        CyclicReductionSolver(3)
-    with pytest.raises(ValueError):
-        CyclicReductionSolver(64).solve(random_block_system(rng, 65))
+    # a solver solves the array it was built for: a system of another
+    # size is refused, and so is another array of the same size
+    solver = CyclicReductionSolver(random_block_system(rng, 64))
+    for m in (65, 64):
+        with pytest.raises(ValueError, match="another system"):
+            solve_cyclic_block_tridiagonal(random_block_system(rng, m), solver)
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,7 +8,8 @@ from bbmb.cli import run_experiment
 from bbmb.config import parse_config_text
 from bbmb.grid import Batch, Grid1D
 from bbmb.linalg import CyclicReductionSolver
-from bbmb.scheme import SchemeParams, SolverFailure, march
+from bbmb.scheme import (SchemeParams, SolverFailure, StepWorkspace, advance,
+                         assemble_first_step, assemble_interior_step, init_state, march)
 
 from conftest import (example1_exact, example1_grid, example1_params,
                       example2_grid, example2_params, example2_phi,
@@ -71,8 +72,8 @@ def _corrupt_solver(monkeypatch, m, unknowns, refinement_too=True):
     solve = CyclicReductionSolver.solve
     calls = []
 
-    def corrupted(self, system, out=None):
-        x = solve(self, system, out)
+    def corrupted(self, out=None):
+        x = solve(self, out)
         if self.m == m:
             calls.append(self)
             if refinement_too or calls.count(self) % 2:
@@ -129,6 +130,22 @@ def test_cases_refined_in_one_step_share_no_scratch(monkeypatch):
         for j in range(2):
             assert np.allclose(batch.split(u)[j], alone[k][0], rtol=0, atol=1e-12)
             assert np.allclose(batch.split(v)[j], alone[k][1], rtol=0, atol=1e-12)
+
+
+def test_refined_step_leaves_the_assembled_system(monkeypatch):
+    # refinement solves the residual in the step buffer's right-hand side
+    # rows and writes b back, so after a refined step the buffer holds the
+    # step system as assembled, right-hand side included
+    params, phi = example1_params(), lambda x: example1_exact(x, 0.0)
+    batch = Batch([example1_grid(m, 4) for m in (8, 16, 32)])
+    calls = _corrupt_solver(monkeypatch, 16, "u_and_v", refinement_too=False)
+    work = StepWorkspace(batch, params)
+    state = init_state(phi, batch, params)
+    for assemble in (assemble_first_step, assemble_interior_step, assemble_interior_step):
+        new = advance(state, batch, params, work)
+        assert np.array_equal(work.coeffs, assemble(state, batch, params).coeffs)
+        state = new
+    assert len(calls) == 6  # each step of M = 16 was refined
 
 
 def test_non_finite_system_names_its_case():

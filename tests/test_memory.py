@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 import bbmb.cli
+import bbmb.scheme
 from bbmb.cli import run_experiment
 from bbmb.config import parse_config_text
 from bbmb.scheme import StepWorkspace, init_state, march
@@ -91,10 +92,17 @@ def test_march_step_allocates_less_than_two_systems():
 # (2.0 packed systems) and the levels' own buffers: 5.07 packed systems
 # in all (6.00 when each solver had scratch of its own).
 WORKSPACE_SYSTEMS = 5.3
-# init_state's curvature solve sweeps its rows in chunks of Python floats,
-# so its peak is a few arrays of M floats: 1.04 packed systems (2.72 when
-# it held lists of all M rows).
-INIT_PEAK_SYSTEMS = 1.5
+# init_state's curvature solve sweeps its rows in chunks of Python floats
+# and reads its constant coefficients broadcast from one stencil, so its
+# peak is a few arrays of M floats: 0.83 packed systems (1.04 when the
+# coefficients were three arrays of M floats, 2.72 when it held lists of
+# all M rows).
+INIT_PEAK_SYSTEMS = 1.0
+# A run whose steps all refine holds, above its level 0, the workspace,
+# its (u, v) levels and nothing else: 5.21 packed systems at M = 4096
+# (6.21 when each refined case's solver kept a copy of the system whose
+# right-hand side was the residual).
+REFINED_HELD_SYSTEMS = 5.5
 
 
 def _traced_bytes(make):
@@ -119,9 +127,37 @@ def test_step_workspace_shares_one_scratch_array():
         f"the workspace holds {held / (2 * 7 * m * 8):.2f} packed systems")
 
 
-def test_init_state_peaks_below_one_and_a_half_systems():
+def test_init_state_peaks_below_one_system():
     m = 5000
     grid, params = example2_grid(m, 20), example2_params()
     _, peak = _traced_bytes(lambda: init_state(example2_phi, grid, params))
     assert peak <= INIT_PEAK_SYSTEMS * 2 * 7 * m * 8, (
         f"init_state peaked at {peak / (2 * 7 * m * 8):.2f} packed systems")
+
+
+def test_refined_steps_hold_no_second_system(monkeypatch):
+    # nu < 0 outside the paper's regime: both steps of this run miss their
+    # budget and are refined (one more solve each)
+    m = 4096
+    grid = example2_grid(m, 2, T=0.1308)
+    params = example2_params(mu=0.0002663, nu=-0.04764)
+    solve, solves = bbmb.scheme.solve_cyclic_block_tridiagonal, []
+
+    def counted(*args, **kwargs):
+        solves.append(args[0].m)  # not the system, which would stay alive
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(bbmb.scheme, "solve_cyclic_block_tridiagonal", counted)
+    tracemalloc.start()
+    try:
+        steps = march(example2_phi, grid, params)
+        next(steps)
+        level0 = tracemalloc.get_traced_memory()[0]
+        held = []
+        for state in steps:
+            held.append(tracemalloc.get_traced_memory()[0] - level0)
+    finally:
+        tracemalloc.stop()
+    assert solves == [m] * 4  # each step solved twice
+    worst = max(held) / (2 * 7 * m * 8)
+    assert worst <= REFINED_HELD_SYSTEMS, f"a refined run held {worst:.2f} packed systems"
