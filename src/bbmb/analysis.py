@@ -223,15 +223,22 @@ def convergence_table(errors) -> "list[ConvergenceRow]":
 
 
 def fit_order(errors) -> float:
-    """Least-squares slope of log(error) against log(step) over the chain.
-    Needs at least two errors: a line through one point has no slope."""
+    """Least-squares slope of log(error) against log(step) over the chain:
+    the centred sum of products over the centred sum of squares of
+    log(step), so no LAPACK least-squares solve runs.  Needs at least
+    two errors and two distinct steps, positive like the errors: a line
+    through one point has no slope."""
     if len(errors) < 2:
         raise ValueError(f"need at least two errors to fit an order, got {len(errors)}")
     steps = np.array([float(s) for s, _ in errors])
     errs = np.array([float(e) for _, e in errors])
-    if np.any(errs <= 0):
-        raise ValueError("errors must be positive to fit an order")
-    return float(np.polyfit(np.log(steps), np.log(errs), 1)[0])
+    if np.any(steps <= 0) or np.any(errs <= 0):
+        raise ValueError("steps and errors must be positive to fit an order")
+    if np.all(steps == steps[0]):
+        raise ValueError("need at least two distinct steps to fit an order")
+    x, y = np.log(steps), np.log(errs)
+    dx = x - x.mean()
+    return float((dx * (y - y.mean())).sum() / (dx * dx).sum())
 
 
 def stability_gap(run_base, run_perturbed, grid: Grid1D) -> "list[tuple[float, float]]":

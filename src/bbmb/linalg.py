@@ -24,21 +24,26 @@ mu*rate + nu/2 < 0 it is indefinite at high wavenumbers, where A^-1 P
 reaches 6/h^2: a solve can then miss its budget, which the stepper
 repairs with one refinement step, or meet a singular pivot.
 
-A CyclicReductionSolver is built for one system and owns the buffers
-of every reduction level that outlive one level's work: the odd blocks'
-factors, the reduced system and the level's solution.  It takes the
-views of that system and of every level once, when it is built, and
-each solve reads the system's array as it is then, so a caller that
+A CyclicReductionSolver is built for one system.  It takes the views
+of that system and of every level once, when it is built, and each
+solve reads the system's array as it is then, so a caller that
 rewrites the array in place solves the new system with the same
-solver.  The buffers a level only reduces or back-substitutes in are
-views of one flat scratch array.  The solver allocates that scratch
-unless its owner hands it one, as the stepper's workspace does, so that
-every case's solver, the assembly and the residual gate share one
-array; a solve writes the scratch before it reads it, and nothing it
-leaves there is read by a later solve.  The stepper keeps one solver
-per case, built for the case's view of its step buffer, so a step's
-solve allocates nothing but the (2, M) solution it returns, or writes
-it into a given array.  solve_cyclic_block_tridiagonal without a solver
+solver.  It owns what back substitution reads, each level's odd-block
+factors and (below the top) solution, and two flat buffers the levels'
+reduced systems alternate between: level l reduces into buffer l % 2,
+as level l - 2's system is dead once level l - 1 has reduced it, and
+the base solve reads the last one first.  A level's other buffers are
+views of one flat scratch array: it folds its left neighbours' product
+into the reduced system before it forms the right neighbours', in the
+same two buffers, which reuse the scratch its odd-block factors were
+formed in (scratch_size).  The solver allocates that scratch unless
+its owner hands it one, as the stepper's workspace does, so that every
+case's solver, the assembly and the residual gate share one array; a
+solve writes the scratch before it reads it, and nothing it leaves
+there is read by a later solve.  The stepper keeps one solver per
+case, built for the case's view of its step buffer, so a step's solve
+allocates nothing but the (2, M) solution it returns, or writes it
+into a given array.  solve_cyclic_block_tridiagonal without a solver
 builds one for the call.
 
 Cases marched in lockstep share one (2, 7, sum of M) array, their
@@ -304,37 +309,39 @@ class _Level:
     of its blocks odd, and the views of them and of s that every solve
     reuses, all taken when the level is built.
 
-    The odd blocks' factors p, the reduced system and (below the top
-    level) the level's solution x are its own; the other buffers are
-    views of scratch that every level reuses while it reduces or
-    back-substitutes.  s is the system being solved at the top level,
-    else the reduced system of the level above.  bind_solution() takes
-    the views of the solution of the level's reduced system, which the
-    level below (or the base solve) owns.
+    The odd blocks' factors p and (below the top level) the level's
+    solution x are its own; the reduced system is a view of reduced, a
+    flat buffer shared with every second level (see the module
+    docstring).  The other buffers are views of scratch that every
+    level reuses while it reduces or back-substitutes; shift and prod
+    reuse that of adj and cols, dead once p is formed.  s is the system
+    being solved at the top level, else the reduced system of the level
+    above.  bind_solution() takes the views of the solution of the
+    level's reduced system, which the level below (or the base solve)
+    owns.
     """
 
-    def __init__(self, s: np.ndarray, scratch: np.ndarray, top: bool):
+    def __init__(self, s: np.ndarray, scratch: np.ndarray, reduced: np.ndarray, top: bool):
         n = s.shape[2]
         k = n // 2
         m = n - k
         self.n, self.k = n, k
         p = self.p = np.empty((2, 5, k))
-        r = self.reduced = np.empty((2, 7, m))
+        r = self.reduced = reduced[:14 * m].reshape(2, 7, m)
         self.x = None if top else np.empty((2, n))
-        (self.det, self.tmp, self.adj, self.cols, self.left, self.right, self.ap,
-         self.cp) = _views(scratch, (k,), (k,), (2, 2, k), (2, 5, k), (2, 5, m),
-                           (2, 5, m), (2, 5, m), (2, 5, m))
+        self.det, self.tmp, self.adj, self.cols = _views(scratch, (k,), (k,), (2, 2, k),
+                                                         (2, 5, k))
+        shift, prod = self.shift, self.prod = _views(scratch[2 * k:], (2, 5, m), (2, 5, m))
+        # a kept last block's stand-in factors join p in shift, on the left
+        # and then on the right
+        self.right = shift if n % 2 else p
         if n % 2 == 0:
-            # no block is kept: the right neighbours are p, the left ones
-            # p shifted one block right, copied in two slices
-            self.right = p
-            self.shift_left = ((self.left[..., :1], p[..., -1:]),
-                               (self.left[..., 1:], p[..., :-1]))
+            # no block is kept: the left neighbours are p shifted one block
+            # right, copied into shift in two slices
+            self.shift_left = ((shift[..., :1], p[..., -1:]), (shift[..., 1:], p[..., :-1]))
         self.x_next, self.vec = _views(scratch, (2, m), (2, k))
         self.pa, self.pc, self.pg = p[:, 0:2], p[:, 2:4], p[:, 4]
-        ap, cp = self.ap, self.cp
-        self.ap_a, self.ap_d, self.ap_g = ap[:, 0:2], ap[:, 2:4], ap[:, 4:]
-        self.cp_a, self.cp_d, self.cp_g = cp[:, 0:2], cp[:, 2:4], cp[:, 4:]
+        self.prod_a, self.prod_d, self.prod_g = prod[:, 0:2], prod[:, 2:4], prod[:, 4:]
         self.r_a, self.r_d, self.r_c, self.r_g = r[:, 0:2], r[:, 2:4], r[:, 4:6], r[:, 6:]
         if self.x is not None:
             self.x_even, self.x_odd = self.x[:, 0::2], self.x[:, 1::2]
@@ -382,20 +389,23 @@ class _Level:
         cols = np.concatenate(self.odd_cols, axis=1, out=self.cols)
         p = np.einsum(_BMUL, adj, cols, out=self.p)
         p /= det
+        # the left neighbours' factors into shift and their product into
+        # prod, folded in; then the right neighbours', in the same buffers
         if self.n % 2:
-            np.concatenate((_KEEP_LEFT, p), axis=-1, out=self.left)
-            np.concatenate((p, _KEEP_RIGHT), axis=-1, out=self.right)
+            np.concatenate((_KEEP_LEFT, p), axis=-1, out=self.shift)
         else:
             for dst, src in self.shift_left:
                 dst[...] = src
-        np.einsum(_BMUL, self.even_a, self.left, out=self.ap)
-        np.einsum(_BMUL, self.even_c, self.right, out=self.cp)
-        np.negative(self.ap_a, out=self.r_a)
-        np.subtract(self.even_d, self.ap_d, out=self.r_d)
-        np.subtract(self.r_d, self.cp_a, out=self.r_d)
-        np.negative(self.cp_d, out=self.r_c)
-        np.subtract(self.even_g, self.ap_g, out=self.r_g)
-        np.subtract(self.r_g, self.cp_g, out=self.r_g)
+        np.einsum(_BMUL, self.even_a, self.shift, out=self.prod)
+        np.negative(self.prod_a, out=self.r_a)
+        np.subtract(self.even_d, self.prod_d, out=self.r_d)
+        np.subtract(self.even_g, self.prod_g, out=self.r_g)
+        if self.n % 2:
+            np.concatenate((p, _KEEP_RIGHT), axis=-1, out=self.shift)
+        np.einsum(_BMUL, self.even_c, self.right, out=self.prod)
+        np.subtract(self.r_d, self.prod_a, out=self.r_d)
+        np.negative(self.prod_d, out=self.r_c)
+        np.subtract(self.r_g, self.prod_g, out=self.r_g)
 
     def substitute(self, x_even: np.ndarray, x_odd: np.ndarray):
         """Recover the level's solution from the bound solution of its
@@ -412,7 +422,8 @@ class _Level:
 class CyclicReductionSolver:
     """Periodic block cyclic reduction for one CyclicBlockTriSystem, with
     every level's buffers allocated and every view of the system and of
-    the levels taken once, when the solver is built.  solve() solves the
+    the levels taken once, when the solver is built; the levels' reduced
+    systems alternate between two flat buffers.  solve() solves the
     system as its array holds it at the call and overwrites the level
     buffers, so a solver serves one solve at a time.
 
@@ -428,10 +439,15 @@ class CyclicReductionSolver:
         self._blocks = s[:, :6]
         if scratch is None:
             scratch = np.empty(self.scratch_size(self.m))
-        # each level reduces the system above it; the base solves the last
+        # each level reduces the system above it, level l into flat buffer
+        # l % 2, sized for the first level that uses it; the base solves
+        # the last
         self._levels = levels = []
+        reduced = []
         while s.shape[2] > REDUCTION_BASE:
-            levels.append(_Level(s, scratch, top=not levels))
+            if len(reduced) < 2:
+                reduced.append(np.empty(14 * (s.shape[2] - s.shape[2] // 2)))
+            levels.append(_Level(s, scratch, reduced[len(levels) % 2], top=not levels))
             s = levels[-1].reduced
         n = s.shape[2]
         self._base = np.zeros((2 * n, 2 * n))  # the base solve's dense matrix
@@ -448,8 +464,11 @@ class CyclicReductionSolver:
     @staticmethod
     def scratch_size(m: int) -> int:
         """Floats of scratch a solver for m block rows works in: level 0's
-        reduce buffers, the most any level uses."""
-        return 16 * (m // 2) + 40 * (m - m // 2)
+        reduce buffers, the most any level uses.  With k = m // 2 odd
+        blocks, det and tmp take 2k, then adj and cols 14k, which the
+        shift and product buffers, 20(m - k), reuse."""
+        k = m // 2
+        return 2 * k + max(14 * k, 20 * (m - k))
 
     def solve(self, out=None) -> np.ndarray:
         """Solve the system in O(M); returns (M, 2), the transpose of a

@@ -42,7 +42,8 @@ gate's residual while it refines the cases that missed, moves into the
 step buffer's right-hand side rows, whose values are copied out first
 and written back after.  A step allocates little beyond its fresh
 (u, v) solution, which no later step touches.  At M = 5000 a case's
-workspace holds 5.07 packed systems.  init_state's curvature solve
+workspace holds 3.74 packed systems, and assembly's thirteen rows size
+its scratch.  init_state's curvature solve
 sweeps its rows in chunks and reads constant coefficients broadcast
 from one stencil, so it peaks below one packed system.
 

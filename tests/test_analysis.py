@@ -220,11 +220,33 @@ def test_fit_order_recovers_slope():
 
 
 def test_fit_order_needs_two_errors():
-    # one point fixes no slope; polyfit would return an arbitrary one
+    # one point fixes no slope; a least-squares solve would return an
+    # arbitrary one
     with pytest.raises(ValueError, match="at least two"):
         fit_order([(0.1, 1e-3)])
     with pytest.raises(ValueError, match="at least two"):
         fit_order([])
+
+
+def test_fit_order_rejects_equal_steps():
+    # log(step) has no spread, so no line through the points has a slope;
+    # polyfit returned one (1.4247 here) with only a RankWarning
+    with pytest.raises(ValueError, match="distinct steps"):
+        fit_order([(0.1, 1e-3), (0.1, 2e-3)])
+    with pytest.raises(ValueError, match="positive"):
+        fit_order([(0.1, 1e-3), (-0.05, 2e-3)])
+
+
+def test_fit_order_makes_no_lapack_solve(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("fit_order called a LAPACK least-squares solve")
+
+    # np.polyfit binds lstsq at import, so the LAPACK gufunc that every
+    # least-squares solve reaches is refused too
+    monkeypatch.setattr(np.linalg, "lstsq", refused)
+    monkeypatch.setattr(np.linalg._umath_linalg, "lstsq", refused)
+    errors = [(s, 2.0 * s ** 2) for s in (0.4, 0.2, 0.1)]
+    assert fit_order(errors) == pytest.approx(2.0, abs=1e-12)
 
 
 # -- stability gap -----------------------------------------------------------------

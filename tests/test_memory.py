@@ -60,8 +60,10 @@ def test_peak_memory_does_not_grow_with_steps(monkeypatch, tmp_path, name):
 
 # A steady-state step of march may allocate, beyond the workspace that
 # march keeps for the whole case, at most this many packed step systems
-# (2 * 7 * M floats): its (u, v) solution is 1/7 of one, and the
-# solver's block products about as much (0.29 in all with numpy 2.4.6).
+# (2 * 7 * M floats): its (u, v) solution is 1/7 of one, and numpy's
+# iterator buffers, which the solver's block products and its pivots'
+# adjugates fill and free within each call, about as much (0.29 in all
+# with numpy 2.4.6).
 # Assembly and the residual gate work in the workspace's scratch rows.
 STEP_TRANSIENT_SYSTEMS = 0.35
 
@@ -89,9 +91,13 @@ def test_march_step_allocates_less_than_two_systems():
 
 # At M = 5000 a case's workspace holds its packed step system, one flat
 # scratch array that assembly, the solver's levels and the gate share
-# (2.0 packed systems) and the levels' own buffers: 5.07 packed systems
-# in all (6.00 when each solver had scratch of its own).
-WORKSPACE_SYSTEMS = 5.3
+# (13 rows of M floats, 0.93 packed systems, sized by assembly since the
+# levels' shift and product buffers reuse their adj and cols scratch) and
+# the levels' own buffers, whose reduced systems alternate between two
+# flat buffers: 3.74 packed systems in all (5.07 when every level kept
+# its own reduced system and four product buffers, 6.00 when each
+# solver had scratch of its own).
+WORKSPACE_SYSTEMS = 4.0
 # init_state's curvature solve sweeps its rows in chunks of Python floats
 # and reads its constant coefficients broadcast from one stencil, so its
 # peak is a few arrays of M floats: 0.83 packed systems (1.04 when the
@@ -99,10 +105,11 @@ WORKSPACE_SYSTEMS = 5.3
 # all M rows).
 INIT_PEAK_SYSTEMS = 1.0
 # A run whose steps all refine holds, above its level 0, the workspace,
-# its (u, v) levels and nothing else: 5.21 packed systems at M = 4096
-# (6.21 when each refined case's solver kept a copy of the system whose
-# right-hand side was the residual).
-REFINED_HELD_SYSTEMS = 5.5
+# its (u, v) levels and nothing else: 3.88 packed systems at M = 4096
+# (5.20 before the levels shared their reduced-system and product
+# buffers, 6.20 when each refined case's solver kept a copy of the
+# system whose right-hand side was the residual).
+REFINED_HELD_SYSTEMS = 4.2
 
 
 def _traced_bytes(make):
