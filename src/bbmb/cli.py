@@ -102,7 +102,7 @@ def _levels(config, batch: Batch):
     """Stream every level of a batch's cases, marched in lockstep, as
     (t, u) pairs; u spans the batch's nodes."""
     return ((st.k * batch.tau, st.u_curr)
-            for st in march(config.phi, batch, config.params()))
+            for st in march(config.phi, batch, config.params))
 
 
 def _usable_cores() -> int:
@@ -174,7 +174,9 @@ def _fan_out(groups, fold, shared: int) -> list:
     again whole in this process, in group order, and the first that
     raises ends the run, so the outcome does not depend on w.  A group
     that raised whole in this process raises again at its turn, without
-    being marched again."""
+    being marched again.  Only the first group in group order that
+    raises is reported, so each process marches its parts in group
+    order and stops at the first that raises."""
     cores = _usable_cores()
     parts = _parts(groups, cores, shared)
     bins = _bins({i: _cost(part) for i, part in enumerate(parts)}, min(len(parts), cores))
@@ -186,11 +188,12 @@ def _fan_out(groups, fold, shared: int) -> list:
     raised = {}  # span of a part that raised in this process -> its error
 
     def march_parts(keys):
-        for i in keys:
+        for i in sorted(keys):
             try:
                 errors[slice(*spans[i])] = fold(parts[i])
             except Exception as exc:  # raised at its group's turn
                 raised[spans[i]] = exc
+                return
 
     children = []
     done = False
@@ -224,14 +227,15 @@ def _fan_out(groups, fold, shared: int) -> list:
 
 
 def _conservative(config: ExperimentConfig) -> bool:
-    return config.source is None and config.reaction is None and config.nu >= 0
+    params = config.params
+    return params.source is None and params.reaction is None and params.nu >= 0
 
 
 def _boundedness_check(config: ExperimentConfig, grid: Grid1D, result):
     """Check the largest L2 and max norms over the levels of a
     conservative run against the a-priori bounds from its E(0)."""
     l2_bound, max_bound = a_priori_bounds(result.scaled_e0, result.scale, grid,
-                                          config.params())
+                                          config.params)
     ok = result.max_l2 <= l2_bound and result.max_abs <= max_bound
     return (ok, "boundedness",
             f"max ||u|| = {result.max_l2:.6g} vs bound {l2_bound:.6g}, "
@@ -241,7 +245,7 @@ def _boundedness_check(config: ExperimentConfig, grid: Grid1D, result):
 def _cmd_run(config: ExperimentConfig, out_dir) -> list:
     m, n = config.m_values[0], config.n_values[0]
     grid = _grid(config, m, n)
-    result = run(config.phi, grid, config.params(),
+    result = run(config.phi, grid, config.params,
                  snapshot_times=config.snapshot_times or [config.T],
                  track_energy=config.energy)
 
@@ -316,7 +320,7 @@ def _cmd_convergence(config: ExperimentConfig, out_dir) -> list:
 def _cmd_invariants(config: ExperimentConfig, out_dir) -> list:
     m, n = config.m_values[0], config.n_values[0]
     grid = _grid(config, m, n)
-    result = run(config.phi, grid, config.params(), track_energy=True)
+    result = run(config.phi, grid, config.params, track_energy=True)
     _write_csv(os.path.join(out_dir, "energy.csv"), ["t", "E"], result.energy)
 
     checks = []
@@ -363,11 +367,12 @@ def _cmd_stability(config: ExperimentConfig, out_dir) -> list:
     return checks
 
 
+# each subcommand's function and help text
 _COMMANDS = {
-    "run": _cmd_run,
-    "convergence": _cmd_convergence,
-    "invariants": _cmd_invariants,
-    "stability": _cmd_stability,
+    "run": (_cmd_run, "march one configuration and emit snapshots"),
+    "convergence": (_cmd_convergence, "grid-refinement study along one direction"),
+    "invariants": (_cmd_invariants, "track the energy invariant over a run"),
+    "stability": (_cmd_stability, "error sweep over a (tau, h) grid"),
 }
 
 
@@ -380,7 +385,7 @@ def run_experiment(config: ExperimentConfig, mode: str, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
     try:
         with np.errstate(all="ignore"):
-            checks = _COMMANDS[mode](config, out_dir)
+            checks = _COMMANDS[mode][0](config, out_dir)
     except ConfigError:
         raise
     except SolverFailure as exc:
@@ -396,11 +401,7 @@ def main(argv=None) -> int:
         description="Conservative fourth-order compact solver for the "
                     "BBM-Burgers equation on a periodic interval.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("run", "march one configuration and emit snapshots"),
-            ("convergence", "grid-refinement study along one direction"),
-            ("invariants", "track the energy invariant over a run"),
-            ("stability", "error sweep over a (tau, h) grid")):
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to a config file")
         p.add_argument("--out", default=None, help="output directory")

@@ -22,13 +22,12 @@ The bundled experiments:
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import usable_steps
+from .grid import _MAX_COUNT, usable_steps
 from .scheme import SchemeParams
 
 __all__ = [
@@ -41,8 +40,7 @@ __all__ = [
 ]
 
 EXPERIMENTS = ("example1", "example2", "example3", "custom")
-# M counts nodes and N time steps, each the length of an array
-_MAX_COUNT = sys.maxsize
+_COEFFICIENTS = ("mu", "gamma", "kappa", "nu", "source", "reaction")
 
 _KNOWN_KEYS = {
     "experiment", "T", "M", "N", "x_left", "x_right",
@@ -66,15 +64,14 @@ class ConfigError(Exception):
 
 @dataclass
 class ExperimentConfig:
-    """A validated experiment description plus its resolved callbacks."""
+    """A validated experiment description plus its resolved callbacks;
+    params is the SchemeParams whose construction validated the
+    coefficients."""
 
     experiment: str
     x_left: float
     x_right: float
-    mu: float
-    gamma: float
-    kappa: float
-    nu: float
+    params: SchemeParams
     T: float
     m_values: list
     n_values: list
@@ -84,16 +81,10 @@ class ExperimentConfig:
     out: Optional[str] = None
     phi: Optional[Callable] = None
     exact: Optional[Callable] = None      # exact(x, t), when known
-    source: Optional[Callable] = None
-    reaction: Optional[tuple] = None
 
     @property
     def length(self) -> float:
         return self.x_right - self.x_left
-
-    def params(self) -> SchemeParams:
-        return SchemeParams(mu=self.mu, gamma=self.gamma, kappa=self.kappa,
-                            nu=self.nu, source=self.source, reaction=self.reaction)
 
 
 def _example1_exact(x, t):
@@ -184,28 +175,20 @@ def _parse_float(key, text, violations):
         return None
 
 
-def _parse_int_list(key, text, violations):
+def _parse_list(key, text, violations, kind=float):
+    """Space- or comma-separated values of kind; a list of ints (M or N)
+    must not be empty."""
     out = []
     for tok in text.replace(",", " ").split():
         try:
-            out.append(int(tok))
+            out.append(kind(tok))
         except ValueError:
-            violations.append(f"{key}: expected integers, got {tok!r}")
+            violations.append(f"{key}: expected {'integers' if kind is int else 'numbers'}, "
+                              f"got {tok!r}")
             return None
-    if not out:
+    if not out and kind is int:
         violations.append(f"{key}: empty list")
         return None
-    return out
-
-
-def _parse_float_list(key, text, violations):
-    out = []
-    for tok in text.replace(",", " ").split():
-        try:
-            out.append(float(tok))
-        except ValueError:
-            violations.append(f"{key}: expected numbers, got {tok!r}")
-            return None
     return out
 
 
@@ -289,12 +272,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
                 base[key] = parsed
         elif key == "phi" and experiment != "custom":
             violations.append("phi: only allowed for experiment = custom")
-        elif key == "M":
-            base["m_values"] = _parse_int_list(key, value, violations)
-        elif key == "N":
-            base["n_values"] = _parse_int_list(key, value, violations)
+        elif key in ("M", "N"):
+            base[f"{key.lower()}_values"] = _parse_list(key, value, violations, int)
         elif key == "snapshot_times":
-            base["snapshot_times"] = _parse_float_list(key, value, violations)
+            base[key] = _parse_list(key, value, violations)
         elif key in ("energy", "posterior"):
             flag = _parse_flag(key, value, violations)
             if flag is not None:
@@ -324,8 +305,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if base.get("mu") is not None:
         # SchemeParams holds the coefficient rules; report its verdict here
         try:
-            SchemeParams(mu=base["mu"], gamma=base["gamma"], kappa=base["kappa"],
-                         nu=base["nu"], source=base["source"], reaction=base["reaction"])
+            base["params"] = SchemeParams(**{key: base.pop(key) for key in _COEFFICIENTS})
         except ValueError as exc:
             violations.append(str(exc))
     for key, values in (("M", base.get("m_values")), ("N", base.get("n_values"))):
@@ -363,16 +343,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if violations:
         raise ConfigError(violations)
 
-    return ExperimentConfig(
-        experiment=experiment,
-        x_left=base["x_left"], x_right=base["x_right"],
-        mu=base["mu"], gamma=base["gamma"], kappa=base["kappa"], nu=base["nu"],
-        T=base["T"], m_values=base["m_values"], n_values=base["n_values"],
-        snapshot_times=base.get("snapshot_times") or [],
-        energy=base.get("energy", True), posterior=base.get("posterior", False),
-        out=base.get("out"), phi=base["phi"], exact=base.get("exact"),
-        source=base.get("source"), reaction=base.get("reaction"),
-    )
+    return ExperimentConfig(experiment=experiment, **base)
 
 
 def parse_config(path) -> ExperimentConfig:

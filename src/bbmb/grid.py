@@ -22,6 +22,7 @@ convergence tables.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,12 +43,15 @@ __all__ = [
 ]
 
 _SMALLEST_NORMAL = np.finfo(float).tiny
+# M counts nodes and N time steps, each the length of an array
+_MAX_COUNT = sys.maxsize
 
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform periodic grid: M nodes over one period L, N steps to time T.
-    Its steps h = L/M and tau = T/N must pass usable_steps."""
+    """Uniform periodic grid: M nodes over one period L from a finite
+    x_left, N steps to time T.  M and N are integers, at most _MAX_COUNT,
+    and its steps h = L/M and tau = T/N must pass usable_steps."""
 
     L: float
     M: int
@@ -58,12 +62,16 @@ class Grid1D:
     def __post_init__(self):
         if not (np.isfinite(self.L) and self.L > 0):
             raise ValueError(f"period L must be positive and finite, got {self.L}")
-        if self.M < 4:
-            raise ValueError(f"need M >= 4 spatial nodes, got {self.M}")
+        if not np.isfinite(self.x_left):
+            raise ValueError(f"x_left must be finite, got {self.x_left}")
+        if not (isinstance(self.M, (int, np.integer)) and 4 <= self.M <= _MAX_COUNT):
+            raise ValueError(f"need an integer 4 <= M <= {_MAX_COUNT} of spatial nodes, "
+                             f"got {self.M}")
         if not (np.isfinite(self.T) and self.T > 0):
             raise ValueError(f"final time T must be positive and finite, got {self.T}")
-        if self.N < 2:
-            raise ValueError(f"need N >= 2 time steps, got {self.N}")
+        if not (isinstance(self.N, (int, np.integer)) and 2 <= self.N <= _MAX_COUNT):
+            raise ValueError(f"need an integer 2 <= N <= {_MAX_COUNT} of time steps, "
+                             f"got {self.N}")
         if not all(usable_steps(self.h, self.tau)):
             raise ValueError(f"grid steps h = L/M = {self.h:g} and tau = T/N = {self.tau:g} "
                              "must be positive normal floats with finite h^2, 1/h^2 and h^4")

@@ -569,23 +569,15 @@ def _block_scatter(n: int) -> tuple:
     return (2 * i + p) * (2 * n) + col, zeros
 
 
-def _dense_block_matrix(blocks, out) -> np.ndarray:
-    """Write the (n, 2, 6) blocks [sub | diag | sup] of a cyclic block
-    system (n >= 3) into out, a zeroed 2n x 2n matrix (interleaved
-    unknowns u_0, v_0, u_1, v_1, ...), in one scatter; returns out.  The
-    scatter writes the same entries for every system of n rows, so out
-    can be reused for the next."""
-    index, zeros = _block_scatter(blocks.shape[0])
-    out.put(index, blocks + zeros)
-    return out
-
-
 def block_system_matrix(system: CyclicBlockTriSystem) -> np.ndarray:
     """Assemble the full 2M x 2M matrix of a block cyclic system
-    (unknown ordering interleaved: u_0, v_0, u_1, v_1, ...)."""
+    (unknown ordering interleaved: u_0, v_0, u_1, v_1, ...) by one
+    scatter of its (M, 2, 6) blocks [sub | diag | sup]."""
     m = system.m
-    return _dense_block_matrix(system.coeffs[:, :6].transpose(2, 0, 1),
-                               np.zeros((2 * m, 2 * m)))
+    index, zeros = _block_scatter(m)
+    out = np.zeros((2 * m, 2 * m))
+    out.put(index, system.coeffs[:, :6].transpose(2, 0, 1) + zeros)
+    return out
 
 
 def block_matvec(system: CyclicBlockTriSystem, x: np.ndarray, stencil=None,

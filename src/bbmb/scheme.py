@@ -61,7 +61,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .analysis import _data_scale, energy_drift, gradient_energy
-from .grid import Batch, Grid1D, as_field, second_diff
+from .grid import _SMALLEST_NORMAL, Batch, Grid1D, as_field, second_diff
 from .linalg import (CyclicBlockTriSystem, CyclicReductionSolver, ScalarCyclicTriSystem,
                      SingularSystemError, block_matvec, solve_cyclic_block_tridiagonal,
                      solve_scalar_cyclic)
@@ -91,7 +91,6 @@ __all__ = [
 # smallest normal float: there, data too small for normal floats carry
 # no relative precision to enforce.
 SOLVE_RESIDUAL_RTOL = 1e-11
-_SMALLEST_NORMAL = np.finfo(float).tiny
 # Entries of the compact relation's row: u's and v's three coefficients
 # (times 1/h^2 for u) for the left neighbour, the node, the right one
 _COMPACT_U = np.array([-1.0, 2.0, -1.0])[:, None]

@@ -97,7 +97,7 @@ def test_bounds_hold_on_conservative_runs_property(text):
     config = parse_config_text(text)
     grid = Grid1D(L=config.length, M=config.m_values[0], T=config.T,
                   N=config.n_values[0], x_left=config.x_left)
-    params = config.params()
+    params = config.params
     with np.errstate(over="ignore"):  # cosh of a narrow sech2 far out
         result = run(config.phi, grid, params)
         state = init_state(config.phi, grid, params)

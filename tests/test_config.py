@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bbmb.config import ConfigError, parse_config, parse_config_text
+from bbmb.scheme import SchemeParams
 
 CUSTOM = "experiment = custom\nx_left = -10\nx_right = 10\nmu = 1\nT = 1\nM = 32\nN = 16\n"
 
@@ -15,8 +16,9 @@ def test_minimal_forced_sine_preset(tmp_path):
     path.write_text("experiment = example1\nT = 1\nM = 8 16\nN = 100\n")
     cfg = parse_config(path)
     assert cfg.length == pytest.approx(2.0)
-    assert (cfg.mu, cfg.gamma, cfg.kappa, cfg.nu) == (1.0, 1.0, 1.0, 1.0)
-    assert cfg.exact is not None and cfg.source is not None
+    p = cfg.params
+    assert (p.mu, p.gamma, p.kappa, p.nu) == (1.0, 1.0, 1.0, 1.0)
+    assert cfg.exact is not None and p.source is not None
     x = np.array([0.5])
     assert cfg.exact(x, 0.0) == pytest.approx(1.0)
 
@@ -82,7 +84,7 @@ def test_flags_and_overrides():
     cfg = parse_config_text(
         "experiment = example2\nT = 8\nM = 250\nN = 2048\n"
         "mu = 100\nnu = 1\nenergy = on\nposterior = off\nout = results\n")
-    assert cfg.mu == 100.0 and cfg.nu == 1.0
+    assert cfg.params.mu == 100.0 and cfg.params.nu == 1.0
     assert cfg.energy is True and cfg.posterior is False
     assert cfg.out == "results"
 
@@ -195,7 +197,7 @@ def test_parse_config_text_raises_only_config_error(experiment, overrides, junk)
         cfg = parse_config_text(text)
     except ConfigError:
         return
-    cfg.params()
+    assert isinstance(cfg.params, SchemeParams)
     assert np.isfinite([cfg.x_left, cfg.x_right, cfg.T]).all()
     x = cfg.x_left + cfg.length * np.linspace(0.0, 1.0, 9)[:-1]
     with np.errstate(all="ignore"):

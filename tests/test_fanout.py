@@ -170,7 +170,34 @@ def test_a_group_that_fails_in_this_process_is_marched_once(monkeypatch, tmp_pat
     _cores(monkeypatch, 1)
     code, _ = _run(tmp_path, "out", "stability", STABILITY)
     assert code == 3
-    assert sorted(marched) == [8, 16, 32, 64]
+    assert marched == [8]  # and no group after it
+
+
+def test_each_process_stops_marching_at_its_first_failing_part(monkeypatch, tmp_path):
+    # on two cores the child holds N = 32, 16 and 8 and stops after N = 8,
+    # which fails first in config order; this process marches N = 64,
+    # then N = 8 again to raise its error
+    _corrupt_solver(monkeypatch, 16, "u_and_v")
+    log = tmp_path / "marches"
+    march = bbmb.cli.march
+
+    def logged(phi, batch, params):
+        with open(log, "a") as fh:
+            fh.write(f"{batch.N}\n")
+        return march(phi, batch, params)
+
+    monkeypatch.setattr(bbmb.cli, "march", logged)
+    reports, marched = {}, {}
+    for w in (1, 2):
+        _cores(monkeypatch, w)
+        log.write_text("")
+        code, files = _run(tmp_path, f"w{w}", "stability", STABILITY)
+        assert code == 3
+        reports[w] = files["report.txt"]
+        marched[w] = sorted(int(n) for n in log.read_text().split())
+        _no_child_left()
+    assert reports[1] == reports[2]
+    assert marched == {1: [8], 2: [8, 8, 64]}
 
 
 @pytest.mark.parametrize("w", [1, 2])

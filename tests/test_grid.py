@@ -23,6 +23,7 @@ def test_grid_steps():
     assert g.nodes()[0] == 0.0
     assert np.isclose(g.nodes()[-1], 2.0 - g.h)
     assert len(g.times()) == 101
+    assert Grid1D(L=2.0, M=np.int64(16), T=1.0, N=np.int32(100)).h == g.h
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -30,6 +31,10 @@ def test_grid_steps():
     dict(L=2.0, M=16, T=1.0, N=1),
     dict(L=-1.0, M=16, T=1.0, N=10),
     dict(L=2.0, M=16, T=0.0, N=10),
+    dict(L=2.0, M=8, T=1.0, N=10, x_left=np.inf),
+    dict(L=2.0, M=10**400, T=1.0, N=10),
+    dict(L=2.0, M=16, T=1.0, N=10**400),
+    dict(L=2.0, M=16.5, T=1.0, N=10),
 ])
 def test_grid_rejects_degenerate(kwargs):
     with pytest.raises(ValueError):
