@@ -175,18 +175,17 @@ def _parse_float(key, text, violations):
         return None
 
 
-def _parse_list(key, text, violations, kind=float):
-    """Space- or comma-separated values of kind; a list of ints (M or N)
-    must not be empty."""
+def _parse_list(key, text, violations, kind, noun, allow_empty):
+    """Space- or comma-separated values of kind, which a violation calls
+    noun."""
     out = []
     for tok in text.replace(",", " ").split():
         try:
             out.append(kind(tok))
         except ValueError:
-            violations.append(f"{key}: expected {'integers' if kind is int else 'numbers'}, "
-                              f"got {tok!r}")
+            violations.append(f"{key}: expected {noun}, got {tok!r}")
             return None
-    if not out and kind is int:
+    if not out and not allow_empty:
         violations.append(f"{key}: empty list")
         return None
     return out
@@ -273,9 +272,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
         elif key == "phi" and experiment != "custom":
             violations.append("phi: only allowed for experiment = custom")
         elif key in ("M", "N"):
-            base[f"{key.lower()}_values"] = _parse_list(key, value, violations, int)
+            base[f"{key.lower()}_values"] = _parse_list(key, value, violations,
+                                                        int, "integers", False)
         elif key == "snapshot_times":
-            base[key] = _parse_list(key, value, violations)
+            base[key] = _parse_list(key, value, violations, float, "numbers", True)
         elif key in ("energy", "posterior"):
             flag = _parse_flag(key, value, violations)
             if flag is not None:

@@ -3,24 +3,32 @@ against them.
 
 Each bundled config configs/<name>.cfg runs through bbmb.cli.main in
 this process, once on all usable cores and once with cli._usable_cores
-patched to 1.  Its exit code, CSV files and report.txt must equal the
-files under tests/golden/<name>/ byte for byte.  A mismatch names the
-file, row and column, and gives the largest difference in perfbench's
-tolerance units, 1e-12*max|u| for solution values and errors and
-1e-11*E(0) for energies, so a roundoff move can be told from a defect.
+patched to 1.  Its exit code, CSV files and report.txt are compared with
+the files under tests/golden/<name>/.  A mismatch names the file, row
+and column, and gives the largest difference in tolerance units, so a
+roundoff move can be told from a defect:
 
-    PYTHONPATH=src python tests/golden.py [--record] [NAME ...]
+- solution values and errors: 1e-12*max|u|, energies: 1e-11*E(0), as
+  perfbench's output check;
+- an order: 1e-9 of the order that its row's step and error give;
+- a number in report.txt: one in its last printed digit.
 
-checks the named configs, or all of them, and exits 1 on a mismatch.
---record runs each on all cores and writes its files as the goldens; a
-change that means to move bits re-records them and lists the moved
-files.
+Words, integers, grid values and the files' shapes have no tolerance.
+
+    PYTHONPATH=src python tests/golden.py [--record]
+
+checks every bundled config and exits 1 if any byte moved (on the
+platform the goldens were recorded on, none does).  --record runs each
+on all cores and writes its files as the goldens; a change that means to
+move bits re-records them and lists the moved files.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -37,8 +45,11 @@ GOLDEN = os.path.join(ROOT, "tests", "golden")
 EXIT_CODE = "exit_code"
 ERROR_TOL = 1e-12    # of max|u|
 ENERGY_TOL = 1e-11   # of E(0)
-# columns compared only as text: the grid and the fitted orders
-_UNITLESS = {"x", "t", "h", "step", "order"}
+ORDER_RTOL = 1e-9    # of the order its row's step and error give
+# columns compared only as text: the grid, which config arithmetic fixes
+_GRID = {"x", "t", "h", "step"}
+# a printed number; re.split with it puts the numbers at odd indices
+_NUMBER = re.compile(r"(-?\d+(?:\.\d+)?(?:e[-+]?\d+)?)")
 NAMES = sorted(name[:-4] for name in os.listdir(CONFIGS) if name.endswith(".cfg"))
 
 
@@ -78,39 +89,80 @@ def _u_scale(name: str) -> float:
     return float(np.abs(u).max())
 
 
-def _diff(name: str, file: str, got: bytes, want: bytes) -> str:
-    """Where a file differs from its golden: the first differing line, or
-    for a CSV file the first differing row (the header is row 0) and
-    column, and the largest difference in tolerance units."""
-    got_lines, want_lines = got.decode().splitlines(), want.decode().splitlines()
-    if not file.endswith(".csv"):
-        i = next((i for i, pair in enumerate(zip(got_lines, want_lines)) if pair[0] != pair[1]),
-                 min(len(got_lines), len(want_lines)))
-        return f"{file} line {i + 1}: {got_lines[i:i + 1]} against golden {want_lines[i:i + 1]}"
+def _text_diff(file: str, got_lines: list, want_lines: list) -> tuple:
+    """The first differing line of a text file, and the largest move of a
+    printed number in units of its golden's last digit (inf if a word, an
+    integer or the line count differs)."""
+    if len(got_lines) != len(want_lines):
+        return f"{file}: {len(got_lines)} lines against {len(want_lines)} in the golden", math.inf
+    first, worst = None, 0.0
+    for i, (line, ref) in enumerate(zip(got_lines, want_lines)):
+        if line == ref:
+            continue
+        first = first or f"{file} line {i + 1}: {line!r} against golden {ref!r}"
+        parts, ref_parts = _NUMBER.split(line), _NUMBER.split(ref)
+        if len(parts) != len(ref_parts) or parts[::2] != ref_parts[::2]:
+            worst = math.inf
+            continue
+        for a, r in zip(parts[1::2], ref_parts[1::2]):
+            if a == r:
+                continue
+            mantissa, _, exponent = r.partition("e")
+            if "." not in mantissa and not exponent:
+                worst = math.inf
+                continue
+            digits = len(mantissa.partition(".")[2])
+            worst = max(worst, abs(float(a) - float(r)) / 10.0 ** (int(exponent or 0) - digits))
+    return f"{first}; largest difference {worst:.3g} tolerance units", worst
+
+
+def _csv_diff(name: str, file: str, got_lines: list, want_lines: list) -> tuple:
+    """The first differing row (the header is row 0) and column of a CSV
+    file, and the largest difference in tolerance units (inf if the
+    shape, the header, a grid value or an empty cell differs)."""
     got_rows = [line.split(",") for line in got_lines]
     want_rows = [line.split(",") for line in want_lines]
-    if [len(row) for row in got_rows] != [len(row) for row in want_rows]:
-        return f"{file}: {len(got_rows)} rows against {len(want_rows)} in the golden"
+    if [len(row) for row in got_rows] != [len(row) for row in want_rows] \
+            or got_rows[:1] != want_rows[:1]:
+        return f"{file}: header or shape differs from the golden's", math.inf
     header = want_rows[0]
-    first, worst, units = None, 0.0, {}
+    first, worst, scale = None, 0.0, {}
     for i, (row, ref) in enumerate(zip(got_rows, want_rows)):
         for j, (a, r) in enumerate(zip(row, ref)):
             if a == r:
                 continue
-            if first is None:
-                first = f"{file} row {i} column {header[j]}: {a!r} against golden {r!r}"
-            if i == 0 or header[j] in _UNITLESS or not (a and r):
-                continue
-            if header[j] not in units:
-                units[header[j]] = (ENERGY_TOL * abs(float(want_rows[1][j]))
-                                    if header[j] == "E" else ERROR_TOL * _u_scale(name))
-            worst = max(worst, abs(float(a) - float(r)) / units[header[j]])
-    return f"{first}; largest difference {worst:.3g} tolerance units"
+            column = header[j]
+            first = first or f"{file} row {i} column {column}: {a!r} against golden {r!r}"
+            if column in _GRID or not (a and r):
+                units = math.inf
+            elif column == "order":
+                prev = got_rows[i - 1]
+                step, error = header.index("step"), header.index("error")
+                expected = (math.log(float(prev[error]) / float(row[error]))
+                            / math.log(float(prev[step]) / float(row[step])))
+                units = abs(float(a) - expected) / (ORDER_RTOL * max(1.0, abs(expected)))
+            else:
+                if column not in scale:
+                    scale[column] = (ENERGY_TOL * abs(float(want_rows[1][j])) if column == "E"
+                                     else ERROR_TOL * _u_scale(name))
+                units = abs(float(a) - float(r)) / scale[column]
+            worst = max(worst, units)
+    return f"{first}; largest difference {worst:.3g} tolerance units", worst
+
+
+def diff(name: str, file: str, got: bytes, want: bytes) -> tuple:
+    """(where a file of a config's run differs from its golden, the
+    largest difference in tolerance units)."""
+    got_lines, want_lines = got.decode().splitlines(), want.decode().splitlines()
+    if file.endswith(".csv"):
+        return _csv_diff(name, file, got_lines, want_lines)
+    return _text_diff(file, got_lines, want_lines)
 
 
 def check(name: str, work: str) -> list:
-    """Mismatches of a config's runs, on all cores and on one, against
-    its golden files; work is a directory for the runs' outputs."""
+    """Mismatches of a config's runs, on all cores and on one, against its
+    golden files, each as (where, largest difference in tolerance units);
+    work is a directory for the runs' outputs."""
     want = _files(os.path.join(GOLDEN, name))
     problems = []
     for one_core in (False, True):
@@ -118,10 +170,12 @@ def check(name: str, work: str) -> list:
         got = run(name, os.path.join(work, where.replace(" ", "_")), one_core)
         for file in sorted(set(got) | set(want)):
             if file not in got or file not in want:
-                problems.append(f"{name} ({where}): {file} "
-                                f"{'missing' if file in want else 'not in the golden'}")
+                problems.append((f"{name} ({where}): {file} "
+                                 f"{'missing' if file in want else 'not in the golden'}",
+                                 math.inf))
             elif got[file] != want[file]:
-                problems.append(f"{name} ({where}): {_diff(name, file, got[file], want[file])}")
+                text, units = diff(name, file, got[file], want[file])
+                problems.append((f"{name} ({where}): {text}", units))
     return problems
 
 
@@ -138,22 +192,17 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--record", action="store_true",
                         help="write the runs' outputs as the goldens")
-    parser.add_argument("names", nargs="*", metavar="NAME",
-                        help="bundled configs (default: all)")
     args = parser.parse_args(argv)
-    unknown = sorted(set(args.names) - set(NAMES))
-    if unknown:
-        parser.error(f"no bundled config {', '.join(unknown)} (one of {', '.join(NAMES)})")
     problems = []
-    for name in args.names or NAMES:
+    for name in NAMES:
         with tempfile.TemporaryDirectory() as work:
             if args.record:
                 record(name, work)
             else:
                 problems += check(name, work)
         print(f"{name}: {'recorded' if args.record else 'checked'}", file=sys.stderr)
-    for line in problems:
-        print(line)
+    for text, _ in problems:
+        print(text)
     return 1 if problems else 0
 
 
