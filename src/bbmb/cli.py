@@ -40,7 +40,6 @@ names the step and the case's M and N), 4 acceptance check failed.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import mmap
 import os
@@ -396,6 +395,8 @@ def run_experiment(config: ExperimentConfig, mode: str, out_dir: str) -> int:
 
 
 def main(argv=None) -> int:
+    import argparse  # here, so that library users do not load it and gettext
+
     parser = argparse.ArgumentParser(
         prog="bbmb",
         description="Conservative fourth-order compact solver for the "

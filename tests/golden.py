@@ -1,15 +1,18 @@
-"""Golden outputs of the bundled configs: record them, or check a run
-against them.
+"""Golden outputs of the bundled configs and of edge-case configs:
+record them, or check a run against them.
 
-Each bundled config configs/<name>.cfg runs through bbmb.cli.main in
-this process, once on all usable cores and once with cli._usable_cores
-patched to 1.  Its exit code, CSV files and report.txt are compared with
-the files under tests/golden/<name>/.  A mismatch names the file, row
-and column, and gives the largest difference in tolerance units, so a
-roundoff move can be told from a defect:
+Each golden <name> is one config run under one subcommand: a bundled
+config configs/<name>.cfg, or an edge case that no bundled config
+reaches, whose config lives under tests/golden/ (see EDGE_CASES).  It
+runs through bbmb.cli.main in this process, once on all usable cores
+and once with cli._usable_cores patched to 1.  Its exit code, CSV files
+and report.txt are compared with the files under tests/golden/<name>/.
+A mismatch names the file, row and column, and gives the largest
+difference in tolerance units, so a roundoff move can be told from a
+defect:
 
 - solution values and errors: 1e-12*max|u|, energies: 1e-11*E(0), as
-  perfbench's output check;
+  perfbench's output check, but never below one ulp of max|u| or E(0);
 - an order: 1e-9 of the order that its row's step and error give;
 - a number in report.txt: one in its last printed digit.
 
@@ -17,10 +20,10 @@ Words, integers, grid values and the files' shapes have no tolerance.
 
     PYTHONPATH=src python tests/golden.py [--record]
 
-checks every bundled config and exits 1 if any byte moved (on the
-platform the goldens were recorded on, none does).  --record runs each
-on all cores and writes its files as the goldens; a change that means to
-move bits re-records them and lists the moved files.
+checks every golden and exits 1 if any byte moved (on the platform the
+goldens were recorded on, none does).  --record runs each on all cores
+and writes its files as the goldens; a change that means to move bits
+re-records them and lists the moved files.
 """
 
 from __future__ import annotations
@@ -50,13 +53,46 @@ ORDER_RTOL = 1e-9    # of the order its row's step and error give
 _GRID = {"x", "t", "h", "step"}
 # a printed number; re.split with it puts the numbers at odd indices
 _NUMBER = re.compile(r"(-?\d+(?:\.\d+)?(?:e[-+]?\d+)?)")
-NAMES = sorted(name[:-4] for name in os.listdir(CONFIGS) if name.endswith(".cfg"))
 
 
 def _mode(name: str) -> str:
     """The subcommand of a bundled config, from its name's suffix."""
     kind = name.rsplit("_", 1)[-1]
     return "convergence" if kind in ("spatial", "temporal") else kind
+
+
+# goldens of configs under tests/golden/, by name: (config, subcommand).
+# repair (nu < 0) is repaired by one refinement step; singular (tau = 2.5
+# against example3's F'' >= -1) hits a singular pivot at step 3.  tiny's
+# wave of amplitude 1e-160, whose squares underflow, conserves its energy
+# to a relative drift.  example1 with mu = 0.001 hits a singular pivot at
+# M = 64, at step 2 for N = 4 and at step 4 for N = 8 and 16: the failing
+# sweep and exact chains report N = 4, first in config order, the
+# posterior temporal chain (whose runs go in step) N = 16, and each split
+# spatial chain the part that fails.  In the posterior chains of
+# refined_chain only M = 256 refines, and the run passes; in
+# failing_refined_chain every case refines at step 1 and M = 1024 still
+# misses its budget.
+EDGE_CASES = {
+    "repair": ("repair", "run"),
+    "singular": ("singular", "run"),
+    "tiny_invariants": ("tiny", "invariants"),
+    "tiny_run": ("tiny", "run"),
+    "failing_stability": ("failing_stability", "stability"),
+    "failing_spatial": ("failing_spatial", "convergence"),
+    "failing_posterior": ("failing_posterior", "convergence"),
+    "failing_temporal": ("failing_temporal", "convergence"),
+    "failing_temporal_posterior": ("failing_temporal_posterior", "convergence"),
+    "refined_chain": ("refined_chain", "convergence"),
+    "failing_refined_chain": ("failing_refined_chain", "convergence"),
+}
+# every golden, by name: (config file, subcommand)
+RUNS = {
+    **{name[:-4]: (os.path.join(CONFIGS, name), _mode(name[:-4]))
+       for name in sorted(os.listdir(CONFIGS)) if name.endswith(".cfg")},
+    **{name: (os.path.join(GOLDEN, config + ".cfg"), mode)
+       for name, (config, mode) in EDGE_CASES.items()},
+}
 
 
 def _files(folder: str) -> dict:
@@ -69,8 +105,9 @@ def _files(folder: str) -> dict:
 
 
 def run(name: str, out_dir: str, one_core: bool = False) -> dict:
-    """The files a config's run writes, and its exit code, by file name."""
-    argv = [_mode(name), "--config", os.path.join(CONFIGS, name + ".cfg"), "--out", out_dir]
+    """The files a golden's run writes, and its exit code, by file name."""
+    config, mode = RUNS[name]
+    argv = [mode, "--config", config, "--out", out_dir]
     if one_core:
         with mock.patch.object(cli, "_usable_cores", lambda: 1):
             code = cli.main(argv)
@@ -80,9 +117,9 @@ def run(name: str, out_dir: str, one_core: bool = False) -> dict:
 
 
 def _u_scale(name: str) -> float:
-    """max|u| of a config's run as perfbench reads it: the exact solution
+    """max|u| of a golden's run as perfbench reads it: the exact solution
     at T where there is one, else the initial profile, on the finest M."""
-    config = parse_config(os.path.join(CONFIGS, name + ".cfg"))
+    config = parse_config(RUNS[name][0])
     m = max(config.m_values)
     x = config.x_left + config.length * np.arange(m) / m
     u = config.exact(x, config.T) if config.exact is not None else config.phi(x)
@@ -143,8 +180,10 @@ def _csv_diff(name: str, file: str, got_lines: list, want_lines: list) -> tuple:
                 units = abs(float(a) - expected) / (ORDER_RTOL * max(1.0, abs(expected)))
             else:
                 if column not in scale:
-                    scale[column] = (ENERGY_TOL * abs(float(want_rows[1][j])) if column == "E"
-                                     else ERROR_TOL * _u_scale(name))
+                    # at least one ulp, since E(0) or max|u| may be 0 or subnormal
+                    value, tol = ((abs(float(want_rows[1][j])), ENERGY_TOL) if column == "E"
+                                  else (_u_scale(name), ERROR_TOL))
+                    scale[column] = max(tol * value, math.ulp(value))
                 units = abs(float(a) - float(r)) / scale[column]
             worst = max(worst, units)
     return f"{first}; largest difference {worst:.3g} tolerance units", worst
@@ -194,7 +233,7 @@ def main(argv=None) -> int:
                         help="write the runs' outputs as the goldens")
     args = parser.parse_args(argv)
     problems = []
-    for name in NAMES:
+    for name in RUNS:
         with tempfile.TemporaryDirectory() as work:
             if args.record:
                 record(name, work)

@@ -3,6 +3,8 @@
 import functools
 import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 from unittest import mock
 
@@ -308,6 +310,17 @@ def test_invalid_config_exit_code(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert main(["run", "--config", str(tmp_path / "missing.cfg"),
                  "--out", str(tmp_path / "o")]) == 2
+
+
+def test_importing_the_cli_loads_no_argparse():
+    # only main parses arguments; a library user or a benchmark child
+    # that imports the module does not pay for argparse and gettext
+    src = str(pathlib.Path(bbmb.cli.__file__).parents[1])
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, bbmb.cli; print(*sorted({'argparse', 'gettext'} & set(sys.modules)))"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
+    assert loaded.stdout.split() == []
 
 
 def test_fifteen_digit_output(tmp_path):

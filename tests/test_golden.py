@@ -1,9 +1,9 @@
-"""The bundled configs that run in under a second write their golden
-outputs, on all cores and on one, to within one tolerance unit.  Other
-hardware may move a last printed digit with no defect (numpy's SIMD
-dispatch and the BLAS kernels differ), so this fails only on a larger
-difference; tests/golden.py, which checks all nine configs, fails on
-any byte that moved."""
+"""The bundled configs that run in under a second, and every edge-case
+config, write their golden outputs, on all cores and on one, to within
+one tolerance unit.  Other hardware may move a last printed digit with
+no defect (numpy's SIMD dispatch and the BLAS kernels differ), so this
+fails only on a larger difference; tests/golden.py, which checks every
+golden, fails on any byte that moved."""
 
 import math
 
@@ -14,7 +14,7 @@ import golden
 
 @pytest.mark.parametrize("name", ["example1_stability", "example1_temporal",
                                   "example2_temporal", "example3_spatial",
-                                  "example3_temporal"])
+                                  "example3_temporal", *golden.EDGE_CASES])
 def test_bundled_config_writes_its_golden_outputs(tmp_path, name):
     assert [text for text, units in golden.check(name, str(tmp_path)) if units > 1] == []
 
@@ -34,6 +34,11 @@ def test_a_roundoff_move_is_within_one_unit_and_a_defect_is_not():
                   (b"0.00390625,1.39999999812511", b"0.00390625,1.39999999812512")) <= 1
     assert _units("example2_run", "energy.csv",
                   (b"0.00390625,1.39999999812511", b"0.00390625,1.39999999822511")) > 1
+    # E(0) = 5.6e-320 is subnormal, so one unit is one ulp, 4.9e-324
+    assert _units("tiny_run", "energy.csv",
+                  (b"0.02,5.60023409561053e-320", b"0.02,5.60072816125637e-320")) <= 1
+    assert _units("tiny_run", "energy.csv",
+                  (b"0.02,5.60023409561053e-320", b"0.02,5.61023409561053e-320")) > 1
     # the order must follow from its row's step and error
     assert _units("example1_temporal", "temporal_orders.csv",
                   (b"2.00134854596911", b"2.00134854596912")) <= 1
