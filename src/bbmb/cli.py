@@ -385,8 +385,6 @@ def run_experiment(config: ExperimentConfig, mode: str, out_dir: str) -> int:
     try:
         with np.errstate(all="ignore"):
             checks = _COMMANDS[mode][0](config, out_dir)
-    except ConfigError:
-        raise
     except SolverFailure as exc:
         _write_report(out_dir, [(False, "solver", str(exc))], stale=True)
         return EXIT_SOLVER

@@ -68,7 +68,6 @@ class ExperimentConfig:
     params is the SchemeParams whose construction validated the
     coefficients."""
 
-    experiment: str
     x_left: float
     x_right: float
     params: SchemeParams
@@ -343,7 +342,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if violations:
         raise ConfigError(violations)
 
-    return ExperimentConfig(experiment=experiment, **base)
+    return ExperimentConfig(**base)
 
 
 def parse_config(path) -> ExperimentConfig:

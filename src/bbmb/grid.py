@@ -9,10 +9,10 @@ arrays of a time step.  All operators accept stacked inputs of shape
 processed at once.
 
 A Batch lays the grids of several cases that share one time grid end
-to end on one node array, so the cases can be marched in lockstep.  The
-operators take its h, one value per node, and its shift, which wraps
-inside each case.  A batch of one keeps the grid's float h and
-periodic_shift, so it does the arithmetic of the plain grid.
+to end on one node array, so the cases can be marched in lockstep.
+central_diff and skew_advection take its h, one value per node, and its
+shift, which wraps inside each case.  A batch of one keeps the grid's
+float h and periodic_shift, so it does the arithmetic of the plain grid.
 
 Reductions (inner products, norms) are numpy sums (np.sum, or the
 array's .sum in per-step code: the same reduction), which use pairwise
@@ -133,7 +133,7 @@ class Batch:
             if (g.N, g.T) != (first.N, first.T):
                 raise ValueError(f"batched grids must share N and T: "
                                  f"{(first.N, first.T)} vs {(g.N, g.T)}")
-        self.N, self.T, self.tau = first.N, first.T, first.tau
+        self.N, self.tau = first.N, first.tau
         if len(self.grids) == 1:
             self.M = first.M
             self.bounds = ((0, first.M),)
@@ -205,27 +205,22 @@ def as_field(u, m: int) -> np.ndarray:
     return a
 
 
-def periodic_shift(a, offset: int, axis: int = -1, out=None) -> np.ndarray:
-    """result[..., i, ...] = a[..., (i + offset) % n, ...] along axis.
+def periodic_shift(a, offset: int, out=None) -> np.ndarray:
+    """result[..., i] = a[..., (i + offset) % n] along the last axis.
 
-    The same values as np.roll(a, -offset, axis): offset 1 brings each
+    The same values as np.roll(a, -offset, axis=-1): offset 1 brings each
     node's right neighbour to it, offset -1 its left neighbour.  out, if
     given, is an array of a's shape that receives the result.
     """
     a = np.asarray(a)
-    offset %= a.shape[axis]
-    lead = (slice(None),) * (axis % a.ndim)
-    return np.concatenate((a[lead + (slice(offset, None),)],
-                           a[lead + (slice(None, offset),)]), axis=axis, out=out)
+    offset %= a.shape[-1]
+    return np.concatenate((a[..., offset:], a[..., :offset]), axis=-1, out=out)
 
 
-def second_diff(u, h, shift=periodic_shift) -> np.ndarray:
-    """Periodic second difference (u[i+1] - 2*u[i] + u[i-1]) / h**2.
-
-    shift(a, offset) supplies the neighbours (a Batch's wraps inside each
-    case); h may then be an array with one value per node."""
+def second_diff(u, h) -> np.ndarray:
+    """Periodic second difference (u[i+1] - 2*u[i] + u[i-1]) / h**2."""
     u = np.asarray(u, dtype=float)
-    return (shift(u, 1) - 2.0 * u + shift(u, -1)) / (h * h)
+    return (periodic_shift(u, 1) - 2.0 * u + periodic_shift(u, -1)) / (h * h)
 
 
 def central_diff(u, h, shift=periodic_shift) -> np.ndarray:
@@ -234,14 +229,14 @@ def central_diff(u, h, shift=periodic_shift) -> np.ndarray:
     return (shift(u, 1) - shift(u, -1)) / (2.0 * h)
 
 
-def backward_diff(u, h, shift=periodic_shift) -> np.ndarray:
+def backward_diff(u, h) -> np.ndarray:
     """Half-node differences: entry i holds (u[i] - u[i-1]) / h.
 
     These are the slopes on the M cells ending at each node; the H1
     seminorm and the summation-by-parts identity are built from them.
     """
     u = np.asarray(u, dtype=float)
-    return (u - shift(u, -1)) / h
+    return (u - periodic_shift(u, -1)) / h
 
 
 def skew_advection(a, b, h, shift=periodic_shift) -> np.ndarray:

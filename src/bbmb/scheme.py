@@ -98,7 +98,8 @@ _COMPACT_V = np.array([1.0 / 12.0, 5.0 / 6.0, 1.0 / 12.0])[:, None]
 
 
 class SolverFailure(Exception):
-    """A step failed for one case: its initial curvature, step system or
+    """A step failed for one case: its initial data were nonzero but below
+    the normal float range, its initial curvature, step system or
     solution was non-finite (finite input can overflow), its system had a
     singular pivot, or its solution missed the residual budget even after
     one refinement step.  The message reads
@@ -230,7 +231,9 @@ def compact_curvature(u, h: float) -> np.ndarray:
 
 def init_state(phi, grid, params: SchemeParams) -> StepperState:
     """Sample the initial condition and solve each case's compact
-    curvature.  grid is a Grid1D or a Batch."""
+    curvature.  grid is a Grid1D or a Batch.  A case whose data are
+    nonzero but below the normal float range, where they carry no
+    relative precision to gate, fails at step 0."""
     batch = Batch.of(grid)
     x = batch.nodes()
     u0 = np.asarray(phi(x), dtype=float)
@@ -243,6 +246,10 @@ def init_state(phi, grid, params: SchemeParams) -> StepperState:
             v0.append(compact_curvature(u, g.h))
         except (ValueError, SingularSystemError) as exc:  # an overflowed rhs, a zero pivot
             raise _failure(0, f"initial curvature: {exc}", batch, j) from exc
+        peak = max(np.abs(u).max(), np.abs(v0[-1]).max())
+        if 0.0 < peak < _SMALLEST_NORMAL:
+            raise _failure(0, f"initial data: max(|u|, |v|) = {peak:.6g} is below the "
+                              f"smallest normal float {_SMALLEST_NORMAL:.6g}", batch, j)
     v0 = v0[0] if len(v0) == 1 else np.concatenate(v0)
     return StepperState(k=0, u_curr=u0, v_curr=v0, u_prev=None, v_prev=None)
 

@@ -5,7 +5,7 @@ import pytest
 
 from bbmb.config import preset_callbacks
 from bbmb.grid import Grid1D
-from bbmb.scheme import SchemeParams, march
+from bbmb.scheme import SchemeParams, compact_curvature, march
 
 
 @pytest.fixture
@@ -16,6 +16,14 @@ def rng():
 def levels(phi, grid, params):
     """Every level of one run as a list of (t, u) pairs, built on march."""
     return [(st.k * grid.tau, st.u_curr) for st in march(phi, grid, params)]
+
+
+def below_normal_range(phi, grid):
+    """Whether phi's data on grid are nonzero but have max(|u0|, |v0|)
+    below the smallest normal float, which init_state fails at step 0."""
+    u0 = phi(grid.nodes())
+    peak = max(np.abs(u0).max(), np.abs(compact_curvature(u0, grid.h)).max())
+    return 0.0 < peak < np.finfo(float).tiny
 
 
 def example1_params():

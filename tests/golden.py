@@ -72,7 +72,10 @@ def _mode(name: str) -> str:
 # spatial chain the part that fails.  In the posterior chains of
 # refined_chain only M = 256 refines, and the run passes; in
 # failing_refined_chain every case refines at step 1 and M = 1024 still
-# misses its budget.
+# misses its budget.  energy_off writes snapshots.csv and no energy.csv.
+# large is one case of 10^5 nodes: its curvature solve sweeps about 200
+# chunks of rows, and its solver's levels work in the scratch that
+# assembly and the gate share.
 EDGE_CASES = {
     "repair": ("repair", "run"),
     "singular": ("singular", "run"),
@@ -85,6 +88,8 @@ EDGE_CASES = {
     "failing_temporal_posterior": ("failing_temporal_posterior", "convergence"),
     "refined_chain": ("refined_chain", "convergence"),
     "failing_refined_chain": ("failing_refined_chain", "convergence"),
+    "energy_off": ("energy_off", "run"),
+    "large": ("large", "invariants"),
 }
 # every golden, by name: (config file, subcommand)
 RUNS = {

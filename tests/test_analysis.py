@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bbmb.analysis import (a_priori_bounds, boundedness_bound, convergence_table,
@@ -11,9 +11,10 @@ from bbmb.analysis import (a_priori_bounds, boundedness_bound, convergence_table
                            posterior_temporal_errors, stability_gap)
 from bbmb.config import parse_config_text
 from bbmb.grid import Grid1D, norms
-from bbmb.scheme import SchemeParams, init_state, run
+from bbmb.scheme import SchemeParams, SolverFailure, init_state, run
 
-from conftest import (example2_grid, example2_params, example2_phi, levels)
+from conftest import (below_normal_range, example2_grid, example2_params, example2_phi,
+                      levels)
 
 
 def test_gradient_energy_nonnegative(rng):
@@ -89,16 +90,30 @@ def _conservative_config(draw):
         f"phi = {phi}"])
 
 
+# data below the normal float range: max |u0| = 5e-324 carries no
+# relative precision, and the bounds rounded below the levels on it
+_SUBNORMAL_CONFIG = "\n".join([
+    "experiment = custom", "x_left = 0", "x_right = 1", "mu = 0.0546875", "gamma = 0",
+    "kappa = 0", "nu = 0", "T = 1", "M = 5", "N = 10", "phi = sech2 5e-324 1.0"])
+
+
 @settings(max_examples=80, deadline=None)
 @given(text=_conservative_config())
+@example(text=_SUBNORMAL_CONFIG)
 def test_bounds_hold_on_conservative_runs_property(text):
     # E_k >= e(u^{k+1}, v^{k+1})/2 once nu >= 0, so every level of any
-    # conservative run obeys both a-priori bounds, high sine modes included
+    # conservative run obeys both a-priori bounds, high sine modes
+    # included; a run whose initial data are nonzero but below the normal
+    # float range fails at step 0 instead
     config = parse_config_text(text)
     grid = Grid1D(L=config.length, M=config.m_values[0], T=config.T,
                   N=config.n_values[0], x_left=config.x_left)
     params = config.params
     with np.errstate(over="ignore"):  # cosh of a narrow sech2 far out
+        if below_normal_range(config.phi, grid):
+            with pytest.raises(SolverFailure, match=r"^step 0: initial data: "):
+                run(config.phi, grid, params)
+            return
         result = run(config.phi, grid, params)
         state = init_state(config.phi, grid, params)
     l2_bound, max_bound = a_priori_bounds(result.scaled_e0, result.scale, grid, params)

@@ -234,6 +234,21 @@ def test_overflowing_profile_exits_3(tmp_path, amplitude, step, needle):
     assert report[1].startswith(f"FAIL  solver: step {step}: {needle}")
 
 
+@pytest.mark.parametrize("mode", ["run", "invariants"])
+def test_subnormal_profile_exits_3(tmp_path, mode):
+    # data below the normal float range have no relative precision for the
+    # drift and boundedness gates to hold, so the run fails at step 0
+    cfg = write(tmp_path, "sub.cfg",
+                "experiment = custom\nx_left = 0\nx_right = 1\nmu = 0.0546875\ngamma = 0\n"
+                "kappa = 0\nnu = 0\nT = 1\nM = 5\nN = 10\nphi = sech2 5e-324 1.0\n")
+    out = tmp_path / "out"
+    assert main([mode, "--config", cfg, "--out", str(out)]) == 3
+    report = (out / "report.txt").read_text().splitlines()
+    assert report[0].startswith("STALE")
+    assert report[1].startswith("FAIL  solver: step 0: initial data: ")
+    assert report[1].endswith("(case M = 5, N = 10)")
+
+
 def test_high_mode_small_amplitude_run_passes_boundedness(tmp_path):
     # sqrt(2*E(0)) bounds every level of a conservative run, however
     # high the mode of its data

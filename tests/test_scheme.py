@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bbmb.analysis
@@ -20,8 +20,8 @@ from bbmb.scheme import (SchemeParams, SolverFailure, StepWorkspace,
                          init_state, march, newton_reaction_terms,
                          run, solve_cyclic_block_tridiagonal, truncation_residual)
 
-from conftest import (example1_exact, example1_grid, example1_params,
-                      example2_grid, example2_params, example2_phi,
+from conftest import (below_normal_range, example1_exact, example1_grid,
+                      example1_params, example2_grid, example2_params, example2_phi,
                       example3_grid, example3_params, example3_phi, levels)
 
 
@@ -219,10 +219,11 @@ def test_unrefined_solve_meets_its_budget(m, length, mu, gamma, kappa, nu, tau, 
     grid = Grid1D(L=length, M=m, T=2.0 * tau, N=2)
     params = SchemeParams(mu=mu, gamma=gamma, kappa=kappa, nu=nu, reaction=reaction)
     k = 2.0 * np.pi * mode / length
+    phi = lambda x: amp * (np.sin(k * x) + 0.5 * np.cos(3.0 * k * x + shift))
+    assume(not below_normal_range(phi, grid))  # those fail at step 0, before any solve
     work = StepWorkspace(grid, params)
     work.solvers = [_CountingSolver(work.cases[0])]
-    state = init_state(lambda x: amp * (np.sin(k * x) + 0.5 * np.cos(3.0 * k * x + shift)),
-                       grid, params)
+    state = init_state(phi, grid, params)
     for step in (1, 2):
         state = advance(state, grid, params, work)
         assert work.solvers[0].solves == step
@@ -621,13 +622,33 @@ def test_run_rejects_out_of_range_snapshots():
 
 
 def test_subnormal_data_pass_the_residual_gate():
-    # a residual below the smallest normal float carries no relative
-    # precision, so it meets the solve budget
-    grid = Grid1D(L=1.0, M=4, T=1.0, N=2, x_left=19.0)
-    params = SchemeParams(mu=1.0, nu=1.0)
-    states = list(march(lambda x: 2.1e-283 / np.cosh(x / 0.5) ** 2, grid, params))
-    assert 0.0 < np.abs(states[0].u_curr).max() < np.finfo(float).tiny
+    # data that diffuse below the smallest normal float leave residuals
+    # there, which carry no relative precision, so they meet the solve
+    # budget (without its floor of one smallest normal, step 26 fails)
+    grid = Grid1D(L=1.0, M=4, T=1.0, N=32)
+    params = SchemeParams(mu=1e-3, nu=1.0)
+    states = list(march(lambda x: 1e-300 * np.sin(2.0 * np.pi * x), grid, params))
+    assert np.abs(states[0].u_curr).max() >= np.finfo(float).tiny
+    assert 0.0 < np.abs(states[-1].u_curr).max() < np.finfo(float).tiny
     assert states[-1].k == grid.N
+
+
+def test_subnormal_initial_data_fail_at_step_0():
+    # initial data below the normal range carry no relative precision, so
+    # neither the energy drift nor the a-priori bounds can hold on them
+    params = SchemeParams(mu=1.0, nu=1.0)
+    step0 = (r"^step 0: initial data: .* below the smallest normal float .* "
+             r"\(case M = 4, N = 2\)$")
+    grid = Grid1D(L=1.0, M=4, T=1.0, N=2, x_left=19.0)
+    with pytest.raises(SolverFailure, match=step0):
+        init_state(lambda x: 2.1e-283 / np.cosh(x / 0.5) ** 2, grid, params)
+    # each case of a batch is checked on its own nodes: only the fine
+    # case's node at 1/8 reaches the normal range, so the coarse one fails
+    bump = lambda x: 1e-300 * np.exp(-((x - 0.125) / 0.026) ** 2)
+    batch = Batch([Grid1D(L=1.0, M=8, T=1.0, N=2), Grid1D(L=1.0, M=4, T=1.0, N=2)])
+    with pytest.raises(SolverFailure, match=step0):
+        init_state(bump, batch, params)
+    init_state(bump, batch.grids[0], params)
 
 
 def test_energy_pair_zero_fields():
