@@ -26,15 +26,18 @@ case's bits change.  The parts are spread over min(parts, usable cores)
 processes, this one and children made with os.fork, which write their
 errors into one shared array.  Outputs and exit codes do not depend on
 the number of processes.  Where os.fork or os.sched_getaffinity does
-not exist, everything runs in this process.  Fork, not spawn: the config
-holds lambdas, and a fresh interpreter would re-import numpy.  Nothing
-runs in threads: the work is many short numpy calls that hold the
+not exist, everything runs in this process; once os.fork fails, the
+rest is marched in this process.  Fork, not spawn: the config holds
+lambdas, and a fresh interpreter would re-import numpy.  Nothing runs
+in threads: the work is many short numpy calls that hold the
 interpreter lock.
 Levels are reduced as they are computed (scheme.march), so every
 subcommand holds O(M) memory per case.
 All floats are printed with 15 significant digits.
 
-Exit codes: 0 success, 2 invalid config, 3 solver failure (the report
+Exit codes: 0 success, 2 invalid config (unreadable, not UTF-8, or
+breaking a rule, such as M > 2^53) or an output directory that cannot be
+made, with a line on stderr per violation, 3 solver failure (the report
 names the step and the case's M and N), 4 acceptance check failed.
 """
 
@@ -93,10 +96,6 @@ def _write_report(out_dir, checks, stale=False):
     return all(ok for ok, _, _ in checks)
 
 
-def _grid(config: ExperimentConfig, m: int, n: int) -> Grid1D:
-    return Grid1D(L=config.length, M=m, T=config.T, N=n, x_left=config.x_left)
-
-
 def _levels(config, batch: Batch):
     """Stream every level of a batch's cases, marched in lockstep, as
     (t, u) pairs; u spans the batch's nodes."""
@@ -147,16 +146,16 @@ def _parts(groups, w: int, shared: int) -> list:
 
 def _errors(config: ExperimentConfig, part) -> list:
     """The errors of part's cases against the exact solution, in lockstep."""
-    batch = Batch(_grid(config, m, n) for m, n in part)
+    batch = Batch(config.grids[size] for size in part)
     return max_norm_errors(_levels(config, batch), config.exact, batch)
 
 
 def _estimates(config: ExperimentConfig, part) -> list:
     """The posterior errors of the neighbouring cases of part, a chain."""
     if len(config.n_values) > 1:
-        return posterior_temporal_errors([_levels(config, Batch([_grid(config, m, n)]))
-                                          for m, n in part])
-    batch = Batch(_grid(config, m, n) for m, n in part)
+        return posterior_temporal_errors([_levels(config, Batch([config.grids[size]]))
+                                          for size in part])
+    batch = Batch(config.grids[size] for size in part)
     return posterior_spatial_errors(batch.split(u) for _, u in _levels(config, batch))
 
 
@@ -175,7 +174,8 @@ def _fan_out(groups, fold, shared: int) -> list:
     that raised whole in this process raises again at its turn, without
     being marched again.  Only the first group in group order that
     raises is reported, so each process marches its parts in group
-    order and stops at the first that raises."""
+    order and stops at the first that raises.  Once os.fork fails, the
+    bins left unforked keep their NaN slots for that loop."""
     cores = _usable_cores()
     parts = _parts(groups, cores, shared)
     bins = _bins({i: _cost(part) for i, part in enumerate(parts)}, min(len(parts), cores))
@@ -198,7 +198,10 @@ def _fan_out(groups, fold, shared: int) -> list:
     done = False
     try:
         for keys in bins[1:]:
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:  # e.g. out of process ids
+                break
             if pid == 0:
                 try:
                     march_parts(keys)
@@ -243,7 +246,7 @@ def _boundedness_check(config: ExperimentConfig, grid: Grid1D, result):
 
 def _cmd_run(config: ExperimentConfig, out_dir) -> list:
     m, n = config.m_values[0], config.n_values[0]
-    grid = _grid(config, m, n)
+    grid = config.grids[m, n]
     result = run(config.phi, grid, config.params,
                  snapshot_times=config.snapshot_times or [config.T],
                  track_energy=config.energy)
@@ -284,12 +287,12 @@ def _cmd_convergence(config: ExperimentConfig, out_dir) -> list:
 
     if spatial:
         sizes = [(m, config.n_values[0]) for m in config.m_values]
-        steps = [config.length / m for m, _ in sizes]
+        steps = [config.grids[size].h for size in sizes]
         out_name = "spatial_orders.csv"
         window = SPATIAL_ORDER_WINDOW
     else:
         sizes = [(config.m_values[0], n) for n in config.n_values]
-        steps = [config.T / n for _, n in sizes]
+        steps = [config.grids[size].tau for size in sizes]
         out_name = "temporal_orders.csv"
         window = TEMPORAL_ORDER_WINDOW
 
@@ -317,8 +320,7 @@ def _cmd_convergence(config: ExperimentConfig, out_dir) -> list:
 
 
 def _cmd_invariants(config: ExperimentConfig, out_dir) -> list:
-    m, n = config.m_values[0], config.n_values[0]
-    grid = _grid(config, m, n)
+    grid = config.grids[config.m_values[0], config.n_values[0]]
     result = run(config.phi, grid, config.params, track_energy=True)
     _write_csv(os.path.join(out_dir, "energy.csv"), ["t", "E"], result.energy)
 
@@ -344,12 +346,14 @@ def _cmd_stability(config: ExperimentConfig, out_dir) -> list:
     curves = _fan_out([[(m, n) for m in config.m_values] for n in config.n_values],
                       functools.partial(_errors, config), 0)
 
-    header = ["h"] + [f"tau={_fmt(config.T / n)}" for n in config.n_values]
-    rows = [[config.length / m, *row] for m, row in zip(config.m_values, zip(*curves))]
+    m0, n0 = config.m_values[0], config.n_values[0]
+    taus = [_fmt(config.grids[m0, n].tau) for n in config.n_values]
+    header = ["h"] + [f"tau={tau}" for tau in taus]
+    rows = [[config.grids[m, n0].h, *row] for m, row in zip(config.m_values, zip(*curves))]
     _write_csv(os.path.join(out_dir, "stability.csv"), header, rows)
 
     checks = []
-    for n, curve in zip(config.n_values, curves):
+    for tau, curve in zip(taus, curves):
         # The curve approaches its time-limited plateau; near the
         # space/time error crossover it may dip below the plateau and
         # come back up, so monotonicity is required of the distance to
@@ -360,7 +364,7 @@ def _cmd_stability(config: ExperimentConfig, out_dir) -> list:
         monotone = all(b <= a * (1.0 + PLATEAU_RTOL) + slack
                        for a, b in zip(dist, dist[1:]))
         flat = abs(curve[-1] - curve[-2]) <= PLATEAU_RTOL * abs(curve[-2])
-        checks.append((monotone and flat, f"plateau tau={_fmt(config.T / n)}",
+        checks.append((monotone and flat, f"plateau tau={tau}",
                        f"approach monotone={monotone}, last two within "
                        f"{abs(curve[-1] - curve[-2]) / abs(curve[-2]):.2%}"))
     return checks
@@ -381,7 +385,10 @@ def run_experiment(config: ExperimentConfig, mode: str, out_dir: str) -> int:
     Floating-point warnings are silenced: a run that overflows is caught
     by the solver's finiteness checks and reported as a solver failure.
     """
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError([f"out: cannot make directory {out_dir}: {exc.strerror}"]) from exc
     try:
         with np.errstate(all="ignore"):
             checks = _COMMANDS[mode][0](config, out_dir)

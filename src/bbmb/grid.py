@@ -22,6 +22,7 @@ convergence tables.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -31,7 +32,7 @@ __all__ = [
     "Grid1D",
     "Batch",
     "FieldNorms",
-    "usable_steps",
+    "grid_violations",
     "as_field",
     "periodic_shift",
     "second_diff",
@@ -42,16 +43,17 @@ __all__ = [
     "norms",
 ]
 
-_SMALLEST_NORMAL = np.finfo(float).tiny
-# M counts nodes and N time steps, each the length of an array
-_MAX_COUNT = sys.maxsize
+_SMALLEST_NORMAL = sys.float_info.min
+# M counts nodes and N steps: node i sits at x_left + i*h and level k at
+# k*tau, and a float holds every whole number up to 2^53 exactly
+_MAX_COUNT = 2 ** 53
 
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform periodic grid: M nodes over one period L from a finite
-    x_left, N steps to time T.  M and N are integers, at most _MAX_COUNT,
-    and its steps h = L/M and tau = T/N must pass usable_steps."""
+    """Uniform periodic grid: M nodes over one period L = x_right - x_left
+    from x_left, N steps to time T.  It raises ValueError naming each rule
+    of grid_violations that it breaks."""
 
     L: float
     M: int
@@ -60,21 +62,9 @@ class Grid1D:
     x_left: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.L) and self.L > 0):
-            raise ValueError(f"period L must be positive and finite, got {self.L}")
-        if not np.isfinite(self.x_left):
-            raise ValueError(f"x_left must be finite, got {self.x_left}")
-        if not (isinstance(self.M, (int, np.integer)) and 4 <= self.M <= _MAX_COUNT):
-            raise ValueError(f"need an integer 4 <= M <= {_MAX_COUNT} of spatial nodes, "
-                             f"got {self.M}")
-        if not (np.isfinite(self.T) and self.T > 0):
-            raise ValueError(f"final time T must be positive and finite, got {self.T}")
-        if not (isinstance(self.N, (int, np.integer)) and 2 <= self.N <= _MAX_COUNT):
-            raise ValueError(f"need an integer 2 <= N <= {_MAX_COUNT} of time steps, "
-                             f"got {self.N}")
-        if not all(usable_steps(self.h, self.tau)):
-            raise ValueError(f"grid steps h = L/M = {self.h:g} and tau = T/N = {self.tau:g} "
-                             "must be positive normal floats with finite h^2, 1/h^2 and h^4")
+        violations = grid_violations(self.L, self.T, [self.M], [self.N], self.x_left)
+        if violations:
+            raise ValueError("; ".join(violations))
 
     @property
     def h(self) -> float:
@@ -100,15 +90,48 @@ class Grid1D:
         return k
 
 
-def usable_steps(h, tau) -> tuple:
-    """Whether grid steps h and tau, floats or arrays of them, are usable:
-    (h ok, tau ok).  Each must be a positive normal float, and the powers
-    of h that the scheme and the energy take, h^2, 1/h^2 and h^4,
-    finite."""
-    h = np.asarray(h, dtype=float)
-    with np.errstate(all="ignore"):
-        powers_finite = np.isfinite([h * h, 1.0 / (h * h), h ** 4]).all(axis=0)
-    return (h >= _SMALLEST_NORMAL) & powers_finite, np.asarray(tau) >= _SMALLEST_NORMAL
+def grid_violations(L, T, m_values, n_values, x_left=0.0) -> list:
+    """A message for each rule of a usable grid that the grid of an M in
+    m_values and an N in n_values breaks.  A rule whose inputs are None
+    or break a rule of their own is skipped, so every violation is found
+    at once.  x_left is finite; L = x_right - x_left and T are positive
+    and finite; M is an integer in [4, 2^53] and N one in [2, 2^53]; and
+    h = L/M and tau = T/N are positive normal floats, with h^2, 1/h^2 and
+    h^4, which the scheme and the energy take, finite."""
+    out = []
+    if x_left is not None and not math.isfinite(x_left):
+        out.append(f"x_left must be finite, got {x_left}")
+        L = None
+    if L is not None and not (math.isfinite(L) and L > 0):
+        out.append(f"x_right - x_left = {L} must be a positive finite period L")
+        L = None
+    if T is not None and not (math.isfinite(T) and T > 0):
+        out.append(f"T must be positive and finite, got {T}")
+        T = None
+    counts = {}  # the counts whose steps are judged
+    for key, values, least in (("M", m_values, 4), ("N", n_values, 2)):
+        bad = [c for c in values or () if not (isinstance(c, (int, np.integer))
+                                                and least <= c <= _MAX_COUNT)]
+        if bad:
+            out.append(f"{key}: need integers from {least} to 2^53, got "
+                       f"{', '.join(map(str, bad))}")
+        counts[key] = () if bad else values or ()
+    if L is not None:
+        out += [f"M: grid step h = L/M = {L / m:g} at M = {m} must be a positive normal "
+                "float with finite h^2, 1/h^2 and h^4"
+                for m in counts["M"] if not _usable_step(float(L / m))]
+    if T is not None:
+        out += [f"N: time step tau = T/N = {T / n:g} at N = {n} must be a positive normal "
+                "float" for n in counts["N"] if not T / n >= _SMALLEST_NORMAL]
+    return out
+
+
+def _usable_step(h: float) -> bool:
+    """Whether h is a positive normal float with h^2, 1/h^2 and h^4 finite."""
+    try:
+        return h >= _SMALLEST_NORMAL and math.isfinite(1.0 / (h * h)) and math.isfinite(h ** 4)
+    except (OverflowError, ZeroDivisionError):  # Python floats raise where numpy gives inf
+        return False
 
 
 class Batch:

@@ -8,6 +8,20 @@ from bbmb.grid import Grid1D
 from bbmb.scheme import SchemeParams, compact_curvature, march
 
 
+def pytest_report_header(config):
+    """numpy's version and the SIMD extensions it dispatches to here: the
+    goldens were recorded with AVX-512 kernels, and a narrower dispatch
+    moves some of their last digits."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1
+        from numpy.core import _multiarray_umath as umath
+
+    found = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    return (f"numpy {np.__version__}: SIMD baseline {' '.join(umath.__cpu_baseline__)}, "
+            f"dispatched {' '.join(found) or 'none'}")
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

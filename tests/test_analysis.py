@@ -106,8 +106,7 @@ def test_bounds_hold_on_conservative_runs_property(text):
     # included; a run whose initial data are nonzero but below the normal
     # float range fails at step 0 instead
     config = parse_config_text(text)
-    grid = Grid1D(L=config.length, M=config.m_values[0], T=config.T,
-                  N=config.n_values[0], x_left=config.x_left)
+    grid = config.grids[config.m_values[0], config.n_values[0]]
     params = config.params
     with np.errstate(over="ignore"):  # cosh of a narrow sech2 far out
         if below_normal_range(config.phi, grid):

@@ -202,13 +202,15 @@ _HUGE = "1" + "0" * 400
     ("experiment = example2\nT = 5e-324\nM = 16\nN = 2\n", "N: time step tau = T/N = 0 "),
     # h = 6.25e298, whose fourth power the energy takes
     ("experiment = custom\nx_left = 0\nx_right = 1e300\nmu = 1\nphi = sine 1 1\n"
-     "T = 1\nM = 16\nN = 4\n", "M: grid step h = (x_right - x_left)/M = 6.25e+298 "),
+     "T = 1\nM = 16\nN = 4\n", "M: grid step h = L/M = 6.25e+298 at M = 16 "),
     # M and N past the float range, which no array length reaches
-    (f"experiment = example2\nT = 1\nM = {_HUGE}\nN = 4\n", "M: entries too large"),
-    (f"experiment = example2\nT = 1\nM = 16\nN = {_HUGE}\n", "N: entries too large"),
+    (f"experiment = example2\nT = 1\nM = {_HUGE}\nN = 4\n",
+     f"M: need integers from 4 to 2^53, got {_HUGE}"),
+    (f"experiment = example2\nT = 1\nM = 16\nN = {_HUGE}\n",
+     f"N: need integers from 2 to 2^53, got {_HUGE}"),
     # the sine profile's mode check compares against min(M)
     ("experiment = custom\nx_left = 0\nx_right = 1\nmu = 1\nphi = sine 1 1\n"
-     f"T = 1\nM = {_HUGE}\nN = 4\n", "M: entries too large"),
+     f"T = 1\nM = {_HUGE}\nN = 4\n", f"M: need integers from 4 to 2^53, got {_HUGE}"),
 ], ids=["subnormal-tau", "huge-h", "huge-M", "huge-N", "huge-M-sine"])
 def test_grid_steps_out_of_float_range_are_config_errors(tmp_path, capsys, text, needle):
     cfg = write(tmp_path, "steps.cfg", text)
@@ -216,6 +218,48 @@ def test_grid_steps_out_of_float_range_are_config_errors(tmp_path, capsys, text,
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
     assert not (out / "report.txt").exists()
     assert f"config error: {needle}" in capsys.readouterr().err
+
+
+def _unusable_input(tmp_path, case):
+    """argv for one input that a run cannot use, and the message it gets."""
+    cfg = write(tmp_path, "ok.cfg", "experiment = example2\nT = 1\nM = 16\nN = 4\n")
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    if case == "out-is-a-file":
+        return ["run", "--config", cfg, "--out", str(blocker)], "File exists"
+    if case == "out-below-a-file":
+        return ["run", "--config", cfg, "--out", str(blocker / "out")], "Not a directory"
+    if case == "config-not-utf8":
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"experiment = example2\n\xff\n")
+        return ["run", "--config", str(bad), "--out", str(tmp_path / "out")], \
+            "can't decode byte 0xff"
+    # M = 2^60 nodes would pass the float rules, but numpy cannot size its array
+    big = write(tmp_path, "big.cfg", f"experiment = example2\nT = 1\nM = {2 ** 60}\nN = 4\n")
+    return ["run", "--config", big, "--out", str(tmp_path / "out")], \
+        f"M: need integers from 4 to 2^53, got {2 ** 60}"
+
+
+@pytest.mark.parametrize("case", ["out-is-a-file", "out-below-a-file", "config-not-utf8",
+                                  "huge-M"])
+def test_unusable_inputs_exit_2_with_one_line(tmp_path, capfd, case):
+    argv, needle = _unusable_input(tmp_path, case)
+    assert main(argv) == 2
+    out, err = capfd.readouterr()
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ") and needle in lines[0]
+    assert "Traceback" not in out + err
+
+
+def test_example1_with_other_coefficients_keeps_its_spatial_order(tmp_path):
+    # the preset's source is built from the coefficients, so
+    # exp(t)*sin(pi*x) stays exact; with the mu = gamma = kappa = nu = 1
+    # source this fitted order -0.0326
+    cfg = write(tmp_path, "e1.cfg", "experiment = example1\nT = 0.5\nM = 8 16 32\nN = 400\n"
+                                    "mu = 2\ngamma = 0.5\nkappa = 3\nnu = 0.25\n")
+    out = tmp_path / "out"
+    assert main(["convergence", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "report.txt").read_text().startswith("PASS  spatial order: fitted order 4.00")
 
 
 @pytest.mark.filterwarnings("error")  # the failure is reported, not warned about

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbmb.config import ConfigError, parse_config, parse_config_text
+from bbmb.config import ConfigError, parse_config, parse_config_text, preset_callbacks
+from bbmb.grid import Grid1D
 from bbmb.scheme import SchemeParams
 
 CUSTOM = "experiment = custom\nx_left = -10\nx_right = 10\nmu = 1\nT = 1\nM = 32\nN = 16\n"
@@ -15,7 +16,7 @@ def test_minimal_forced_sine_preset(tmp_path):
     path = tmp_path / "e1.cfg"
     path.write_text("experiment = example1\nT = 1\nM = 8 16\nN = 100\n")
     cfg = parse_config(path)
-    assert cfg.length == pytest.approx(2.0)
+    assert cfg.grids[8, 100] == Grid1D(L=2.0, M=8, T=1.0, N=100)
     p = cfg.params
     assert (p.mu, p.gamma, p.kappa, p.nu) == (1.0, 1.0, 1.0, 1.0)
     assert cfg.exact is not None and p.source is not None
@@ -152,6 +153,30 @@ def test_sine_mode_resolved_on_the_coarsest_grid():
         assert np.isfinite(cfg.phi(np.linspace(-10, 10, 16))).all()
 
 
+@pytest.mark.parametrize("experiment", ["example1", "example2", "example3"])
+@pytest.mark.parametrize("key", ["x_left", "x_right"])
+def test_presets_keep_their_domain(experiment, key):
+    # example1's exact solution is periodic on (0, 2) only
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(f"experiment = {experiment}\nT = 1\nM = 8\nN = 10\n{key} = 3\n")
+    assert err.value.violations == [f"{key}: only allowed for experiment = custom"]
+
+
+def test_example1_source_follows_the_coefficients():
+    # the default-coefficient source is the preset's, bit for bit
+    default = parse_config_text("experiment = example1\nT = 1\nM = 8\nN = 10\n")
+    x, t = np.linspace(0.0, 2.0, 17), 0.7
+    assert np.array_equal(default.params.source(x, t), preset_callbacks("example1")["source"](x, t))
+    cfg = parse_config_text("experiment = example1\nT = 1\nM = 8\nN = 10\n"
+                            "mu = 2\ngamma = 0.5\nkappa = 3\nnu = 0.25\n")
+    # f = u_t - mu u_xxt + gamma u u_x + kappa u_x - nu u_xx at u = e^t sin(pi x)
+    u = np.exp(t) * np.sin(np.pi * x)
+    u_x = np.pi * np.exp(t) * np.cos(np.pi * x)
+    u_xx = -np.pi ** 2 * u
+    want = u - 2.0 * u_xx + 0.5 * u * u_x + 3.0 * u_x - 0.25 * u_xx
+    assert np.allclose(cfg.params.source(x, t), want, rtol=1e-13, atol=1e-13)
+
+
 @pytest.mark.parametrize("line", ["T = inf", "T = nan", "x_left = -inf", "x_right = nan"])
 def test_non_finite_domain_or_time_rejected(line):
     key = line.split()[0]
@@ -199,6 +224,44 @@ def test_parse_config_text_raises_only_config_error(experiment, overrides, junk)
         return
     assert isinstance(cfg.params, SchemeParams)
     assert np.isfinite([cfg.x_left, cfg.x_right, cfg.T]).all()
-    x = cfg.x_left + cfg.length * np.linspace(0.0, 1.0, 9)[:-1]
+    x = cfg.x_left + (cfg.x_right - cfg.x_left) * np.linspace(0.0, 1.0, 9)[:-1]
     with np.errstate(all="ignore"):
         assert cfg.phi(x).shape == x.shape
+
+
+# the edge floats of test_cli's drawn configs, and counts about 2^53 and
+# beyond, where the grid rules turn
+_EDGE = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-160, 1e300,
+                                   -1e300]),
+                  st.floats(-1e3, 1e3), st.floats(0.01, 10.0))
+
+
+@st.composite
+def _halving_chain(draw):
+    start = draw(st.one_of(st.sampled_from([4, 8, 16]),
+                           st.sampled_from([1, 2, 3, 5, 2 ** 51, 2 ** 52 - 1, 2 ** 52,
+                                            2 ** 53, 10 ** 400])))
+    return [start * 2 ** i for i in range(draw(st.integers(1, 3)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(ends=st.tuples(_EDGE, _EDGE), ordered=st.booleans(), T=_EDGE,
+       ms=_halving_chain(), ns=_halving_chain())
+def test_a_config_holds_exactly_the_grids_grid1d_accepts(ends, ordered, T, ms, ns):
+    # the parser and Grid1D judge grids by one rule, so a config parses
+    # exactly when every one of its (M, N) grids constructs, and holds them
+    x_left, x_right = sorted(ends) if ordered else ends
+    text = (f"experiment = custom\nx_left = {x_left!r}\nx_right = {x_right!r}\n"
+            f"T = {T!r}\nmu = 1\nphi = sech2 1 1\n"
+            f"M = {' '.join(map(str, ms))}\nN = {' '.join(map(str, ns))}\n")
+    try:
+        grids = {(m, n): Grid1D(L=x_right - x_left, M=m, T=T, N=n, x_left=x_left)
+                 for m in ms for n in ns}
+    except ValueError:
+        grids = None
+    try:
+        cfg = parse_config_text(text)
+    except ConfigError:
+        assert grids is None
+        return
+    assert cfg.grids == grids

@@ -4,6 +4,7 @@ parts of them split while there are fewer parts than usable cores, run
 in min(parts, usable cores) processes, with the same outputs and exit
 codes for any number of them."""
 
+import errno
 import os
 import pickle
 import signal
@@ -408,3 +409,29 @@ def test_a_singular_pivot_is_reported_with_its_step_m_and_n(monkeypatch, tmp_pat
     assert report[1].endswith(f"(case M = 64, N = {n})")
     assert "Traceback" not in capfd.readouterr().err
     _no_child_left()
+
+
+@pytest.mark.parametrize("fails_at", [1, 2])
+@pytest.mark.parametrize("text", [STABILITY, FAILING + "M = 8 16 32 64 128\nN = 4 8 16\n"],
+                         ids=["passing", "failing"])
+def test_a_failing_fork_gives_the_one_process_outputs(monkeypatch, tmp_path, capfd, text,
+                                                      fails_at):
+    # out of process ids, os.fork raises EAGAIN; the run forks no more
+    # children and marches the rest in this process
+    monkeypatch.setattr(bbmb.cli, "_usable_cores", lambda: 1)
+    want = _run(tmp_path, "one", "stability", text)
+    calls = []
+    fork = os.fork
+
+    def failing():
+        calls.append(None)
+        if len(calls) == fails_at:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", failing)
+    monkeypatch.setattr(bbmb.cli, "_usable_cores", lambda: 3)
+    assert _run(tmp_path, "three", "stability", text) == want
+    assert len(calls) == fails_at
+    _no_child_left()
+    assert "Traceback" not in capfd.readouterr().err
