@@ -23,29 +23,33 @@ costliest part that can still split has its last case split off; a
 posterior part keeps that case too, so that both halves hold a pair.
 Each part is a lockstep batch, or, along N, runs driven in step, so no
 case's bits change.  The parts are spread over min(parts, usable cores)
-processes, this one and children made with os.fork, which write their
-errors into one shared array.  Outputs and exit codes do not depend on
-the number of processes.  Where os.fork or os.sched_getaffinity does
-not exist, everything runs in this process; once os.fork fails, the
-rest is marched in this process.  Fork, not spawn: the config holds
-lambdas, and a fresh interpreter would re-import numpy.  Nothing runs
-in threads: the work is many short numpy calls that hold the
-interpreter lock.
+processes, this one and children made with os.fork.  Each part has one
+outcome, its errors or the exception it raised; a child sends its
+parts' outcomes back pickled through a pipe.  Outputs and exit codes do
+not depend on the number of processes: a group that failed as one part
+raises its error here, and a group with a failing part or a part
+without an outcome (its child died, or os.fork failed) is marched again
+here.  Where os.fork or os.sched_getaffinity does not exist, everything
+runs in this process.  Fork, not spawn: the config holds lambdas, and a
+fresh interpreter would re-import numpy.  Nothing runs in threads: the
+work is many short numpy calls that hold the interpreter lock.
 Levels are reduced as they are computed (scheme.march), so every
 subcommand holds O(M) memory per case.
 All floats are printed with 15 significant digits.
 
-Exit codes: 0 success, 2 invalid config (unreadable, not UTF-8, or
-breaking a rule, such as M > 2^53) or an output directory that cannot be
-made, with a line on stderr per violation, 3 solver failure (the report
-names the step and the case's M and N), 4 acceptance check failed.
+Exit codes: 0 success; 2 invalid config (unreadable, not UTF-8,
+breaking a rule, such as M > 2^53, or unfit for the subcommand, which
+is refused before the output directory is made) or an output directory
+or file that cannot be written, with a line on stderr per violation;
+3 solver failure (the report names the step and the case's M and N) or
+out of memory, with report.txt marked STALE; 4 acceptance check failed.
 """
 
 from __future__ import annotations
 
 import functools
-import mmap
 import os
+import pickle
 import signal
 import sys
 
@@ -77,22 +81,27 @@ def _fmt(x) -> str:
     return f"{float(x):.15g}"
 
 
+def _write(path, lines):
+    """Write lines to path; a path that cannot be written, such as a
+    directory, is an unusable output directory."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(line + "\n" for line in lines)
+    except OSError as exc:
+        raise ConfigError([f"out: cannot write {path}: {exc.strerror}"]) from exc
+
+
 def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(cell if isinstance(cell, str) else _fmt(cell)
-                              for cell in row) + "\n")
+    _write(path, [",".join(header)] + [",".join(cell if isinstance(cell, str) else _fmt(cell)
+                                                for cell in row) for row in rows])
 
 
 def _write_report(out_dir, checks, stale=False):
-    path = os.path.join(out_dir, "report.txt")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if stale:
-            fh.write("STALE: the run failed; other output files may be left over "
-                     "from a previous run\n")
-        for ok, label, detail in checks:
-            fh.write(f"{'PASS' if ok else 'FAIL'}  {label}: {detail}\n")
+    lines = [f"{'PASS' if ok else 'FAIL'}  {label}: {detail}" for ok, label, detail in checks]
+    if stale:
+        lines.insert(0, "STALE: the run failed; other output files may be left over "
+                        "from a previous run")
+    _write(os.path.join(out_dir, "report.txt"), lines)
     return all(ok for ok, _, _ in checks)
 
 
@@ -161,70 +170,70 @@ def _estimates(config: ExperimentConfig, part) -> list:
 
 def _fan_out(groups, fold, shared: int) -> list:
     """fold(group) for each group of (M, N) cases that one process would
-    march whole, computed by the parts of _parts, which fold into
-    len(part) - shared errors each.  The parts are spread over
-    w = min(parts, usable cores) processes: this one, which runs the
-    heaviest, and w - 1 forked children.  All write their errors into
-    one shared array, which stays NaN where a part raised or its
-    process died.
-
-    Once every child is reaped, each group with a NaN slot is marched
-    again whole in this process, in group order, and the first that
-    raises ends the run, so the outcome does not depend on w.  A group
-    that raised whole in this process raises again at its turn, without
-    being marched again.  Only the first group in group order that
-    raises is reported, so each process marches its parts in group
-    order and stops at the first that raises.  Once os.fork fails, the
-    bins left unforked keep their NaN slots for that loop."""
+    march whole, from the parts of _parts (len(part) - shared errors
+    each) in w = min(parts, usable cores) processes: this one, which runs
+    the heaviest, and w - 1 forked children.  A part's outcome is its
+    errors or the exception it raised; each child pickles its own into a
+    pipe, kept only if the child exited 0.  At each group's turn, in
+    group order, a group that ran as one part and raised raises here,
+    wherever it ran; a group with a part that raised (a part can fail
+    otherwise than the whole) or that has no outcome (its child died, or
+    os.fork failed) is marched again here.  So the outcome does not
+    depend on w, and each process stops at its first part that raises."""
     cores = _usable_cores()
     parts = _parts(groups, cores, shared)
     bins = _bins({i: _cost(part) for i, part in enumerate(parts)}, min(len(parts), cores))
-    ends = np.cumsum([len(part) - shared for part in parts]).tolist()
-    spans = list(zip([0] + ends, ends))
-    # an anonymous mapping is shared with the children forked after it
-    errors = np.frombuffer(mmap.mmap(-1, 8 * ends[-1]))
-    errors.fill(np.nan)
-    raised = {}  # span of a part that raised in this process -> its error
+    outcomes = {}  # part index -> its errors, or the exception it raised
 
     def march_parts(keys):
         for i in sorted(keys):
             try:
-                errors[slice(*spans[i])] = fold(parts[i])
+                outcomes[i] = fold(parts[i])
             except Exception as exc:  # raised at its group's turn
-                raised[spans[i]] = exc
+                outcomes[i] = exc
                 return
 
-    children = []
-    done = False
+    children, done = [], False
     try:
         for keys in bins[1:]:
+            reader, writer = os.pipe()
             try:
                 pid = os.fork()
             except OSError:  # e.g. out of process ids
+                os.close(reader)
+                os.close(writer)
                 break
             if pid == 0:
                 try:
                     march_parts(keys)
+                    payload = pickle.dumps(outcomes)
+                    pickle.loads(payload)  # so that the reader can load it
+                    with open(writer, "wb") as fh:
+                        fh.write(payload)
+                    os._exit(0)  # only once the outcomes are written whole
                 finally:
-                    os._exit(0)
-            children.append(pid)
+                    os._exit(1)
+            os.close(writer)
+            children.append((pid, reader))  # reader: its outcomes' pipe
         march_parts(bins[0])
         done = True
     finally:
-        for pid in children:
+        for pid, reader in children:
             if not done:
                 os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            with open(reader, "rb") as fh:
+                payload = fh.read()  # until the child exits
+            if os.waitpid(pid, 0)[1] == 0:
+                outcomes.update(pickle.loads(payload))
 
-    out, start = [], 0
+    out = []
     for group in groups:
-        span = (start, start + len(group) - shared)
-        start = span[1]
-        if span in raised:
-            raise raised[span]
-        if np.isnan(errors[slice(*span)]).any():
-            errors[slice(*span)] = fold(group)
-        out.append(errors[slice(*span)].tolist())
+        mine = [outcomes.get(i) for i, part in enumerate(parts) if part[-1] in group]
+        if len(mine) == 1 and isinstance(mine[0], Exception):
+            raise mine[0]
+        if any(o is None or isinstance(o, Exception) for o in mine):
+            mine = [fold(group)]
+        out.append([float(error) for o in mine for error in o])
     return out
 
 
@@ -270,21 +279,6 @@ def _cmd_run(config: ExperimentConfig, out_dir) -> list:
 
 def _cmd_convergence(config: ExperimentConfig, out_dir) -> list:
     spatial = len(config.m_values) > 1
-    temporal = len(config.n_values) > 1
-    if spatial and temporal:
-        raise ConfigError(["ambiguous refinement direction: both M and N are chains; "
-                           "fix one of them to a single value"])
-    if not (spatial or temporal):
-        raise ConfigError(["nothing to refine: both M and N are single values"])
-    if not config.posterior and config.exact is None:
-        raise ConfigError(["no exact solution available: set posterior = on"])
-    chain_key, chain = ("M", config.m_values) if spatial else ("N", config.n_values)
-    if config.posterior and len(chain) < MIN_POSTERIOR_CHAIN:
-        raise ConfigError([
-            f"{chain_key}: {chain} is too short for posterior = on; each posterior "
-            f"error compares two neighbouring runs, so an order fit needs "
-            f"at least {MIN_POSTERIOR_CHAIN} values"])
-
     if spatial:
         sizes = [(m, config.n_values[0]) for m in config.m_values]
         steps = [config.grids[size].h for size in sizes]
@@ -297,7 +291,7 @@ def _cmd_convergence(config: ExperimentConfig, out_dir) -> list:
         window = TEMPORAL_ORDER_WINDOW
 
     # a posterior chain is one group, with an error per neighbouring pair
-    groups = [[size] for size in sizes] if temporal and not config.posterior else [sizes]
+    groups = [sizes] if spatial or config.posterior else [[size] for size in sizes]
     fold = functools.partial(_estimates if config.posterior else _errors, config)
     folded = _fan_out(groups, fold, int(config.posterior))
     errors = list(zip(steps, (error for group in folded for error in group)))
@@ -336,13 +330,6 @@ def _cmd_invariants(config: ExperimentConfig, out_dir) -> list:
 
 
 def _cmd_stability(config: ExperimentConfig, out_dir) -> list:
-    if config.exact is None:
-        raise ConfigError(["stability sweep needs an exact solution "
-                           "(use the example1 preset)"])
-    if len(config.m_values) < 2:
-        raise ConfigError([f"M: {config.m_values} is too short for a stability sweep; "
-                           "the plateau check compares the last two M values, "
-                           "so at least two are needed"])
     curves = _fan_out([[(m, n) for m in config.m_values] for n in config.n_values],
                       functools.partial(_errors, config), 0)
 
@@ -379,12 +366,48 @@ _COMMANDS = {
 }
 
 
+def _command_violations(config: ExperimentConfig, mode: str) -> list:
+    """Every rule of mode that config breaks: convergence refines one
+    chain against an exact solution or by posterior estimates, and a
+    stability sweep needs an exact solution and two or more M."""
+    violations = []
+    spatial, temporal = len(config.m_values) > 1, len(config.n_values) > 1
+    if mode == "convergence":
+        if spatial and temporal:
+            violations.append("ambiguous refinement direction: both M and N are chains; "
+                              "fix one of them to a single value")
+        if not (spatial or temporal):
+            violations.append("nothing to refine: both M and N are single values")
+        if not config.posterior and config.exact is None:
+            violations.append("no exact solution available: set posterior = on")
+        chain_key, chain = ("M", config.m_values) if spatial else ("N", config.n_values)
+        if spatial != temporal and config.posterior and len(chain) < MIN_POSTERIOR_CHAIN:
+            violations.append(
+                f"{chain_key}: {chain} is too short for posterior = on; each posterior "
+                f"error compares two neighbouring runs, so an order fit needs "
+                f"at least {MIN_POSTERIOR_CHAIN} values")
+    if mode == "stability":
+        if config.exact is None:
+            violations.append("stability sweep needs an exact solution "
+                              "(use the example1 preset)")
+        if not spatial:
+            violations.append(f"M: {config.m_values} is too short for a stability sweep; "
+                              "the plateau check compares the last two M values, "
+                              "so at least two are needed")
+    return violations
+
+
 def run_experiment(config: ExperimentConfig, mode: str, out_dir: str) -> int:
     """Execute one experiment and write its report; returns an exit code.
 
-    Floating-point warnings are silenced: a run that overflows is caught
-    by the solver's finiteness checks and reported as a solver failure.
+    A config that breaks a rule of mode is refused before out_dir is
+    made.  Floating-point warnings are silenced: a run that overflows is
+    caught by the solver's finiteness checks and reported as a solver
+    failure.  A run that runs out of memory is reported likewise.
     """
+    violations = _command_violations(config, mode)
+    if violations:
+        raise ConfigError(violations)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -394,6 +417,9 @@ def run_experiment(config: ExperimentConfig, mode: str, out_dir: str) -> int:
             checks = _COMMANDS[mode][0](config, out_dir)
     except SolverFailure as exc:
         _write_report(out_dir, [(False, "solver", str(exc))], stale=True)
+        return EXIT_SOLVER
+    except MemoryError as exc:
+        _write_report(out_dir, [(False, "memory", str(exc) or "out of memory")], stale=True)
         return EXIT_SOLVER
     passed = _write_report(out_dir, checks)
     return EXIT_OK if passed else EXIT_ACCEPT

@@ -56,28 +56,28 @@ def example3_params():
                         reaction=p["reaction"])
 
 
+def _preset_grid(name, m, n, T):
+    """A grid on the domain of the bundled experiment name."""
+    p = preset_callbacks(name)
+    return Grid1D(L=p["x_right"] - p["x_left"], M=m, T=T, N=n, x_left=p["x_left"])
+
+
 def example1_grid(m, n):
-    return Grid1D(L=2.0, M=m, T=1.0, N=n)
+    return _preset_grid("example1", m, n, 1.0)
 
 
 def example2_grid(m, n, T=1.0):
-    return Grid1D(L=50.0, M=m, T=T, N=n, x_left=-25.0)
+    return _preset_grid("example2", m, n, T)
 
 
 def example3_grid(m, n, T=1.0):
-    return Grid1D(L=100.0, M=m, T=T, N=n, x_left=-50.0)
+    return _preset_grid("example3", m, n, T)
 
 
-def example1_exact(x, t):
-    return np.exp(t) * np.sin(np.pi * x)
-
-
-def example2_phi(x):
-    return 0.5 / np.cosh(0.25 * x) ** 2
-
-
-def example3_phi(x):
-    return (np.sqrt(6.0) / 3.0) / np.cosh(x / 3.0) ** 2
+# the presets' own callbacks, so that the tests check what the CLI runs
+example1_exact = preset_callbacks("example1")["exact"]
+example2_phi = preset_callbacks("example2")["phi"]
+example3_phi = preset_callbacks("example3")["phi"]
 
 
 def compact_operator_errors(m, length=2.0):

@@ -1,6 +1,8 @@
 """CLI subcommands: outputs, determinism, exit codes."""
 
+import contextlib
 import functools
+import io
 import os
 import pathlib
 import subprocess
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 import bbmb.cli
 import bbmb.scheme
 from bbmb.cli import main
+from bbmb.grid import Grid1D
 from bbmb.linalg import SingularSystemError
 
 
@@ -249,6 +252,161 @@ def test_unusable_inputs_exit_2_with_one_line(tmp_path, capfd, case):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: ") and needle in lines[0]
     assert "Traceback" not in out + err
+
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("mode, text, needles", [
+    ("stability", None, ["stability sweep needs an exact solution",
+                         "M: [500] is too short for a stability sweep"]),
+    ("convergence", None, ["nothing to refine"]),
+    ("convergence", "experiment = custom\nx_left = 0\nx_right = 1\nmu = 1\nT = 1\n"
+                    "phi = sine 1 1\nM = 8 16\nN = 4 8\nposterior = off\n",
+     ["ambiguous refinement direction", "no exact solution available"]),
+    ("convergence", "experiment = example2\nT = 1\nM = 40 80\nN = 50\n",
+     ["M: [40, 80] is too short for posterior"]),
+    ("stability", "experiment = example1\nT = 1\nM = 64\nN = 16 32\n",
+     ["at least two are needed"]),
+], ids=["stability-example2_run", "convergence-example2_run", "both-chains-no-exact",
+        "short-posterior-chain", "stability-one-M"])
+def test_a_config_unfit_for_its_command_is_refused_before_out_is_made(tmp_path, capfd,
+                                                                       mode, text, needles):
+    # every rule the command's config breaks is printed, one line each
+    cfg = (str(CONFIGS / "example2_run.cfg") if text is None
+           else write(tmp_path, "cmd.cfg", text))
+    out = tmp_path / "out"
+    assert main([mode, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    lines = capfd.readouterr().err.splitlines()
+    assert len(lines) == len(needles)
+    for line, needle in zip(lines, needles):
+        assert line.startswith("config error: ") and needle in line
+
+
+RUNNABLE = {
+    "run": "experiment = example2\nT = 0.1\nM = 8\nN = 2\n",
+    "invariants": "experiment = example2\nT = 0.1\nM = 8\nN = 2\n",
+    "convergence": "experiment = example1\nT = 0.1\nM = 8 16 32\nN = 2\n",
+    "stability": "experiment = example1\nT = 0.1\nM = 4 8\nN = 2 4\n",
+}
+
+
+@pytest.mark.parametrize("mode, name", [("run", "energy.csv"), ("run", "report.txt"),
+                                        ("invariants", "energy.csv"),
+                                        ("stability", "stability.csv"),
+                                        ("convergence", "report.txt")])
+def test_a_directory_at_an_output_file_exits_2_with_one_line(tmp_path, capfd, mode, name):
+    cfg = write(tmp_path, "ok.cfg", RUNNABLE[mode])
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert main([mode, "--config", cfg, "--out", str(out)]) == 2
+    lines = capfd.readouterr().err.splitlines()
+    assert lines == [f"config error: out: cannot write {out / name}: Is a directory"]
+
+
+def _out_of_memory(monkeypatch, m):
+    """Make the node array of every M = m grid fail to allocate."""
+    nodes = Grid1D.nodes
+
+    def failing(self):
+        if self.M == m:
+            raise MemoryError(f"Unable to allocate the nodes of M = {m}")
+        return nodes(self)
+
+    monkeypatch.setattr(Grid1D, "nodes", failing)
+
+
+@pytest.mark.parametrize("mode", ["run", "invariants", "convergence", "stability"])
+def test_out_of_memory_exits_3_with_a_stale_report(monkeypatch, tmp_path, capfd, mode):
+    _out_of_memory(monkeypatch, 8)
+    cfg = write(tmp_path, "ok.cfg", RUNNABLE[mode])
+    out = tmp_path / "out"
+    assert main([mode, "--config", cfg, "--out", str(out)]) == 3
+    assert (out / "report.txt").read_text().splitlines() == [
+        "STALE: the run failed; other output files may be left over from a previous run",
+        "FAIL  memory: Unable to allocate the nodes of M = 8"]
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS")
+def test_a_node_array_beyond_memory_exits_3(tmp_path):
+    # M = 2^50 passes every config rule, but its 8 PiB node array cannot
+    # be allocated; the run's own process caps its address space at 4 GiB
+    # first, so that the allocation fails at once on any host
+    capped = ("import resource, sys; "
+              "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30)); "
+              "from bbmb.cli import main; sys.exit(main(sys.argv[1:]))")
+    cfg = write(tmp_path, "big.cfg", f"experiment = example2\nT = 1\nM = {2 ** 50}\nN = 4\n")
+    out = tmp_path / "out"
+    src = str(pathlib.Path(bbmb.cli.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", capped, "run", "--config", cfg,
+                           "--out", str(out)], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3
+    assert done.stderr == ""
+    report = (out / "report.txt").read_text().splitlines()
+    assert report[0].startswith("STALE")
+    assert report[1].startswith("FAIL  memory: Unable to allocate 8.00 PiB")
+
+
+_OUTPUT_FILES = ["report.txt", "snapshots.csv", "energy.csv", "spatial_orders.csv",
+                 "temporal_orders.csv", "stability.csv"]
+# inserted bytes carry no digits, so no count or time can grow past the
+# runnable configs' few milliseconds
+_NO_DIGITS = bytes.maketrans(b"0123456789", b"xxxxxxxxxx")
+
+
+@st.composite
+def _raw_input(draw):
+    """A mode, the raw bytes of a config (arbitrary, or a runnable config
+    with arbitrary bytes, not UTF-8 ones too, inserted), and the kind of
+    output path: new, an existing directory, an existing file, below a
+    file, or a directory at one of the output files' names."""
+    mode = draw(st.sampled_from(sorted(RUNNABLE)))
+    if draw(st.booleans()):
+        data = draw(st.binary(max_size=64))
+    else:
+        data = draw(st.sampled_from(sorted(set(RUNNABLE.values())))).encode()
+        if draw(st.booleans()):
+            at = draw(st.integers(0, len(data)))
+            data = (data[:at] + draw(st.binary(min_size=1, max_size=8)).translate(_NO_DIGITS)
+                    + data[at:])
+    out = draw(st.sampled_from(["new", "directory", "file", "below-file", "output-name"]))
+    return mode, data, out, draw(st.sampled_from(_OUTPUT_FILES))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_raw_input())
+@example(case=("run", RUNNABLE["run"].encode(), "output-name", "energy.csv"))
+@example(case=("stability", RUNNABLE["stability"].encode(), "output-name", "report.txt"))
+@example(case=("run", RUNNABLE["run"].encode(), "file", "report.txt"))
+@example(case=("convergence", RUNNABLE["convergence"].encode(), "below-file", "report.txt"))
+@example(case=("invariants", b"experiment = example2\n\xff\n", "new", "report.txt"))
+def test_any_bytes_and_output_path_end_in_a_documented_exit_code(case):
+    # every input reaches a documented exit code without a traceback;
+    # exit 2 prints only config error lines
+    mode, data, kind, name = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = pathlib.Path(tmp, "raw.cfg")
+        cfg.write_bytes(data)
+        out = pathlib.Path(tmp, "out")
+        if kind == "directory":
+            out.mkdir()
+        elif kind == "file":
+            out.write_text("")
+        elif kind == "below-file":
+            out.write_text("")
+            out = out / "out"
+        elif kind == "output-name":
+            (out / name).mkdir(parents=True)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([mode, "--config", str(cfg), "--out", str(out)])
+    assert code in (0, 2, 3, 4)
+    lines = err.getvalue().splitlines()
+    assert all(line.startswith("config error: ") for line in lines)
+    assert bool(lines) == (code == 2)
 
 
 def test_example1_with_other_coefficients_keeps_its_spatial_order(tmp_path):

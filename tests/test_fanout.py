@@ -176,8 +176,8 @@ def test_a_group_that_fails_in_this_process_is_marched_once(monkeypatch, tmp_pat
 
 def test_each_process_stops_marching_at_its_first_failing_part(monkeypatch, tmp_path):
     # on two cores the child holds N = 32, 16 and 8 and stops after N = 8,
-    # which fails first in config order; this process marches N = 64,
-    # then N = 8 again to raise its error
+    # which fails first in config order; this process marches N = 64 and
+    # raises the error the child returned for N = 8, without marching it
     _corrupt_solver(monkeypatch, 16, "u_and_v")
     log = tmp_path / "marches"
     march = bbmb.cli.march
@@ -198,7 +198,7 @@ def test_each_process_stops_marching_at_its_first_failing_part(monkeypatch, tmp_
         marched[w] = sorted(int(n) for n in log.read_text().split())
         _no_child_left()
     assert reports[1] == reports[2]
-    assert marched == {1: [8], 2: [8, 8, 64]}
+    assert marched == {1: [8], 2: [8, 64]}
 
 
 @pytest.mark.parametrize("w", [1, 2])
@@ -435,3 +435,82 @@ def test_a_failing_fork_gives_the_one_process_outputs(monkeypatch, tmp_path, cap
     assert len(calls) == fails_at
     _no_child_left()
     assert "Traceback" not in capfd.readouterr().err
+
+
+@pytest.mark.parametrize("mode, text", [("stability", STABILITY),
+                                        ("stability", FAILING + "M = 8 16 32 64 128\nN = 4 8 16\n"),
+                                        ("convergence", POSTERIOR_SPATIAL)],
+                         ids=["stability", "failing-stability", "posterior-spatial"])
+def test_outcomes_that_cannot_be_pickled_give_the_one_process_outputs(monkeypatch, tmp_path,
+                                                                      capfd, mode, text):
+    # a child whose pickle.dumps raises exits 1 and writes nothing, so its
+    # parts have no outcome and their groups are marched again here
+    parent = os.getpid()
+    dumps = pickle.dumps
+
+    def failing(*args, **kwargs):
+        if os.getpid() != parent:
+            raise pickle.PicklingError("cannot pickle")
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(pickle, "dumps", failing)
+    runs = {}
+    for w in (1, 2, 3):
+        _cores(monkeypatch, w)
+        forks = _count_forks(monkeypatch)
+        runs[w] = _run(tmp_path, f"w{w}", mode, text)
+        assert len(forks) == w - 1
+        _no_child_left()
+    assert runs[1][1]
+    assert runs[1] == runs[2] == runs[3]
+    assert "Traceback" not in capfd.readouterr().err
+
+
+def test_a_memory_error_in_a_child_arrives_as_its_outcome(monkeypatch, tmp_path):
+    # only the child fails to allocate, at M = 16 of N = 8, its first group;
+    # a group marched again here would pass, so exit 3 means the child's
+    # MemoryError reached this process
+    parent = os.getpid()
+    nodes = bbmb.cli.Grid1D.nodes
+
+    def failing(self):
+        if os.getpid() != parent and self.M == 16:
+            raise MemoryError("Unable to allocate in the child")
+        return nodes(self)
+
+    monkeypatch.setattr(bbmb.cli.Grid1D, "nodes", failing)
+    _cores(monkeypatch, 2)
+    code, files = _run(tmp_path, "out", "stability", STABILITY)
+    assert code == 3
+    assert files["report.txt"].decode().splitlines()[1] == (
+        "FAIL  memory: Unable to allocate in the child")
+    _no_child_left()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to count")
+def test_fanned_out_runs_leave_no_file_descriptor_open(monkeypatch, tmp_path):
+    # passing, failing and killed children, and a fork that fails
+    def count():
+        return len(os.listdir("/proc/self/fd"))
+
+    _cores(monkeypatch, 4)
+    before = count()
+    _run(tmp_path, "passing", "stability", STABILITY)
+    _run(tmp_path, "failing", "stability", FAILING + "M = 8 16 32 64 128\nN = 4 8 16\n")
+    with monkeypatch.context() as mp:
+        _kill_children(mp)
+        _run(tmp_path, "killed", "convergence", POSTERIOR_SPATIAL)
+    fork = os.fork
+    calls = []
+
+    def failing():
+        calls.append(None)
+        if len(calls) == 2:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", failing)
+    _run(tmp_path, "unforked", "stability", STABILITY)
+    assert len(calls) == 2
+    _no_child_left()
+    assert count() == before
