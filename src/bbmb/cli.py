@@ -8,7 +8,12 @@ Subcommands
     stability     error sweep over a (tau, h) grid against the exact
                   solution; emit stability.csv
 
-Every subcommand takes --config PATH and an optional --out DIR.
+Every subcommand takes --config PATH and an optional --out DIR
+(default bbmb_out).  The names of a command's output files follow from
+its config, so each path is checked before anything marches: a path
+that cannot be opened for writing, such as a directory, is refused
+without creating a file.  report.txt then reads one STALE line until
+the run ends, so an interrupted run leaves no earlier run's PASS lines.
 Cases that share a time grid (the M values of one N) march in
 lockstep, as one grid.Batch: a spatial refinement chain and each N of
 a stability sweep advance together, so each step's fixed cost is paid
@@ -81,14 +86,32 @@ def _fmt(x) -> str:
     return f"{float(x):.15g}"
 
 
+def _unwritable(path, exc: OSError) -> ConfigError:
+    return ConfigError([f"out: cannot write {path}: {exc.strerror}"])
+
+
+def _check_writable(paths):
+    """Refuse the first path that cannot be opened for writing, such as a
+    directory, without creating or truncating a file; a path that does
+    not exist yet is left to its write.  O_NONBLOCK makes a FIFO without
+    a reader fail at once instead of blocking."""
+    for path in paths:
+        try:
+            os.close(os.open(path, os.O_WRONLY | getattr(os, "O_NONBLOCK", 0)))
+        except FileNotFoundError:
+            continue
+        except OSError as exc:
+            raise _unwritable(path, exc) from exc
+
+
 def _write(path, lines):
-    """Write lines to path; a path that cannot be written, such as a
-    directory, is an unusable output directory."""
+    """Write lines to path; a write that fails, say on a full disk, makes
+    the output directory unusable."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(line + "\n" for line in lines)
     except OSError as exc:
-        raise ConfigError([f"out: cannot write {path}: {exc.strerror}"]) from exc
+        raise _unwritable(path, exc) from exc
 
 
 def _write_csv(path, header, rows):
@@ -96,12 +119,15 @@ def _write_csv(path, header, rows):
                                                 for cell in row) for row in rows])
 
 
-def _write_report(out_dir, checks, stale=False):
+def _write_report(path, checks, stale=None):
+    """Write a PASS/FAIL line per check, after a STALE line when stale
+    says why the run's other output files may be old ("failed" or "has
+    not finished"); returns whether every check passed."""
     lines = [f"{'PASS' if ok else 'FAIL'}  {label}: {detail}" for ok, label, detail in checks]
     if stale:
-        lines.insert(0, "STALE: the run failed; other output files may be left over "
+        lines.insert(0, f"STALE: the run {stale}; other output files may be left over "
                         "from a previous run")
-    _write(os.path.join(out_dir, "report.txt"), lines)
+    _write(path, lines)
     return all(ok for ok, _, _ in checks)
 
 
@@ -253,21 +279,21 @@ def _boundedness_check(config: ExperimentConfig, grid: Grid1D, result):
             f"max |u| = {result.max_abs:.6g} vs bound {max_bound:.6g}")
 
 
-def _cmd_run(config: ExperimentConfig, out_dir) -> list:
+def _cmd_run(config: ExperimentConfig, snapshots_path, energy_path=None) -> list:
     m, n = config.m_values[0], config.n_values[0]
     grid = config.grids[m, n]
     result = run(config.phi, grid, config.params,
-                 snapshot_times=config.snapshot_times or [config.T],
+                 snapshot_times=config.snapshot_times or [grid.T],
                  track_energy=config.energy)
 
     x = grid.nodes()
     header = ["x"] + [f"t={_fmt(t)}" for t, _ in result.snapshots]
     rows = [[x[i]] + [u[i] for _, u in result.snapshots] for i in range(m)]
-    _write_csv(os.path.join(out_dir, "snapshots.csv"), header, rows)
+    _write_csv(snapshots_path, header, rows)
 
     checks = [(True, "completed", f"marched {n} steps on {m} nodes")]
     if config.energy:
-        _write_csv(os.path.join(out_dir, "energy.csv"), ["t", "E"], result.energy)
+        _write_csv(energy_path, ["t", "E"], result.energy)
         if _conservative(config):
             drift, kind = result.drift
             checks.append((drift <= ENERGY_DRIFT_RTOL, "energy drift",
@@ -277,17 +303,15 @@ def _cmd_run(config: ExperimentConfig, out_dir) -> list:
     return checks
 
 
-def _cmd_convergence(config: ExperimentConfig, out_dir) -> list:
+def _cmd_convergence(config: ExperimentConfig, orders_path) -> list:
     spatial = len(config.m_values) > 1
     if spatial:
         sizes = [(m, config.n_values[0]) for m in config.m_values]
         steps = [config.grids[size].h for size in sizes]
-        out_name = "spatial_orders.csv"
         window = SPATIAL_ORDER_WINDOW
     else:
         sizes = [(config.m_values[0], n) for n in config.n_values]
         steps = [config.grids[size].tau for size in sizes]
-        out_name = "temporal_orders.csv"
         window = TEMPORAL_ORDER_WINDOW
 
     # a posterior chain is one group, with an error per neighbouring pair
@@ -297,7 +321,7 @@ def _cmd_convergence(config: ExperimentConfig, out_dir) -> list:
     errors = list(zip(steps, (error for group in folded for error in group)))
 
     rows = convergence_table(errors)
-    _write_csv(os.path.join(out_dir, out_name), ["step", "error", "order"],
+    _write_csv(orders_path, ["step", "error", "order"],
                [[r.step, r.error, "" if r.order is None else _fmt(r.order)]
                 for r in rows])
 
@@ -313,23 +337,23 @@ def _cmd_convergence(config: ExperimentConfig, out_dir) -> list:
              f"fitted order {fitted:.4f} in [{lo}, {hi}] over {len(errors)} levels")]
 
 
-def _cmd_invariants(config: ExperimentConfig, out_dir) -> list:
+def _cmd_invariants(config: ExperimentConfig, energy_path) -> list:
     grid = config.grids[config.m_values[0], config.n_values[0]]
     result = run(config.phi, grid, config.params, track_energy=True)
-    _write_csv(os.path.join(out_dir, "energy.csv"), ["t", "E"], result.energy)
+    _write_csv(energy_path, ["t", "E"], result.energy)
 
     checks = []
     drift, kind = result.drift
     ok = drift <= ENERGY_DRIFT_RTOL if _conservative(config) else True
     checks.append((ok, "energy drift",
-                   f"{kind} drift {drift:.3e} over t in [0, {config.T}]"
+                   f"{kind} drift {drift:.3e} over t in [0, {grid.T}]"
                    + ("" if _conservative(config) else " (not gated: run is forced)")))
     if _conservative(config):
         checks.append(_boundedness_check(config, grid, result))
     return checks
 
 
-def _cmd_stability(config: ExperimentConfig, out_dir) -> list:
+def _cmd_stability(config: ExperimentConfig, stability_path) -> list:
     curves = _fan_out([[(m, n) for m in config.m_values] for n in config.n_values],
                       functools.partial(_errors, config), 0)
 
@@ -337,7 +361,7 @@ def _cmd_stability(config: ExperimentConfig, out_dir) -> list:
     taus = [_fmt(config.grids[m0, n].tau) for n in config.n_values]
     header = ["h"] + [f"tau={tau}" for tau in taus]
     rows = [[config.grids[m, n0].h, *row] for m, row in zip(config.m_values, zip(*curves))]
-    _write_csv(os.path.join(out_dir, "stability.csv"), header, rows)
+    _write_csv(stability_path, header, rows)
 
     checks = []
     for tau, curve in zip(taus, curves):
@@ -357,12 +381,20 @@ def _cmd_stability(config: ExperimentConfig, out_dir) -> list:
     return checks
 
 
-# each subcommand's function and help text
+# each subcommand's function, the names of the files it writes besides
+# report.txt (the function takes their paths in this order), and help text
 _COMMANDS = {
-    "run": (_cmd_run, "march one configuration and emit snapshots"),
-    "convergence": (_cmd_convergence, "grid-refinement study along one direction"),
-    "invariants": (_cmd_invariants, "track the energy invariant over a run"),
-    "stability": (_cmd_stability, "error sweep over a (tau, h) grid"),
+    "run": (_cmd_run,
+            lambda config: ["snapshots.csv"] + (["energy.csv"] if config.energy else []),
+            "march one configuration and emit snapshots"),
+    "convergence": (_cmd_convergence,
+                    lambda config: ["spatial_orders.csv" if len(config.m_values) > 1
+                                    else "temporal_orders.csv"],
+                    "grid-refinement study along one direction"),
+    "invariants": (_cmd_invariants, lambda config: ["energy.csv"],
+                   "track the energy invariant over a run"),
+    "stability": (_cmd_stability, lambda config: ["stability.csv"],
+                  "error sweep over a (tau, h) grid"),
 }
 
 
@@ -401,27 +433,33 @@ def run_experiment(config: ExperimentConfig, mode: str, out_dir: str) -> int:
     """Execute one experiment and write its report; returns an exit code.
 
     A config that breaks a rule of mode is refused before out_dir is
-    made.  Floating-point warnings are silenced: a run that overflows is
+    made, and an output file that cannot be opened for writing before
+    anything marches.  Until the run ends, report.txt is one STALE line,
+    so that an interrupted run leaves no earlier run's report.
+    Floating-point warnings are silenced: a run that overflows is
     caught by the solver's finiteness checks and reported as a solver
     failure.  A run that runs out of memory is reported likewise.
     """
     violations = _command_violations(config, mode)
     if violations:
         raise ConfigError(violations)
+    command, names, _ = _COMMANDS[mode]
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError([f"out: cannot make directory {out_dir}: {exc.strerror}"]) from exc
+    paths = [os.path.join(out_dir, name) for name in names(config) + ["report.txt"]]
+    _check_writable(paths)
+    *outputs, report = paths
+    _write_report(report, [], stale="has not finished")
     try:
         with np.errstate(all="ignore"):
-            checks = _COMMANDS[mode][0](config, out_dir)
-    except SolverFailure as exc:
-        _write_report(out_dir, [(False, "solver", str(exc))], stale=True)
+            checks = command(config, *outputs)
+    except (SolverFailure, MemoryError) as exc:
+        label = "solver" if isinstance(exc, SolverFailure) else "memory"
+        _write_report(report, [(False, label, str(exc) or "out of memory")], stale="failed")
         return EXIT_SOLVER
-    except MemoryError as exc:
-        _write_report(out_dir, [(False, "memory", str(exc) or "out of memory")], stale=True)
-        return EXIT_SOLVER
-    passed = _write_report(out_dir, checks)
+    passed = _write_report(report, checks)
     return EXIT_OK if passed else EXIT_ACCEPT
 
 
@@ -433,16 +471,15 @@ def main(argv=None) -> int:
         description="Conservative fourth-order compact solver for the "
                     "BBM-Burgers equation on a periodic interval.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, (_, _, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to a config file")
-        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--out", default="bbmb_out", help="output directory")
 
     args = parser.parse_args(argv)
     try:
         config = parse_config(args.config)
-        out_dir = args.out or config.out or "bbmb_out"
-        return run_experiment(config, args.command, out_dir)
+        return run_experiment(config, args.command, args.out)
     except ConfigError as exc:
         for line in exc.violations:
             print(f"config error: {line}", file=sys.stderr)

@@ -21,12 +21,14 @@ The bundled experiments:
              profile (``sech2 AMP WIDTH`` or ``sine AMP MODE``).
 
 x_left, x_right and phi are custom keys.  A config holds the Grid1D of
-each (M, N) case, judged at once by Grid1D's rules, grid_violations.
+each (M, N) case, judged at once by Grid1D's rules, grid_violations;
+the grids alone hold the domain and T.  posterior defaults to on
+exactly when there is no exact solution (example2, example3, custom).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,13 +45,10 @@ __all__ = [
     "EXPERIMENTS",
 ]
 
-EXPERIMENTS = ("example1", "example2", "example3", "custom")
-_COEFFICIENTS = ("mu", "gamma", "kappa", "nu", "source", "reaction")
-
 _KNOWN_KEYS = {
     "experiment", "T", "M", "N", "x_left", "x_right",
     "mu", "gamma", "kappa", "nu",
-    "snapshot_times", "energy", "posterior", "out", "phi",
+    "snapshot_times", "energy", "posterior", "phi",
 }
 
 
@@ -70,19 +69,16 @@ class ConfigError(Exception):
 class ExperimentConfig:
     """A validated experiment description plus its resolved callbacks;
     params is the SchemeParams whose construction validated the
-    coefficients, and grids the Grid1D of each case, by (M, N)."""
+    coefficients, and grids the Grid1D of each case, by (M, N), which
+    alone hold the domain and T."""
 
-    x_left: float
-    x_right: float
     params: SchemeParams
-    T: float
     m_values: list
     n_values: list
     grids: dict
+    posterior: bool
     snapshot_times: list = field(default_factory=list)
     energy: bool = True
-    posterior: bool = False
-    out: Optional[str] = None
     phi: Optional[Callable] = None
     exact: Optional[Callable] = None      # exact(x, t), when known
 
@@ -112,22 +108,24 @@ def _example3_reaction():
     return (lambda u: u ** 3 - u, lambda u: 3.0 * u ** 2 - 1.0)
 
 
+# what every bundled experiment shares; _PRESETS lists what sets each apart
+_NO_CALLBACKS = dict(exact=None, source=None, reaction=None)
+_PRESET_DEFAULTS = dict(mu=1.0, gamma=1.0, kappa=1.0, nu=1.0, T=1.0, **_NO_CALLBACKS)
+_PRESETS = {
+    "example1": dict(x_left=0.0, x_right=2.0, phi=lambda x: _example1_exact(x, 0.0),
+                     exact=_example1_exact, source=_example1_source(1.0, 1.0, 1.0, 1.0)),
+    "example2": dict(x_left=-25.0, x_right=25.0, phi=_example2_phi),
+    "example3": dict(x_left=-50.0, x_right=50.0, phi=_example3_phi,
+                     reaction=_example3_reaction()),
+}
+EXPERIMENTS = (*_PRESETS, "custom")
+
+
 def preset_callbacks(name: str) -> dict:
     """Domain, coefficients and callbacks of a bundled experiment."""
-    if name == "example1":
-        return dict(x_left=0.0, x_right=2.0, mu=1.0, gamma=1.0, kappa=1.0, nu=1.0,
-                    T=1.0, phi=lambda x: _example1_exact(x, 0.0),
-                    exact=_example1_exact, source=_example1_source(1.0, 1.0, 1.0, 1.0),
-                    reaction=None, posterior=False)
-    if name == "example2":
-        return dict(x_left=-25.0, x_right=25.0, mu=1.0, gamma=1.0, kappa=1.0, nu=1.0,
-                    T=1.0, phi=_example2_phi, exact=None, source=None,
-                    reaction=None, posterior=True)
-    if name == "example3":
-        return dict(x_left=-50.0, x_right=50.0, mu=1.0, gamma=1.0, kappa=1.0, nu=1.0,
-                    T=1.0, phi=_example3_phi, exact=None, source=None,
-                    reaction=_example3_reaction(), posterior=True)
-    raise ValueError(f"unknown preset {name!r}")
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}")
+    return {**_PRESET_DEFAULTS, **_PRESETS[name]}
 
 
 def _named_profile(profile_text: str, m_values, violations):
@@ -244,8 +242,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
     if experiment == "custom":
         base = dict(x_left=None, x_right=None, mu=None, gamma=0.0, kappa=0.0,
-                    nu=0.0, T=None, phi=None, exact=None, source=None,
-                    reaction=None, posterior=True)
+                    nu=0.0, T=None, phi=None, **_NO_CALLBACKS)
     else:
         base = preset_callbacks(experiment)
 
@@ -265,8 +262,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             flag = _parse_flag(key, value, violations)
             if flag is not None:
                 base[key] = flag
-        elif key == "out":
-            base["out"] = value
+    base.setdefault("posterior", base["exact"] is None)
 
     profile = None
     if "phi" in raw and experiment == "custom":
@@ -286,7 +282,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
             base["source"] = _example1_source(*(base[k] for k in ("mu", "gamma", "kappa", "nu")))
         # SchemeParams holds the coefficient rules; report its verdict here
         try:
-            base["params"] = SchemeParams(**{key: base.pop(key) for key in _COEFFICIENTS})
+            base["params"] = SchemeParams(**{f.name: base.pop(f.name)
+                                             for f in fields(SchemeParams)})
         except ValueError as exc:
             violations.append(str(exc))
     for key, values in (("M", base.get("m_values")), ("N", base.get("n_values"))):
@@ -302,14 +299,15 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if violations:
         raise ConfigError(violations)
 
+    x_left, T = base.pop("x_left"), base.pop("T")
+    del base["x_right"]  # the grids hold L
     if profile is not None:
         kind, a, b = profile
         if kind == "sech2":
             base["phi"] = lambda x: a / np.cosh(x / b) ** 2
         else:  # sine: b periods over the domain
-            x0 = base["x_left"]
-            base["phi"] = lambda x: a * np.sin(2.0 * np.pi * b * (x - x0) / length)
-    base["grids"] = {(m, n): Grid1D(L=length, M=m, T=base["T"], N=n, x_left=base["x_left"])
+            base["phi"] = lambda x: a * np.sin(2.0 * np.pi * b * (x - x_left) / length)
+    base["grids"] = {(m, n): Grid1D(L=length, M=m, T=T, N=n, x_left=x_left)
                      for m in base["m_values"] for n in base["n_values"]}
     return ExperimentConfig(**base)
 

@@ -125,8 +125,9 @@ def _u_scale(name: str) -> float:
     """max|u| of a golden's run as perfbench reads it: the exact solution
     at T where there is one, else the initial profile, on the finest M."""
     config = parse_config(RUNS[name][0])
-    x = config.grids[max(config.m_values), config.n_values[0]].nodes()
-    u = config.exact(x, config.T) if config.exact is not None else config.phi(x)
+    grid = config.grids[max(config.m_values), config.n_values[0]]
+    x = grid.nodes()
+    u = config.exact(x, grid.T) if config.exact is not None else config.phi(x)
     return float(np.abs(u).max())
 
 

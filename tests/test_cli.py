@@ -237,6 +237,11 @@ def _unusable_input(tmp_path, case):
         bad.write_bytes(b"experiment = example2\n\xff\n")
         return ["run", "--config", str(bad), "--out", str(tmp_path / "out")], \
             "can't decode byte 0xff"
+    if case == "out-key":  # --out alone names the output directory
+        keyed = write(tmp_path, "out.cfg", "experiment = example2\nT = 1\nM = 16\nN = 4\n"
+                                           "out = results\n")
+        return ["run", "--config", keyed, "--out", str(tmp_path / "out")], \
+            "line 5: unknown key 'out'"
     # M = 2^60 nodes would pass the float rules, but numpy cannot size its array
     big = write(tmp_path, "big.cfg", f"experiment = example2\nT = 1\nM = {2 ** 60}\nN = 4\n")
     return ["run", "--config", big, "--out", str(tmp_path / "out")], \
@@ -244,7 +249,7 @@ def _unusable_input(tmp_path, case):
 
 
 @pytest.mark.parametrize("case", ["out-is-a-file", "out-below-a-file", "config-not-utf8",
-                                  "huge-M"])
+                                  "out-key", "huge-M"])
 def test_unusable_inputs_exit_2_with_one_line(tmp_path, capfd, case):
     argv, needle = _unusable_input(tmp_path, case)
     assert main(argv) == 2
@@ -296,13 +301,37 @@ RUNNABLE = {
                                         ("invariants", "energy.csv"),
                                         ("stability", "stability.csv"),
                                         ("convergence", "report.txt")])
-def test_a_directory_at_an_output_file_exits_2_with_one_line(tmp_path, capfd, mode, name):
+def test_a_directory_at_an_output_file_exits_2_with_one_line(monkeypatch, tmp_path, capfd,
+                                                             mode, name):
+    # the path is refused before anything marches, and no file is written
+    def unreachable(*args, **kwargs):
+        raise AssertionError("marched before the output paths were checked")
+
+    monkeypatch.setattr(bbmb.cli, "march", unreachable)
+    monkeypatch.setattr(bbmb.cli, "run", unreachable)
     cfg = write(tmp_path, "ok.cfg", RUNNABLE[mode])
     out = tmp_path / "out"
     (out / name).mkdir(parents=True)
     assert main([mode, "--config", cfg, "--out", str(out)]) == 2
     lines = capfd.readouterr().err.splitlines()
     assert lines == [f"config error: out: cannot write {out / name}: Is a directory"]
+    assert [p.name for p in out.iterdir()] == [name] and not any((out / name).iterdir())
+
+
+def test_an_interrupted_run_leaves_a_stale_report(monkeypatch, tmp_path):
+    cfg = str(CONFIGS / "example1_stability.cfg")
+    out = tmp_path / "out"
+    assert main(["stability", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "report.txt").read_text().startswith("PASS")
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(bbmb.cli, "_usable_cores", lambda: 1)
+    monkeypatch.setattr(bbmb.cli, "march", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["stability", "--config", cfg, "--out", str(out)])
+    assert (out / "report.txt").read_text().splitlines()[0].startswith("STALE")
 
 
 def _out_of_memory(monkeypatch, m):

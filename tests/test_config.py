@@ -1,10 +1,14 @@
 """Config parsing: presets, violations, halving chains."""
 
+import pathlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bbmb import config
 from bbmb.config import ConfigError, parse_config, parse_config_text, preset_callbacks
 from bbmb.grid import Grid1D
 from bbmb.scheme import SchemeParams
@@ -84,10 +88,27 @@ def test_custom_with_named_profile():
 def test_flags_and_overrides():
     cfg = parse_config_text(
         "experiment = example2\nT = 8\nM = 250\nN = 2048\n"
-        "mu = 100\nnu = 1\nenergy = on\nposterior = off\nout = results\n")
+        "mu = 100\nnu = 1\nenergy = on\nposterior = off\n")
     assert cfg.params.mu == 100.0 and cfg.params.nu == 1.0
     assert cfg.energy is True and cfg.posterior is False
-    assert cfg.out == "results"
+
+
+@pytest.mark.parametrize("experiment", ["example1", "example2", "example3", "custom"])
+def test_posterior_defaults_to_on_exactly_without_an_exact_solution(experiment):
+    text = (CUSTOM + "phi = sech2 1 4\n" if experiment == "custom"
+            else f"experiment = {experiment}\nT = 1\nM = 8\nN = 10\n")
+    cfg = parse_config_text(text)
+    assert cfg.posterior == (cfg.exact is None)
+    assert cfg.posterior == (experiment != "example1")
+    for flag, value in (("on", True), ("off", False)):
+        assert parse_config_text(text + f"posterior = {flag}\n").posterior is value
+
+
+def test_readme_config_table_names_exactly_the_known_keys():
+    readme = pathlib.Path(__file__).parents[1].joinpath("README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Config files\n", 1)[1].split("\n## ", 1)[0]
+    keys = re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)
+    assert sorted(keys) == sorted(config._KNOWN_KEYS)
 
 
 def test_bad_flag_value():
@@ -223,8 +244,9 @@ def test_parse_config_text_raises_only_config_error(experiment, overrides, junk)
     except ConfigError:
         return
     assert isinstance(cfg.params, SchemeParams)
-    assert np.isfinite([cfg.x_left, cfg.x_right, cfg.T]).all()
-    x = cfg.x_left + (cfg.x_right - cfg.x_left) * np.linspace(0.0, 1.0, 9)[:-1]
+    grid = next(iter(cfg.grids.values()))
+    assert np.isfinite([grid.x_left, grid.L, grid.T]).all()
+    x = grid.x_left + grid.L * np.linspace(0.0, 1.0, 9)[:-1]
     with np.errstate(all="ignore"):
         assert cfg.phi(x).shape == x.shape
 
