@@ -11,7 +11,7 @@ from .grid import (Batch, FieldNorms, Grid1D, as_field, backward_diff, central_d
 from .linalg import (CyclicBlockTriSystem, ScalarCyclicTriSystem,
                      SingularSystemError, solve_cyclic_block_tridiagonal,
                      solve_dense_oracle, solve_scalar_cyclic)
-from .scheme import (RunResult, SchemeParams, SolverFailure, StepperState,
+from .scheme import (RunResult, SchemeParams, SolverFailure, StepperState, StepWorkspace,
                      TruncationResiduals, advance, assemble_first_step,
                      assemble_interior_step, compact_curvature, init_state, march,
                      newton_reaction_terms, run, truncation_residual)

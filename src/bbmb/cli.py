@@ -60,10 +60,10 @@ import sys
 
 import numpy as np
 
-from .analysis import (a_priori_bounds, convergence_table, fit_order, max_norm_errors,
+from .analysis import (convergence_table, fit_order, max_norm_errors,
                        posterior_spatial_errors, posterior_temporal_errors)
 from .config import ConfigError, ExperimentConfig, parse_config
-from .grid import Batch, Grid1D
+from .grid import Batch
 from .scheme import SolverFailure, march, run
 
 __all__ = ["main", "run_experiment"]
@@ -268,11 +268,10 @@ def _conservative(config: ExperimentConfig) -> bool:
     return params.source is None and params.reaction is None and params.nu >= 0
 
 
-def _boundedness_check(config: ExperimentConfig, grid: Grid1D, result):
+def _boundedness_check(result):
     """Check the largest L2 and max norms over the levels of a
     conservative run against the a-priori bounds from its E(0)."""
-    l2_bound, max_bound = a_priori_bounds(result.scaled_e0, result.scale, grid,
-                                          config.params)
+    l2_bound, max_bound = result.bounds
     ok = result.max_l2 <= l2_bound and result.max_abs <= max_bound
     return (ok, "boundedness",
             f"max ||u|| = {result.max_l2:.6g} vs bound {l2_bound:.6g}, "
@@ -299,7 +298,7 @@ def _cmd_run(config: ExperimentConfig, snapshots_path, energy_path=None) -> list
             checks.append((drift <= ENERGY_DRIFT_RTOL, "energy drift",
                            f"{kind} drift {drift:.3e} (budget {ENERGY_DRIFT_RTOL:.0e})"))
     if _conservative(config):
-        checks.append(_boundedness_check(config, grid, result))
+        checks.append(_boundedness_check(result))
     return checks
 
 
@@ -349,7 +348,7 @@ def _cmd_invariants(config: ExperimentConfig, energy_path) -> list:
                    f"{kind} drift {drift:.3e} over t in [0, {grid.T}]"
                    + ("" if _conservative(config) else " (not gated: run is forced)")))
     if _conservative(config):
-        checks.append(_boundedness_check(config, grid, result))
+        checks.append(_boundedness_check(result))
     return checks
 
 
@@ -391,9 +390,9 @@ _COMMANDS = {
                     lambda config: ["spatial_orders.csv" if len(config.m_values) > 1
                                     else "temporal_orders.csv"],
                     "grid-refinement study along one direction"),
-    "invariants": (_cmd_invariants, lambda config: ["energy.csv"],
+    "invariants": (_cmd_invariants, lambda _config: ["energy.csv"],
                    "track the energy invariant over a run"),
-    "stability": (_cmd_stability, lambda config: ["stability.csv"],
+    "stability": (_cmd_stability, lambda _config: ["stability.csv"],
                   "error sweep over a (tau, h) grid"),
 }
 

@@ -108,12 +108,13 @@ def _example3_reaction():
     return (lambda u: u ** 3 - u, lambda u: 3.0 * u ** 2 - 1.0)
 
 
-# what every bundled experiment shares; _PRESETS lists what sets each apart
+# what every bundled experiment shares; _PRESETS lists what sets each
+# apart (example1's source follows its coefficients: the parser builds it)
 _NO_CALLBACKS = dict(exact=None, source=None, reaction=None)
 _PRESET_DEFAULTS = dict(mu=1.0, gamma=1.0, kappa=1.0, nu=1.0, T=1.0, **_NO_CALLBACKS)
 _PRESETS = {
     "example1": dict(x_left=0.0, x_right=2.0, phi=lambda x: _example1_exact(x, 0.0),
-                     exact=_example1_exact, source=_example1_source(1.0, 1.0, 1.0, 1.0)),
+                     exact=_example1_exact),
     "example2": dict(x_left=-25.0, x_right=25.0, phi=_example2_phi),
     "example3": dict(x_left=-50.0, x_right=50.0, phi=_example3_phi,
                      reaction=_example3_reaction()),

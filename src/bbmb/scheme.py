@@ -26,8 +26,11 @@ case's M and N.  A single grid is a batch of one and does the same
 arithmetic as on its own.  A step keeps no energy books: run computes
 every energy from the levels it is handed, on the data's scale.
 
-Memory: march builds one StepWorkspace per batch.  It binds what does
-not change between steps once: the h-dependent factors of assembly, the
+Memory: a step takes its state and a StepWorkspace(grid, params) alone,
+as advance(state, work), assemble_first_step(state, work) and
+assemble_interior_step(state, work); init_state(phi, grid) needs none,
+and march builds one per batch.  The workspace binds what does not
+change between steps once: the h-dependent factors of assembly, the
 packed (2, 7, M) step-system buffer with its constant entries (the
 compact relation row and v's kappa coupling) and each case's view of
 it, the compact row's absolute row sums for the gate, and each case's
@@ -60,7 +63,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .analysis import _data_scale, energy_drift, gradient_energy
+from .analysis import _data_scale, a_priori_bounds, energy_drift, gradient_energy
 from .grid import _SMALLEST_NORMAL, Batch, Grid1D, as_field, second_diff
 from .linalg import (CyclicBlockTriSystem, CyclicReductionSolver, ScalarCyclicTriSystem,
                      SingularSystemError, block_matvec, solve_cyclic_block_tridiagonal,
@@ -151,8 +154,8 @@ class StepperState:
 
 class StepWorkspace:
     """What one batch reuses at every step (see the module docstring),
-    built for grid, a Grid1D or a Batch, and params.  It serves one step
-    at a time.
+    built for grid, a Grid1D or a Batch, and params; a step reads its
+    grid, tau and coefficients from it.  It serves one step at a time.
 
     coeffs is the packed system of all the cases, system the system that
     holds it and cases each case's view of it; solvers holds one solver
@@ -208,15 +211,15 @@ def _failure(step: int, reason: str, batch: Batch, j) -> SolverFailure:
 class RunResult:
     """Outcome of a full march: requested snapshots as (t, field) pairs,
     the per-level energy series, the largest L2 norm and largest |u|
-    over all levels, the data's power-of-two scale, E(0)/scale^2 and the
-    series' (drift, kind) (analysis.energy_drift; None when untracked)."""
+    over all levels, the (L2, max) bounds from E(0) that hold for
+    conservative runs (analysis.a_priori_bounds) and the series' (drift,
+    kind) (analysis.energy_drift; None when untracked)."""
 
     snapshots: list
     energy: list
     max_l2: float
     max_abs: float
-    scale: float
-    scaled_e0: float
+    bounds: tuple
     drift: Optional[tuple]
 
 
@@ -229,7 +232,7 @@ def compact_curvature(u, h: float) -> np.ndarray:
                                                      rhs=second_diff(u, h)))
 
 
-def init_state(phi, grid, params: SchemeParams) -> StepperState:
+def init_state(phi, grid) -> StepperState:
     """Sample the initial condition and solve each case's compact
     curvature.  grid is a Grid1D or a Batch.  A case whose data are
     nonzero but below the normal float range, where they carry no
@@ -352,33 +355,24 @@ def _assemble_step(u_ref, v_ref, u_known, v_known, rate, work: StepWorkspace,
     return work.system
 
 
-def assemble_first_step(state: StepperState, grid, params: SchemeParams,
-                        work: Optional[StepWorkspace] = None) -> CyclicBlockTriSystem:
-    """System for the two-level starting step (unknowns at level 1),
-    linearized at the initial data; the source is taken at t = tau/2.
-    grid is a Grid1D or a Batch.  It is written into work's buffer if
-    given (a workspace built for grid and params), else into a fresh
-    workspace's."""
+def assemble_first_step(state: StepperState, work: StepWorkspace) -> CyclicBlockTriSystem:
+    """System for the two-level starting step (unknowns at level 1) of
+    work's batch, linearized at the initial data and written into work's
+    buffer; the source is taken at t = tau/2."""
     if state.k != 0:
         raise ValueError(f"first step requires k == 0, got k={state.k}")
-    if work is None:
-        work = StepWorkspace(grid, params)
     return _assemble_step(state.u_curr, state.v_curr, state.u_curr, state.v_curr,
                           rate=1.0 / work.batch.tau, work=work,
                           t_source=0.5 * work.batch.tau, step=1)
 
 
-def assemble_interior_step(state: StepperState, grid, params: SchemeParams,
-                           work: Optional[StepWorkspace] = None) -> CyclicBlockTriSystem:
-    """System for a three-level interior step (unknowns at level k+1),
-    linearized at level k with level k-1 mirrored to the right-hand
-    side; the source is taken at t_k.  grid is a Grid1D or a Batch.  It
-    is written into work's buffer if given (a workspace built for grid
-    and params), else into a fresh workspace's."""
+def assemble_interior_step(state: StepperState, work: StepWorkspace) -> CyclicBlockTriSystem:
+    """System for a three-level interior step (unknowns at level k+1) of
+    work's batch, linearized at level k with level k-1 mirrored to the
+    right-hand side and written into work's buffer; the source is taken
+    at t_k."""
     if state.k < 1 or state.u_prev is None:
         raise ValueError(f"interior step requires k >= 1, got k={state.k}")
-    if work is None:
-        work = StepWorkspace(grid, params)
     return _assemble_step(state.u_curr, state.v_curr, state.u_prev, state.v_prev,
                           rate=0.5 / work.batch.tau, work=work,
                           t_source=state.k * work.batch.tau, step=state.k + 1)
@@ -436,22 +430,18 @@ def _checked_solve(work: StepWorkspace, step: int) -> np.ndarray:
         rhs[...] = b
 
 
-def advance(state: StepperState, grid, params: SchemeParams,
-            work: Optional[StepWorkspace] = None) -> StepperState:
-    """Take one time step of every case; returns the new state.
+def advance(state: StepperState, work: StepWorkspace) -> StepperState:
+    """Take one time step of every case of work's batch; returns the new
+    state.
 
-    grid is a Grid1D or a Batch.  The step system is assembled into
-    work's buffer (a workspace built for grid and params) and each
-    case's block is solved with the case's solver; without a workspace,
-    one is built for this step.  The new state's u and v are the rows of
-    a fresh (2, M) array.
+    The step system is assembled into work's buffer and each case's
+    block is solved with the case's solver.  The new state's u and v are
+    the rows of a fresh (2, M) array.
     """
-    if work is None:
-        work = StepWorkspace(grid, params)
     if state.k == 0:
-        assemble_first_step(state, grid, params, work)
+        assemble_first_step(state, work)
     else:
-        assemble_interior_step(state, grid, params, work)
+        assemble_interior_step(state, work)
     u_next, v_next = _checked_solve(work, state.k + 1)
     return StepperState(k=state.k + 1, u_curr=u_next, v_curr=v_next,
                         u_prev=state.u_curr, v_prev=state.v_curr)
@@ -471,11 +461,11 @@ def march(phi, grid, params: SchemeParams) -> Iterator[StepperState]:
     report it.
     """
     batch = Batch.of(grid)
-    state = init_state(phi, batch, params)
+    state = init_state(phi, batch)
     yield state
     work = StepWorkspace(batch, params)
     for _ in range(batch.N):
-        state = advance(state, batch, params, work)
+        state = advance(state, work)
         yield state
 
 
@@ -527,8 +517,9 @@ def run(phi, grid: Grid1D, params: SchemeParams, snapshot_times=None,
         level, e_prev = (u, v), e
     energy = [(k * grid.tau, e * scale * scale) for k, e in enumerate(series)]
     return RunResult(snapshots=snapshots, energy=energy if track_energy else [],
-                     max_l2=scale * float(np.sqrt(max_l2_sq)), max_abs=max_abs, scale=scale,
-                     scaled_e0=series[0], drift=energy_drift(series) if track_energy else None)
+                     max_l2=scale * float(np.sqrt(max_l2_sq)), max_abs=max_abs,
+                     bounds=a_priori_bounds(series[0], scale, grid, params),
+                     drift=energy_drift(series) if track_energy else None)
 
 
 @dataclass(frozen=True)
@@ -570,12 +561,12 @@ def truncation_residual(u_exact, u_xx_exact, grid: Grid1D,
         return np.abs(system.rhs - block_matvec(system, levels[k])).max(axis=0)
 
     work = StepWorkspace(grid, params)
-    system = assemble_first_step(StepperState(0, U[0], V[0], None, None), grid, params, work)
+    system = assemble_first_step(StepperState(0, U[0], V[0], None, None), work)
     compact0 = defects(system, 0)[1]
     rows = [defects(system, 1)]
     for k in range(1, grid.N):
         state = StepperState(k, U[k], V[k], U[k - 1], V[k - 1])
-        rows.append(defects(assemble_interior_step(state, grid, params, work), k + 1))
+        rows.append(defects(assemble_interior_step(state, work), k + 1))
     rows = np.array(rows)  # step k+1's defects at row k
     return TruncationResiduals(first_step=float(rows[0, 0]),
                                interior=float(rows[1:, 0].max()),

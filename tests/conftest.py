@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bbmb.config import preset_callbacks
+from bbmb.config import parse_config_text, preset_callbacks
 from bbmb.grid import Grid1D
 from bbmb.scheme import SchemeParams, compact_curvature, march
 
@@ -41,9 +41,8 @@ def below_normal_range(phi, grid):
 
 
 def example1_params():
-    p = preset_callbacks("example1")
-    return SchemeParams(mu=p["mu"], gamma=p["gamma"], kappa=p["kappa"],
-                        nu=p["nu"], source=p["source"])
+    """example1's coefficients and source, as the parser builds them."""
+    return parse_config_text("experiment = example1\nT = 1\nM = 8\nN = 10\n").params
 
 
 def example2_params(mu=1.0, nu=1.0):

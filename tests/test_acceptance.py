@@ -23,7 +23,7 @@ from bbmb.linalg import (CyclicBlockTriSystem, ScalarCyclicTriSystem,
                          block_system_matrix, scalar_system_matrix,
                          solve_cyclic_block_tridiagonal, solve_dense_oracle,
                          solve_scalar_cyclic)
-from bbmb.scheme import (advance, assemble_first_step,
+from bbmb.scheme import (StepWorkspace, advance, assemble_first_step,
                          assemble_interior_step, init_state, run,
                          truncation_residual)
 
@@ -242,21 +242,21 @@ def test_criterion_7_property_suite():
     # homogeneous step systems only admit the zero solution
     params = example2_params()
     grid = example2_grid(32, 20)
-    state = init_state(example2_phi, grid, params)
-    first = assemble_first_step(state, grid, params)
+    state = init_state(example2_phi, grid)
+    first = assemble_first_step(state, StepWorkspace(grid, params))
     first.rhs = np.zeros_like(first.rhs)
     assert np.max(np.abs(solve_cyclic_block_tridiagonal(first))) <= 1e-12
-    state = advance(state, grid, params)
-    interior = assemble_interior_step(state, grid, params)
+    state = advance(state, StepWorkspace(grid, params))
+    interior = assemble_interior_step(state, StepWorkspace(grid, params))
     interior.rhs = np.zeros_like(interior.rhs)
     assert np.max(np.abs(solve_cyclic_block_tridiagonal(interior))) <= 1e-12
 
     # compact-relation residual at every accepted step of a short run
     grid = example2_grid(50, 40)
-    state = init_state(example2_phi, grid, params)
+    state = init_state(example2_phi, grid)
     h = grid.h
     for _ in range(grid.N):
-        state = advance(state, grid, params)
+        state = advance(state, StepWorkspace(grid, params))
         res = np.max(np.abs(state.v_curr - second_diff(state.u_curr, h)
                             + h * h / 12.0 * second_diff(state.v_curr, h)))
         scale = (4 / h ** 2) * np.max(np.abs(state.u_curr)) \
@@ -265,7 +265,7 @@ def test_criterion_7_property_suite():
 
     # boundedness along a conservative solitary-wave run
     grid = example2_grid(100, 128)
-    state0 = init_state(example2_phi, grid, params)
+    state0 = init_state(example2_phi, grid)
     bound = boundedness_bound(state0.u_curr, state0.v_curr, grid, params)
     trajectory = levels(example2_phi, grid, params)
     assert max(norms(u, grid.h).l2 for _, u in trajectory) <= bound

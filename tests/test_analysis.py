@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bbmb.analysis import (a_priori_bounds, boundedness_bound, convergence_table,
+from bbmb.analysis import (_data_scale, a_priori_bounds, boundedness_bound, convergence_table,
                            fit_order, gradient_energy, initial_energy, max_norm_error,
                            posterior_spatial_error, posterior_temporal_error,
                            posterior_temporal_errors, stability_gap)
@@ -33,7 +33,7 @@ def test_initial_energy_zero_fields():
 def test_boundedness_bound_examples():
     grid = example2_grid(250, 64)
     params = example2_params()
-    state = init_state(example2_phi, grid, params)
+    state = init_state(example2_phi, grid)
     z = np.zeros(grid.M)
     assert boundedness_bound(z, z, grid, params) == 0.0
     bound1 = boundedness_bound(state.u_curr, state.v_curr, grid, params)
@@ -51,13 +51,13 @@ def test_bounds_do_not_underflow():
     # bounds are evaluated on scaled data and stay above max |u0|
     grid = Grid1D(L=1.0, M=4, T=1.0, N=2)
     params = SchemeParams(mu=1.0)
-    state = init_state(lambda x: 1.68e-280 / np.cosh(x) ** 2, grid, params)
+    state = init_state(lambda x: 1.68e-280 / np.cosh(x) ** 2, grid)
     u0, v0 = state.u_curr, state.v_curr
     assert initial_energy(u0, v0, grid, params) == 0.0
     # ||u0|| >= sqrt(h) * max |u0|, though norms() underflows to 0 here
     assert boundedness_bound(u0, v0, grid, params) >= np.sqrt(grid.h) * np.abs(u0).max()
     result = run(lambda x: 1.68e-280 / np.cosh(x) ** 2, grid, params)
-    assert a_priori_bounds(result.scaled_e0, result.scale, grid, params)[1] >= np.abs(u0).max()
+    assert result.bounds[1] >= np.abs(u0).max()
 
 
 _POSITIVE = st.floats(0.05, 20.0)
@@ -114,15 +114,19 @@ def test_bounds_hold_on_conservative_runs_property(text):
                 run(config.phi, grid, params)
             return
         result = run(config.phi, grid, params)
-        state = init_state(config.phi, grid, params)
-    l2_bound, max_bound = a_priori_bounds(result.scaled_e0, result.scale, grid, params)
+        state = init_state(config.phi, grid)
+    l2_bound, max_bound = result.bounds
     assert result.max_l2 <= l2_bound
     assert result.max_abs <= max_bound
     # the run's E(0) is the one boundedness_bound takes from the same data
     assert boundedness_bound(state.u_curr, state.v_curr, grid, params) == l2_bound
+    u0, v0 = state.u_curr, state.v_curr
+    scale = _data_scale(u0, v0)
+    scaled_e0 = initial_energy(u0 / scale, v0 / scale, grid, params)
+    assert result.bounds == a_priori_bounds(scaled_e0, scale, grid, params)
     # scale is a power of two, so this product, in run's order, is exact
     # until it leaves the normal range, where scale ** 2 alone would underflow
-    assert result.energy[0][1] == result.scaled_e0 * result.scale * result.scale
+    assert result.energy[0][1] == scaled_e0 * scale * scale
 
 
 def test_max_norm_error_exact_match():

@@ -115,13 +115,13 @@ CASES = {
 def test_assembly_matches_block_reference_bitwise(case, m):
     make_grid, make_params, phi = CASES[case]
     grid, params = make_grid(m, 20), make_params()
-    state = init_state(phi, grid, params)
-    first = assemble_first_step(state, grid, params)
+    state = init_state(phi, grid)
+    first = assemble_first_step(state, StepWorkspace(grid, params))
     want_first = reference_assembly(state.u_curr, state.v_curr, state.u_curr,
                                     state.v_curr, 1.0 / grid.tau, grid, params,
                                     0.5 * grid.tau)
-    state = advance(state, grid, params)
-    interior = assemble_interior_step(state, grid, params)
+    state = advance(state, StepWorkspace(grid, params))
+    interior = assemble_interior_step(state, StepWorkspace(grid, params))
     want_interior = reference_assembly(state.u_curr, state.v_curr, state.u_prev,
                                        state.v_prev, 0.5 / grid.tau, grid, params,
                                        state.k * grid.tau)
@@ -190,21 +190,21 @@ def test_workspace_assembly_matches_allocating_assembly_bitwise(case, sizes):
     params = make_params()
     batch = Batch([make_grid(m, 20) for m in sizes])
     work = StepWorkspace(batch, params)
-    state = init_state(phi, batch, params)
+    state = init_state(phi, batch)
     for _ in range(3):  # the first step and two interior steps
         if state.k == 0:
-            got = assemble_first_step(state, batch, params, work).coeffs
+            got = assemble_first_step(state, work).coeffs
             want = allocating_assembly(state.u_curr, state.v_curr, state.u_curr,
                                        state.v_curr, 1.0 / batch.tau, batch, params,
                                        0.5 * batch.tau)
         else:
-            got = assemble_interior_step(state, batch, params, work).coeffs
+            got = assemble_interior_step(state, work).coeffs
             want = allocating_assembly(state.u_curr, state.v_curr, state.u_prev,
                                        state.v_prev, 0.5 / batch.tau, batch, params,
                                        state.k * batch.tau)
         assert got is work.coeffs
         assert _same_bits(got, want), f"{case} {sizes}: step {state.k + 1} differs"
-        state = advance(state, batch, params, work)
+        state = advance(state, work)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -218,16 +218,16 @@ def test_assembly_into_a_used_buffer_overwrites_every_entry(case):
     work = StepWorkspace(grid, params)
     stepwise = np.ones((2, 7, 1), dtype=bool)
     stepwise[0, 1] = stepwise[0, 5] = stepwise[1] = False
-    state = init_state(phi, grid, params)
+    state = init_state(phi, grid)
     for _ in range(3):
         np.putmask(work.coeffs, np.broadcast_to(stepwise, work.coeffs.shape), np.nan)
         if state.k == 0:
-            system = assemble_first_step(state, grid, params, work)
-            fresh = assemble_first_step(state, grid, params)
+            system = assemble_first_step(state, work)
+            fresh = assemble_first_step(state, StepWorkspace(grid, params))
         else:
-            system = assemble_interior_step(state, grid, params, work)
-            fresh = assemble_interior_step(state, grid, params)
+            system = assemble_interior_step(state, work)
+            fresh = assemble_interior_step(state, StepWorkspace(grid, params))
         assert system.coeffs is work.coeffs
         assert _same_bits(work.coeffs, fresh.coeffs)
-        state = advance(state, grid, params, work)
+        state = advance(state, work)
 

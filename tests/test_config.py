@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bbmb import config
-from bbmb.config import ConfigError, parse_config, parse_config_text, preset_callbacks
+from bbmb.config import ConfigError, parse_config, parse_config_text
 from bbmb.grid import Grid1D
 from bbmb.scheme import SchemeParams
 
@@ -184,10 +184,12 @@ def test_presets_keep_their_domain(experiment, key):
 
 
 def test_example1_source_follows_the_coefficients():
-    # the default-coefficient source is the preset's, bit for bit
+    # the default coefficients are the unit ones, and so is the source, bit for bit
     default = parse_config_text("experiment = example1\nT = 1\nM = 8\nN = 10\n")
+    unit = parse_config_text("experiment = example1\nT = 1\nM = 8\nN = 10\n"
+                             "mu = 1\ngamma = 1\nkappa = 1\nnu = 1\n")
     x, t = np.linspace(0.0, 2.0, 17), 0.7
-    assert np.array_equal(default.params.source(x, t), preset_callbacks("example1")["source"](x, t))
+    assert np.array_equal(default.params.source(x, t), unit.params.source(x, t))
     cfg = parse_config_text("experiment = example1\nT = 1\nM = 8\nN = 10\n"
                             "mu = 2\ngamma = 0.5\nkappa = 3\nnu = 0.25\n")
     # f = u_t - mu u_xxt + gamma u u_x + kappa u_x - nu u_xx at u = e^t sin(pi x)

@@ -12,6 +12,7 @@ import signal
 import pytest
 
 import bbmb.cli
+import bbmb.grid
 from bbmb.cli import _bins, _parts, main
 from bbmb.config import ConfigError
 from bbmb.linalg import CyclicReductionSolver, SingularSystemError
@@ -471,14 +472,14 @@ def test_a_memory_error_in_a_child_arrives_as_its_outcome(monkeypatch, tmp_path)
     # a group marched again here would pass, so exit 3 means the child's
     # MemoryError reached this process
     parent = os.getpid()
-    nodes = bbmb.cli.Grid1D.nodes
+    nodes = bbmb.grid.Grid1D.nodes
 
     def failing(self):
         if os.getpid() != parent and self.M == 16:
             raise MemoryError("Unable to allocate in the child")
         return nodes(self)
 
-    monkeypatch.setattr(bbmb.cli.Grid1D, "nodes", failing)
+    monkeypatch.setattr(bbmb.grid.Grid1D, "nodes", failing)
     _cores(monkeypatch, 2)
     code, files = _run(tmp_path, "out", "stability", STABILITY)
     assert code == 3

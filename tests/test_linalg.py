@@ -193,9 +193,9 @@ def test_block_interior_step_system_matches_oracle():
     # an actual interior step system from the solitary-wave benchmark
     grid = example2_grid(20, 50)
     params = example2_params()
-    state = init_state(example2_phi, grid, params)
-    state = advance(state, grid, params)
-    system = assemble_interior_step(state, grid, params)
+    work = StepWorkspace(grid, params)
+    state = advance(init_state(example2_phi, grid), work)
+    system = assemble_interior_step(state, work)
     x = solve_cyclic_block_tridiagonal(system)
     xd = solve_dense_oracle(block_system_matrix(system), system.rhs.reshape(-1))
     scale = max(1.0, float(np.max(np.abs(xd))))
@@ -232,8 +232,8 @@ def test_compact_norm_is_the_largest_compact_row_sum():
     # rows of its interleaved matrix
     batch, params = Batch([example2_grid(m, 20) for m in (5, 16, 33)]), example2_params()
     work = StepWorkspace(batch, params)
-    state = advance(init_state(example2_phi, batch, params), batch, params)
-    assemble_interior_step(state, batch, params, work)
+    state = advance(init_state(example2_phi, batch), work)
+    assemble_interior_step(state, work)
     dense = [np.abs(block_system_matrix(case)[1::2]).sum(axis=1).max() for case in work.cases]
     assert work.compact_norm.tolist() == dense
 
@@ -245,8 +245,8 @@ def test_block_row_sum_norm_matches_dense(m):
     # compact share, is the infinity norm of the dense matrix
     grid, params = example2_grid(m, 20), example2_params()
     work = StepWorkspace(grid, params)
-    state = advance(init_state(example2_phi, grid, params), grid, params)
-    system = assemble_interior_step(state, grid, params, work)
+    state = advance(init_state(example2_phi, grid), work)
+    system = assemble_interior_step(state, work)
     gate = max(np.abs(system.coeffs[0, :6]).sum(axis=0).max(), float(work.compact_norm))
     dense = np.abs(block_system_matrix(system)).sum(axis=1).max()
     assert gate == pytest.approx(dense, rel=1e-14)
@@ -344,9 +344,9 @@ def test_block_reduction_random_matches_oracle(rng, m):
 @pytest.mark.parametrize("m", [250, 1001])
 def test_block_reduction_step_system_matches_oracle(m):
     grid = example2_grid(m, 50)
-    params = example2_params()
-    state = advance(init_state(example2_phi, grid, params), grid, params)
-    assert_block_matches_oracle(assemble_interior_step(state, grid, params))
+    work = StepWorkspace(grid, example2_params())
+    state = advance(init_state(example2_phi, grid), work)
+    assert_block_matches_oracle(assemble_interior_step(state, work))
 
 
 def test_block_reduction_zero_system_raises():

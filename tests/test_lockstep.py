@@ -1,6 +1,8 @@
 """Lockstep batches: cases that share a time grid march on one node array
 and give each case the bits it gets when marched alone."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -63,12 +65,13 @@ def test_batch_shift_wraps_inside_each_case():
 CORRUPTED = {"u_and_v": slice(None), "v_only": 1}
 
 
-def _corrupt_solver(monkeypatch, m, unknowns, refinement_too=True):
-    """Make the solvers of the M = m cases return a solution that misses
-    its residual budget, in the CORRUPTED[unknowns] columns, at every
-    solve or only at the first solve of each step (a solver's second
-    solve of a step is its refinement).  Returns the list that gets the
-    solver of each solve of those cases."""
+def _corrupt_solver(monkeypatch, m, unknowns, refinement_too=True, shift=1e-3):
+    """Make the solvers of the M = m cases return a solution shifted by
+    shift (1e-3 misses the residual budget, NaN is non-finite) in the
+    CORRUPTED[unknowns] columns, at every solve or only at the first
+    solve of each step (a solver's second solve of a step is its
+    refinement).  Returns the list that gets the solver of each solve of
+    those cases."""
     solve = CyclicReductionSolver.solve
     calls = []
 
@@ -77,7 +80,7 @@ def _corrupt_solver(monkeypatch, m, unknowns, refinement_too=True):
         if self.m == m:
             calls.append(self)
             if refinement_too or calls.count(self) % 2:
-                x[:, CORRUPTED[unknowns]] += 1e-3
+                x[:, CORRUPTED[unknowns]] += shift
         return x
 
     monkeypatch.setattr(CyclicReductionSolver, "solve", corrupted)
@@ -97,6 +100,21 @@ def test_failing_case_is_named_with_its_step(monkeypatch, tmp_path, unknowns):
     report = (tmp_path / "report.txt").read_text().splitlines()
     assert report[1].startswith("FAIL  solver: step 1: solve residual")
     assert report[1].endswith("(case M = 16, N = 10)")
+
+
+def test_non_finite_solution_is_named_with_its_step(monkeypatch, tmp_path):
+    # a NaN fails the step before the residual gate, and is never refined
+    _corrupt_solver(monkeypatch, 16, "u_and_v", shift=np.nan)
+    message = "step 1: solver returned non-finite values (case M = 16, N = 10)"
+    batch = Batch([example1_grid(m, 10) for m in (8, 16, 32)])
+    with pytest.raises(SolverFailure, match=f"^{re.escape(message)}$"):
+        for _ in march(lambda x: example1_exact(x, 0.0), batch, example1_params()):
+            pass
+    config = parse_config_text("experiment = example1\nT = 1\nM = 8 16 32\nN = 10\n")
+    assert run_experiment(config, "convergence", str(tmp_path)) == 3
+    report = (tmp_path / "report.txt").read_text().splitlines()
+    assert report[0].startswith("STALE: the run failed")
+    assert report[1:] == [f"FAIL  solver: {message}"]
 
 
 @pytest.mark.parametrize("unknowns", sorted(CORRUPTED))
@@ -140,10 +158,11 @@ def test_refined_step_leaves_the_assembled_system(monkeypatch):
     batch = Batch([example1_grid(m, 4) for m in (8, 16, 32)])
     calls = _corrupt_solver(monkeypatch, 16, "u_and_v", refinement_too=False)
     work = StepWorkspace(batch, params)
-    state = init_state(phi, batch, params)
+    state = init_state(phi, batch)
     for assemble in (assemble_first_step, assemble_interior_step, assemble_interior_step):
-        new = advance(state, batch, params, work)
-        assert np.array_equal(work.coeffs, assemble(state, batch, params).coeffs)
+        new = advance(state, work)
+        assert np.array_equal(work.coeffs,
+                              assemble(state, StepWorkspace(batch, params)).coeffs)
         state = new
     assert len(calls) == 6  # each step of M = 16 was refined
 

@@ -136,8 +136,8 @@ def test_step_workspace_shares_one_scratch_array():
 
 def test_init_state_peaks_below_one_system():
     m = 5000
-    grid, params = example2_grid(m, 20), example2_params()
-    _, peak = _traced_bytes(lambda: init_state(example2_phi, grid, params))
+    grid = example2_grid(m, 20)
+    _, peak = _traced_bytes(lambda: init_state(example2_phi, grid))
     assert peak <= INIT_PEAK_SYSTEMS * 2 * 7 * m * 8, (
         f"init_state peaked at {peak / (2 * 7 * m * 8):.2f} packed systems")
 

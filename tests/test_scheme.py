@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 import bbmb.analysis
 import bbmb.scheme
-from bbmb.analysis import (convergence_table, fit_order, gradient_energy, initial_energy,
-                           max_norm_error, max_norm_errors)
+from bbmb.analysis import (a_priori_bounds, convergence_table, fit_order, gradient_energy,
+                           initial_energy, max_norm_error, max_norm_errors)
 from bbmb.cli import SPATIAL_ORDER_WINDOW, TEMPORAL_ORDER_WINDOW, run_experiment
-from bbmb.config import parse_config_text, preset_callbacks
+from bbmb.config import parse_config_text
 from bbmb.grid import Batch, Grid1D, central_diff, norms, second_diff, skew_advection
 from bbmb.linalg import CyclicReductionSolver, block_system_matrix
 from bbmb.scheme import (SchemeParams, SolverFailure, StepWorkspace,
@@ -39,26 +39,24 @@ def test_params_validation():
 
 def test_init_state_constant_profile():
     grid = Grid1D(L=2.0, M=16, T=1.0, N=10)
-    params = SchemeParams(mu=1.0)
-    state = init_state(lambda x: np.full_like(x, 0.7), grid, params)
+    state = init_state(lambda x: np.full_like(x, 0.7), grid)
     assert np.allclose(state.u_curr, 0.7)
     assert np.max(np.abs(state.v_curr)) <= 1e-13
 
 
 def test_init_state_curvature_is_fourth_order():
-    params = SchemeParams(mu=1.0)
     errs = []
     for m in (64, 128):
         grid = Grid1D(L=2.0, M=m, T=1.0, N=10)
         k = 2.0 * np.pi / grid.L
-        state = init_state(lambda x: np.sin(k * x), grid, params)
+        state = init_state(lambda x: np.sin(k * x), grid)
         errs.append(np.max(np.abs(state.v_curr + k * k * state.u_curr)))
     assert 12.0 <= errs[0] / errs[1] <= 20.0
 
 
 def test_init_state_solitary_wave_mass():
     grid = example2_grid(250, 2048, T=8.0)
-    state = init_state(example2_phi, grid, example2_params())
+    state = init_state(example2_phi, grid)
     # integral of the squared profile over the line is 4/3
     assert norms(state.u_curr, grid.h).l2 ** 2 == pytest.approx(4.0 / 3.0, abs=1e-3)
 
@@ -116,16 +114,17 @@ def _fd_jacobian(residual, n, eps=1.0):
 def test_assembled_matrix_matches_fd_jacobian(rng, which):
     grid = Grid1D(L=2.0, M=12, T=1.0, N=50)
     params = example1_params()
-    state = init_state(lambda x: example1_exact(x, 0.0), grid, params)
+    work = StepWorkspace(grid, params)
+    state = init_state(lambda x: example1_exact(x, 0.0), grid)
     if which == "first":
-        system = assemble_first_step(state, grid, params)
+        system = assemble_first_step(state, work)
         base = state
 
         def residual(u_new, v_new):
             return _first_step_residual(base, grid, params, u_new, v_new)
     else:
-        state = advance(state, grid, params)
-        system = assemble_interior_step(state, grid, params)
+        state = advance(state, work)
+        system = assemble_interior_step(state, work)
         base = state
 
         def residual(u_new, v_new):
@@ -145,23 +144,23 @@ def test_reaction_enters_first_step():
     # with reaction configured, the starting step must carry its linearization
     grid = example3_grid(64, 10)
     params = example3_params()
-    state = init_state(example3_phi, grid, params)
-    with_reaction = assemble_first_step(state, grid, params)
+    state = init_state(example3_phi, grid)
+    with_reaction = assemble_first_step(state, StepWorkspace(grid, params))
     without = assemble_first_step(
-        state, grid, SchemeParams(mu=1.0, gamma=1.0, kappa=1.0, nu=1.0))
+        state, StepWorkspace(grid, SchemeParams(mu=1.0, gamma=1.0, kappa=1.0, nu=1.0)))
     assert not np.allclose(with_reaction.diag, without.diag)
     assert not np.allclose(with_reaction.rhs, without.rhs)
 
 
 def test_step_preconditions():
     grid = Grid1D(L=2.0, M=8, T=1.0, N=10)
-    params = SchemeParams(mu=1.0)
-    state = init_state(lambda x: np.sin(np.pi * x), grid, params)
+    work = StepWorkspace(grid, SchemeParams(mu=1.0))
+    state = init_state(lambda x: np.sin(np.pi * x), grid)
     with pytest.raises(ValueError):
-        assemble_interior_step(state, grid, params)
-    advanced = advance(state, grid, params)
+        assemble_interior_step(state, work)
+    advanced = advance(state, work)
     with pytest.raises(ValueError):
-        assemble_first_step(advanced, grid, params)
+        assemble_first_step(advanced, work)
 
 
 # -- homogeneous systems only admit the zero solution -----------------------------
@@ -169,13 +168,13 @@ def test_step_preconditions():
 @pytest.mark.parametrize("which", ["first", "interior"])
 def test_homogeneous_step_returns_zero(rng, which):
     grid = example2_grid(32, 20)
-    params = example2_params()
-    state = init_state(example2_phi, grid, params)
+    work = StepWorkspace(grid, example2_params())
+    state = init_state(example2_phi, grid)
     if which == "interior":
-        state = advance(state, grid, params)
-        system = assemble_interior_step(state, grid, params)
+        state = advance(state, work)
+        system = assemble_interior_step(state, work)
     else:
-        system = assemble_first_step(state, grid, params)
+        system = assemble_first_step(state, work)
     system.rhs = np.zeros_like(system.rhs)
     x = solve_cyclic_block_tridiagonal(system)
     assert np.max(np.abs(x)) <= 1e-12
@@ -223,9 +222,9 @@ def test_unrefined_solve_meets_its_budget(m, length, mu, gamma, kappa, nu, tau, 
     assume(not below_normal_range(phi, grid))  # those fail at step 0, before any solve
     work = StepWorkspace(grid, params)
     work.solvers = [_CountingSolver(work.cases[0])]
-    state = init_state(phi, grid, params)
+    state = init_state(phi, grid)
     for step in (1, 2):
-        state = advance(state, grid, params, work)
+        state = advance(state, work)
         assert work.solvers[0].solves == step
 
 
@@ -233,20 +232,19 @@ def test_unrefined_solve_meets_its_budget(m, length, mu, gamma, kappa, nu, tau, 
 
 def test_first_step_accuracy_forced_sine():
     grid = example1_grid(16, 5000)
-    params = example1_params()
-    state = init_state(lambda x: example1_exact(x, 0.0), grid, params)
-    state = advance(state, grid, params)
+    state = init_state(lambda x: example1_exact(x, 0.0), grid)
+    state = advance(state, StepWorkspace(grid, example1_params()))
     err = np.max(np.abs(state.u_curr - example1_exact(grid.nodes(), grid.tau)))
     assert err <= 1e-6
 
 
 def test_v_consistency_along_run():
     grid = example2_grid(50, 40)
-    params = example2_params()
-    state = init_state(example2_phi, grid, params)
+    work = StepWorkspace(grid, example2_params())
+    state = init_state(example2_phi, grid)
     h = grid.h
     for _ in range(grid.N):
-        state = advance(state, grid, params)
+        state = advance(state, work)
         res = np.max(np.abs(state.v_curr - second_diff(state.u_curr, h)
                             + h * h / 12.0 * second_diff(state.v_curr, h)))
         scale = (4.0 / (h * h)) * np.max(np.abs(state.u_curr)) \
@@ -292,10 +290,10 @@ def test_march_yields_every_level_and_run_folds_it():
 
     result = run(example2_phi, grid, params, snapshot_times=[0.5, 1.0])
     u0, v0 = states[0].u_curr, states[0].v_curr
-    assert result.scale == bbmb.analysis._data_scale(u0, v0)
-    assert result.scaled_e0 == initial_energy(u0 / result.scale, v0 / result.scale,
-                                              grid, params)
-    assert result.energy[0][1] == result.scaled_e0 * result.scale ** 2
+    scale = bbmb.analysis._data_scale(u0, v0)
+    scaled_e0 = initial_energy(u0 / scale, v0 / scale, grid, params)
+    assert result.bounds == a_priori_bounds(scaled_e0, scale, grid, params)
+    assert result.energy[0][1] == scaled_e0 * scale ** 2
     assert result.max_l2 == max(norms(s.u_curr, grid.h).l2 for s in states)
     assert [t for t, _ in result.snapshots] == [6 * grid.tau, 12 * grid.tau]
     assert np.array_equal(result.snapshots[1][1], states[-1].u_curr)
@@ -336,8 +334,8 @@ MAX_CALLS_PER_LOCKSTEP_STEP = 219
 def _interior_step_calls(grid, params, phi):
     """Python and C calls of one interior step that reuses its workspace."""
     work = StepWorkspace(grid, params)
-    state = init_state(phi, grid, params)
-    state = advance(advance(state, grid, params, work), grid, params, work)
+    state = init_state(phi, grid)
+    state = advance(advance(state, work), work)
     calls = 0
 
     def count(frame, event, arg):
@@ -348,7 +346,7 @@ def _interior_step_calls(grid, params, phi):
     previous = sys.getprofile()
     sys.setprofile(count)
     try:
-        advance(state, grid, params, work)
+        advance(state, work)
     finally:
         sys.setprofile(previous)
     return calls
@@ -379,10 +377,11 @@ def test_march_levels_match_advance_and_stay_intact(example, m):
     grid, params = make_grid(m, 6), make_params()
     kept = [(st.u_curr, st.v_curr, st.u_curr.copy(), st.v_curr.copy())
             for st in march(phi, grid, params)]
-    state = init_state(phi, grid, params)
+    work = StepWorkspace(grid, params)
+    state = init_state(phi, grid)
     reference = [(state.u_curr, state.v_curr)]
     for _ in range(grid.N):
-        state = advance(state, grid, params)
+        state = advance(state, work)
         reference.append((state.u_curr, state.v_curr))
     assert len(kept) == len(reference) == grid.N + 1
     for (u, v, u_copy, v_copy), (u_ref, v_ref) in zip(kept, reference):
@@ -440,10 +439,10 @@ def test_reaction_linearization_defect_is_quadratic():
     grid = example3_grid(200, 20)
     params = example3_params()
     fprime, _ = params.reaction
-    state = init_state(example3_phi, grid, params)
-    state = advance(state, grid, params)
+    work = StepWorkspace(grid, params)
+    state = advance(init_state(example3_phi, grid), work)
     prev = state
-    state = advance(state, grid, params)
+    state = advance(state, work)
     h, tau = grid.h, grid.tau
     uk, vk = prev.u_curr, prev.v_curr
     um, vm = prev.u_prev, prev.v_prev
@@ -464,13 +463,13 @@ def test_reaction_linearization_defect_is_quadratic():
 # example1's plus F'(u).
 
 def _reaction_params():
-    p = preset_callbacks("example1")
+    p = example1_params()
     fprime, fsecond = example3_params().reaction
 
     def source(x, t):
-        return p["source"](x, t) + fprime(example1_exact(x, t))
+        return p.source(x, t) + fprime(example1_exact(x, t))
 
-    return SchemeParams(mu=p["mu"], gamma=p["gamma"], kappa=p["kappa"], nu=p["nu"],
+    return SchemeParams(mu=p.mu, gamma=p.gamma, kappa=p.kappa, nu=p.nu,
                         source=source, reaction=(fprime, fsecond))
 
 
@@ -636,19 +635,18 @@ def test_subnormal_data_pass_the_residual_gate():
 def test_subnormal_initial_data_fail_at_step_0():
     # initial data below the normal range carry no relative precision, so
     # neither the energy drift nor the a-priori bounds can hold on them
-    params = SchemeParams(mu=1.0, nu=1.0)
     step0 = (r"^step 0: initial data: .* below the smallest normal float .* "
              r"\(case M = 4, N = 2\)$")
     grid = Grid1D(L=1.0, M=4, T=1.0, N=2, x_left=19.0)
     with pytest.raises(SolverFailure, match=step0):
-        init_state(lambda x: 2.1e-283 / np.cosh(x / 0.5) ** 2, grid, params)
+        init_state(lambda x: 2.1e-283 / np.cosh(x / 0.5) ** 2, grid)
     # each case of a batch is checked on its own nodes: only the fine
     # case's node at 1/8 reaches the normal range, so the coarse one fails
     bump = lambda x: 1e-300 * np.exp(-((x - 0.125) / 0.026) ** 2)
     batch = Batch([Grid1D(L=1.0, M=8, T=1.0, N=2), Grid1D(L=1.0, M=4, T=1.0, N=2)])
     with pytest.raises(SolverFailure, match=step0):
-        init_state(bump, batch, params)
-    init_state(bump, batch.grids[0], params)
+        init_state(bump, batch)
+    init_state(bump, batch.grids[0])
 
 
 def test_energy_pair_zero_fields():
