@@ -23,24 +23,6 @@ import numpy as np
 
 from .grid import Batch, Grid1D, backward_diff, norms
 
-__all__ = [
-    "ConvergenceRow",
-    "gradient_energy",
-    "initial_energy",
-    "a_priori_bounds",
-    "boundedness_bound",
-    "energy_drift",
-    "max_norm_error",
-    "max_norm_errors",
-    "posterior_spatial_error",
-    "posterior_spatial_errors",
-    "posterior_temporal_error",
-    "posterior_temporal_errors",
-    "convergence_table",
-    "fit_order",
-    "stability_gap",
-]
-
 
 def gradient_energy(u, v, h: float) -> float:
     """|u|_1^2 + (h^2/12)*||v||^2 - (h^4/144)*|v|_1^2.

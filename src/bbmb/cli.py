@@ -47,7 +47,9 @@ breaking a rule, such as M > 2^53, or unfit for the subcommand, which
 is refused before the output directory is made) or an output directory
 or file that cannot be written, with a line on stderr per violation;
 3 solver failure (the report names the step and the case's M and N) or
-out of memory, with report.txt marked STALE; 4 acceptance check failed.
+out of memory, with report.txt marked STALE; 4 acceptance check failed;
+130 interrupted (Ctrl-C), with one line on stderr; a report.txt already
+written stays STALE.
 """
 
 from __future__ import annotations
@@ -66,12 +68,11 @@ from .config import ConfigError, ExperimentConfig, parse_config
 from .grid import Batch
 from .scheme import SolverFailure, march, run
 
-__all__ = ["main", "run_experiment"]
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_ACCEPT = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 SPATIAL_ORDER_WINDOW = (3.7, 4.5)
 TEMPORAL_ORDER_WINDOW = (1.9, 2.1)
@@ -483,6 +484,9 @@ def main(argv=None) -> int:
         for line in exc.violations:
             print(f"config error: {line}", file=sys.stderr)
         return EXIT_CONFIG
+    except KeyboardInterrupt:  # _fan_out has killed and reaped its children
+        print("interrupted: the run did not finish", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -36,15 +36,6 @@ import numpy as np
 from .grid import Grid1D, grid_violations
 from .scheme import SchemeParams
 
-__all__ = [
-    "ConfigError",
-    "ExperimentConfig",
-    "parse_config",
-    "parse_config_text",
-    "preset_callbacks",
-    "EXPERIMENTS",
-]
-
 _KNOWN_KEYS = {
     "experiment", "T", "M", "N", "x_left", "x_right",
     "mu", "gamma", "kappa", "nu",

@@ -28,21 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "Grid1D",
-    "Batch",
-    "FieldNorms",
-    "grid_violations",
-    "as_field",
-    "periodic_shift",
-    "second_diff",
-    "central_diff",
-    "backward_diff",
-    "skew_advection",
-    "inner_product",
-    "norms",
-]
-
 _SMALLEST_NORMAL = sys.float_info.min
 # M counts nodes and N steps: node i sits at x_left + i*h and level k at
 # k*tau, and a float holds every whole number up to 2^53 exactly

@@ -66,19 +66,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "SingularSystemError",
-    "ScalarCyclicTriSystem",
-    "CyclicBlockTriSystem",
-    "solve_scalar_cyclic",
-    "CyclicReductionSolver",
-    "solve_cyclic_block_tridiagonal",
-    "solve_dense_oracle",
-    "scalar_system_matrix",
-    "block_system_matrix",
-    "block_matvec",
-]
-
 DENSE_ORACLE_MAX_N = 4096
 
 # Cyclic reduction stops once this many blocks remain; the rest is one
@@ -476,11 +463,13 @@ class CyclicReductionSolver:
         a fresh one."""
         if out is None:
             out = np.empty((2, self.m))
-        blocks = self._blocks
-        scale = max(float(blocks.max()), -float(blocks.min()))  # max |entry|
-        floor = PIVOT_RTOL * scale * scale  # determinant scale is entries squared
-        for level in self._levels:
-            level.reduce(floor)
+        levels = self._levels
+        if levels:  # only a reduction level checks its pivots against the floor
+            blocks = self._blocks
+            scale = max(float(blocks.max()), -float(blocks.min()))  # max |entry|
+            floor = PIVOT_RTOL * scale * scale  # determinant scale is entries squared
+            for level in levels:
+                level.reduce(floor)
 
         index, zeros = self._scatter
         self._base.put(index, self._base_blocks + zeros)
@@ -489,11 +478,10 @@ class CyclicReductionSolver:
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(str(exc)) from exc
         x = x.reshape(-1, 2).T
-        if not self._levels:
+        if not levels:
             out[...] = x
             return out.T
         self._x_base[...] = x
-        levels = self._levels
         for level in reversed(levels[1:]):
             level.substitute(level.x_even, level.x_odd)
         levels[0].substitute(out[:, 0::2], out[:, 1::2])

@@ -69,24 +69,6 @@ from .linalg import (CyclicBlockTriSystem, CyclicReductionSolver, ScalarCyclicTr
                      SingularSystemError, block_matvec, solve_cyclic_block_tridiagonal,
                      solve_scalar_cyclic)
 
-__all__ = [
-    "SchemeParams",
-    "StepperState",
-    "StepWorkspace",
-    "RunResult",
-    "TruncationResiduals",
-    "SolverFailure",
-    "compact_curvature",
-    "init_state",
-    "assemble_first_step",
-    "assemble_interior_step",
-    "newton_reaction_terms",
-    "advance",
-    "march",
-    "run",
-    "truncation_residual",
-]
-
 # Relative residual budget of every production solve.  The gate holds
 # both block rows of each case's step system to it, so every accepted
 # level meets the evolution equation and the compact relation to the

@@ -318,7 +318,45 @@ def test_a_directory_at_an_output_file_exits_2_with_one_line(monkeypatch, tmp_pa
     assert [p.name for p in out.iterdir()] == [name] and not any((out / name).iterdir())
 
 
-def test_an_interrupted_run_leaves_a_stale_report(monkeypatch, tmp_path):
+@pytest.mark.parametrize("mode", ["run", "invariants", "convergence", "stability"])
+def test_an_output_directory_without_write_permission_exits_2(monkeypatch, tmp_path, capfd,
+                                                                mode):
+    # a process run as root may write anywhere, so chmod alone cannot make
+    # the directory unwritable; instead creating a file in it is refused as
+    # for a user without write permission, and opening a missing file
+    # without O_CREAT still fails with ENOENT
+    def unreachable(*args, **kwargs):
+        raise AssertionError("marched in a directory that cannot be written")
+
+    cfg = write(tmp_path, "ok.cfg", RUNNABLE[mode])
+    out = tmp_path / "out"
+    out.mkdir()
+
+    def denied(path):
+        return isinstance(path, (str, os.PathLike)) and os.path.dirname(path) == str(out)
+
+    def open_denied(file, mode="r", *args, **kwargs):
+        if denied(file) and set(mode) & set("wax+"):
+            raise PermissionError(13, "Permission denied", str(file))
+        return builtins_open(file, mode, *args, **kwargs)
+
+    def os_open_denied(path, flags, *args, **kwargs):
+        if denied(path) and flags & os.O_CREAT:
+            raise PermissionError(13, "Permission denied", str(path))
+        return os_open(path, flags, *args, **kwargs)
+
+    builtins_open, os_open = open, os.open
+    monkeypatch.setattr("builtins.open", open_denied)
+    monkeypatch.setattr(os, "open", os_open_denied)
+    monkeypatch.setattr(bbmb.cli, "march", unreachable)
+    monkeypatch.setattr(bbmb.cli, "run", unreachable)
+    assert main([mode, "--config", cfg, "--out", str(out)]) == 2
+    lines = capfd.readouterr().err.splitlines()
+    assert lines == [f"config error: out: cannot write {out / 'report.txt'}: Permission denied"]
+    assert list(out.iterdir()) == []
+
+
+def test_an_interrupted_run_leaves_a_stale_report(monkeypatch, tmp_path, capfd):
     cfg = str(CONFIGS / "example1_stability.cfg")
     out = tmp_path / "out"
     assert main(["stability", "--config", cfg, "--out", str(out)]) == 0
@@ -329,8 +367,9 @@ def test_an_interrupted_run_leaves_a_stale_report(monkeypatch, tmp_path):
 
     monkeypatch.setattr(bbmb.cli, "_usable_cores", lambda: 1)
     monkeypatch.setattr(bbmb.cli, "march", interrupted)
-    with pytest.raises(KeyboardInterrupt):
-        main(["stability", "--config", cfg, "--out", str(out)])
+    capfd.readouterr()
+    assert main(["stability", "--config", cfg, "--out", str(out)]) == 130
+    assert capfd.readouterr().err.splitlines() == ["interrupted: the run did not finish"]
     assert (out / "report.txt").read_text().splitlines()[0].startswith("STALE")
 
 

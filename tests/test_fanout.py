@@ -334,8 +334,8 @@ def test_children_are_reaped_when_this_process_fails(monkeypatch, tmp_path):
     monkeypatch.setattr(bbmb.cli, "_errors", interrupted)
     _cores(monkeypatch, 2)
     forks = _count_forks(monkeypatch)
-    with pytest.raises(KeyboardInterrupt):
-        _run(tmp_path, "out", "stability", STABILITY)
+    code, _ = _run(tmp_path, "out", "stability", STABILITY)
+    assert code == 130
     assert len(forks) == 1
     _no_child_left()
 

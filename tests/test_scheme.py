@@ -322,11 +322,11 @@ EXAMPLES = {
 
 # Python and C calls in one interior step that reuses its workspace, as
 # a march step does: the fixed per-step cost that dominates small grids.
-# With numpy 2.4.6 a step at M = 16 makes 111/108/114 calls for
-# example1/2/3, and a lockstep step of M = 8, 16, 32 makes 202/199/205.
-# The bounds leave the margin of 14 calls that the single-case bound had
-# over its count before.  The count is exact for a given numpy, so these
-# guards do not depend on timing.
+# With numpy 2.4.6 a step at M = 16 makes 104/101/107 calls for
+# example1/2/3, and a lockstep step of M = 8, 16, 32 makes 181/178/184.
+# The bounds leave at least 21 and 35 calls of margin over these counts.
+# The count is exact for a given numpy, so these guards do not depend on
+# timing.
 MAX_CALLS_PER_STEP = 128
 MAX_CALLS_PER_LOCKSTEP_STEP = 219
 
