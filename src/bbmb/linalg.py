@@ -28,23 +28,22 @@ A CyclicReductionSolver is built for one system.  It takes the views
 of that system and of every level once, when it is built, and each
 solve reads the system's array as it is then, so a caller that
 rewrites the array in place solves the new system with the same
-solver.  It owns what back substitution reads, each level's odd-block
-factors and (below the top) solution, and two flat buffers the levels'
-reduced systems alternate between: level l reduces into buffer l % 2,
-as level l - 2's system is dead once level l - 1 has reduced it, and
-the base solve reads the last one first.  A level's other buffers are
-views of one flat scratch array: it folds its left neighbours' product
-into the reduced system before it forms the right neighbours', in the
-same two buffers, which reuse the scratch its odd-block factors were
-formed in (scratch_size).  The solver allocates that scratch unless
-its owner hands it one, as the stepper's workspace does, so that every
-case's solver, the assembly and the residual gate share one array; a
-solve writes the scratch before it reads it, and nothing it leaves
-there is read by a later solve.  The stepper keeps one solver per
-case, built for the case's view of its step buffer, so a step's solve
-allocates nothing but the (2, M) solution it returns, or writes it
-into a given array.  solve_cyclic_block_tridiagonal without a solver
-builds one for the call.
+solver.  It owns each level's odd-block factors, which back
+substitution reads, and the dense base; every other buffer is a view
+of one flat scratch array (scratch_size).  A level reduces in the
+scratch's first floats, folding its left neighbours' product into the
+reduced system before it forms the right neighbours', in buffers that
+reuse those its odd-block factors were formed in.  Its reduced system
+follows them, below its input, the level above's reduced system, and
+later holds its own solution.  The solver allocates that scratch
+unless its owner hands it one, as the stepper's workspace does, so
+that every case's solver, the assembly and the residual gate share one
+array; a solve writes the scratch before it reads it, and nothing it
+leaves there is read by a later solve.  The stepper keeps one solver
+per case, built for the case's view of its step buffer, so a step's
+solve allocates nothing but the (2, M) solution it returns, or writes
+it into a given array.  solve_cyclic_block_tridiagonal without a
+solver builds one for the call.
 
 Cases marched in lockstep share one (2, 7, sum of M) array, their
 systems end to end: each case's system is packed() on its slice of the
@@ -234,8 +233,10 @@ def solve_scalar_cyclic(system: ScalarCyclicTriSystem) -> np.ndarray:
             piv[i] = 1.0 / p
             b0[i] -= w * b0[i - 1]
             b1[i] -= w * b1[i - 1]
-            b2[i] -= w * b2[i - 1]
         cols[:, lo:hi + 1] = b0, b1, b2, piv
+    # the cb column is +0.0 above row M-1 (0.0 - w*0.0 with w finite), so
+    # only its last row is swept, which may flip a -0.0 corner's sign
+    cols[2, m - 1] -= w * 0.0
 
     cols[:3, m - 1] *= cols[3, m - 1]
     # Each chunk's lists end one row after it, at the row it carries on from.
@@ -296,29 +297,33 @@ class _Level:
     of its blocks odd, and the views of them and of s that every solve
     reuses, all taken when the level is built.
 
-    The odd blocks' factors p and (below the top level) the level's
-    solution x are its own; the reduced system is a view of reduced, a
-    flat buffer shared with every second level (see the module
-    docstring).  The other buffers are views of scratch that every
-    level reuses while it reduces or back-substitutes; shift and prod
-    reuse that of adj and cols, dead once p is formed.  s is the system
-    being solved at the top level, else the reduced system of the level
-    above.  bind_solution() takes the views of the solution of the
-    level's reduced system, which the level below (or the base solve)
-    owns.
+    The odd blocks' factors p are its own; every other buffer is a view
+    of scratch (see the module docstring).  det, tmp, adj and cols come
+    first, and shift and prod reuse them from 2k on, as they are dead
+    once p is formed.  The reduced system follows prod and ends by
+    18n + 16 floats, below its input, which below the top level starts
+    at 20n or above (n > 16).  Its first 2(n - k) floats hold its
+    solution, x_in, once the base solve has read the last reduced
+    system, as every reduced system is dead by then.  x, the level's own
+    solution (None at the top), is the level above's x_in.  s is the
+    system being solved at the top level, else the reduced system of
+    the level above.
     """
 
-    def __init__(self, s: np.ndarray, scratch: np.ndarray, reduced: np.ndarray, top: bool):
+    def __init__(self, s: np.ndarray, scratch: np.ndarray, x: np.ndarray | None):
         n = s.shape[2]
         k = n // 2
         m = n - k
-        self.n, self.k = n, k
+        self.n = n
         p = self.p = np.empty((2, 5, k))
-        r = self.reduced = reduced[:14 * m].reshape(2, 7, m)
-        self.x = None if top else np.empty((2, n))
         self.det, self.tmp, self.adj, self.cols = _views(scratch, (k,), (k,), (2, 2, k),
                                                          (2, 5, k))
-        shift, prod = self.shift, self.prod = _views(scratch[2 * k:], (2, 5, m), (2, 5, m))
+        shift, prod, r = self.shift, self.prod, self.reduced = _views(
+            scratch[2 * k:], (2, 5, m), (2, 5, m), (2, 7, m))
+        x_in = self.x_in = r.reshape(-1)[:2 * m].reshape(2, m)
+        # the reduced system lies below its input and x_in apart from x
+        assert not np.may_share_memory(r, s)
+        assert x is None or not np.may_share_memory(x_in, x)
         # a kept last block's stand-in factors join p in shift, on the left
         # and then on the right
         self.right = shift if n % 2 else p
@@ -326,12 +331,12 @@ class _Level:
             # no block is kept: the left neighbours are p shifted one block
             # right, copied into shift in two slices
             self.shift_left = ((shift[..., :1], p[..., -1:]), (shift[..., 1:], p[..., :-1]))
-        self.x_next, self.vec = _views(scratch, (2, m), (2, k))
+        x_next, self.vec = _views(scratch, (2, m), (2, k))
         self.pa, self.pc, self.pg = p[:, 0:2], p[:, 2:4], p[:, 4]
         self.prod_a, self.prod_d, self.prod_g = prod[:, 0:2], prod[:, 2:4], prod[:, 4:]
         self.r_a, self.r_d, self.r_c, self.r_g = r[:, 0:2], r[:, 2:4], r[:, 4:6], r[:, 6:]
-        if self.x is not None:
-            self.x_even, self.x_odd = self.x[:, 0::2], self.x[:, 1::2]
+        if x is not None:
+            self.x_even, self.x_odd = x[:, 0::2], x[:, 1::2]
         # the views of s that reduce() reads
         odd, even = s[..., 1::2], s[..., 0::2]
         piv = odd[:, 2:4]
@@ -340,21 +345,17 @@ class _Level:
         self.odd_cols = (odd[:, 0:2], odd[:, 4:])
         self.even_a, self.even_d, self.even_c, self.even_g = (
             even[:, 0:2], even[:, 2:4], even[:, 4:6], even[:, 6:])
-
-    def bind_solution(self, x: np.ndarray):
-        """Take the views of x, the (2, n - k) solution of the reduced
-        system, which back-substitution reads."""
-        k = self.k
-        self.x_in, self.x_left = x, x[:, :k]
-        # odd block j sits between even blocks j and j + 1 (mod n - k):
-        # with a kept last block no index wraps, else the last one does
-        if x.shape[1] > k:
+        # the views of x_in that substitute() reads: odd block j sits
+        # between even blocks j and j + 1 (mod m); with a kept last block
+        # no index wraps, else the last one does
+        self.x_left = x_in[:, :k]
+        if m > k:
             self.shift_right = ()
-            self.x_right = x[:, 1:k + 1]
+            self.x_right = x_in[:, 1:k + 1]
         else:
-            self.shift_right = ((self.x_next[:, :k - 1], x[:, 1:]),
-                                (self.x_next[:, k - 1:], x[:, :1]))
-            self.x_right = self.x_next
+            self.shift_right = ((x_next[:, :k - 1], x_in[:, 1:]),
+                                (x_next[:, k - 1:], x_in[:, :1]))
+            self.x_right = x_next
 
     def reduce(self, floor: float):
         """Eliminate the odd-indexed blocks of the level's system.
@@ -395,9 +396,8 @@ class _Level:
         np.subtract(self.r_g, self.prod_g, out=self.r_g)
 
     def substitute(self, x_even: np.ndarray, x_odd: np.ndarray):
-        """Recover the level's solution from the bound solution of its
-        reduced system: the even blocks into x_even, the odd ones into
-        x_odd."""
+        """Recover the level's solution from x_in, that of its reduced
+        system: the even blocks into x_even, the odd ones into x_odd."""
         for dst, src in self.shift_right:
             dst[...] = src
         x_even[...] = self.x_in
@@ -408,16 +408,16 @@ class _Level:
 
 class CyclicReductionSolver:
     """Periodic block cyclic reduction for one CyclicBlockTriSystem, with
-    every level's buffers allocated and every view of the system and of
-    the levels taken once, when the solver is built; the levels' reduced
-    systems alternate between two flat buffers.  solve() solves the
+    every level's buffers placed and every view of the system and of the
+    levels taken once, when the solver is built.  solve() solves the
     system as its array holds it at the call and overwrites the level
     buffers, so a solver serves one solve at a time.
 
     scratch, if given, is a flat float array of at least scratch_size(m)
-    entries that the levels reduce and back-substitute in, and that code
-    running before or after a solve may share (see the module
-    docstring); without it the solver allocates its own.
+    entries that holds the levels' reduced systems and solutions and
+    that they reduce and back-substitute in, and that code running
+    before or after a solve may share (see the module docstring);
+    without it the solver allocates its own.
     """
 
     def __init__(self, system: CyclicBlockTriSystem, scratch: np.ndarray | None = None):
@@ -426,36 +426,28 @@ class CyclicReductionSolver:
         self._blocks = s[:, :6]
         if scratch is None:
             scratch = np.empty(self.scratch_size(self.m))
-        # each level reduces the system above it, level l into flat buffer
-        # l % 2, sized for the first level that uses it; the base solves
-        # the last
+        # each level reduces the system above it and back-substitutes into
+        # the solution the level above reads; the base solves the last
         self._levels = levels = []
-        reduced = []
+        x = None
         while s.shape[2] > REDUCTION_BASE:
-            if len(reduced) < 2:
-                reduced.append(np.empty(14 * (s.shape[2] - s.shape[2] // 2)))
-            levels.append(_Level(s, scratch, reduced[len(levels) % 2], top=not levels))
-            s = levels[-1].reduced
+            levels.append(_Level(s, scratch, x))
+            s, x = levels[-1].reduced, levels[-1].x_in
         n = s.shape[2]
         self._base = np.zeros((2 * n, 2 * n))  # the base solve's dense matrix
         self._scatter = _block_scatter(n)
         b = s.transpose(2, 0, 1)
         self._base_blocks, self._base_rhs = b[..., :6], b[..., 6]
-        # the base solve's solution, which the deepest level reads
-        self._x_base = np.empty((2, n))
-        for level, below in zip(levels, levels[1:]):
-            level.bind_solution(below.x)
-        if levels:
-            levels[-1].bind_solution(self._x_base)
+        self._x_base = x  # the base solve's solution, which the deepest level reads
 
     @staticmethod
     def scratch_size(m: int) -> int:
         """Floats of scratch a solver for m block rows works in: level 0's
-        reduce buffers, the most any level uses.  With k = m // 2 odd
-        blocks, det and tmp take 2k, then adj and cols 14k, which the
-        shift and product buffers, 20(m - k), reuse."""
+        buffers, the most any level uses.  With k = m // 2 odd blocks, det
+        and tmp take 2k, then the shift and product buffers 20(m - k) and
+        the reduced system 14(m - k)."""
         k = m // 2
-        return 2 * k + max(14 * k, 20 * (m - k))
+        return 2 * k + 34 * (m - k)
 
     def solve(self, out=None) -> np.ndarray:
         """Solve the system in O(M); returns (M, 2), the transpose of a

@@ -38,17 +38,17 @@ cyclic-reduction solver, built for that view.
 The workspace owns one flat scratch array, as large as the larger of
 thirteen rows of the batch's nodes and the largest case's level
 scratch.  Assembly and the gate work in its rows, and every case's
-solver reduces in it.  These phases run one after another, and each
-writes the scratch it reads, so no scratch content outlives its phase;
-the one value a phase keeps past another's use of the scratch, the
-gate's residual while it refines the cases that missed, moves into the
-step buffer's right-hand side rows, whose values are copied out first
-and written back after.  A step allocates little beyond its fresh
-(u, v) solution, which no later step touches.  At M = 5000 a case's
-workspace holds 3.74 packed systems, and assembly's thirteen rows size
-its scratch.  init_state's curvature solve
-sweeps its rows in chunks and reads constant coefficients broadcast
-from one stencil, so it peaks below one packed system.
+solver keeps its levels in it.  These phases run one after another,
+and each writes the scratch it reads, so no scratch content outlives
+its phase; the one value a phase keeps past another's use of the
+scratch, the gate's residual while it refines the cases that missed,
+moves into the step buffer's right-hand side rows, whose values are
+copied out first and written back after.  A step allocates little
+beyond its fresh (u, v) solution, which no later step touches.  At
+M = 5000 a case's workspace holds 3.21 packed systems, and its
+solver's levels size its scratch.  init_state's curvature solve sweeps
+its rows in chunks and reads constant coefficients broadcast from one
+stencil, so it peaks below one packed system.
 
 Consistency: _assemble_step is the one transcription of the difference
 equations.  truncation_residual assembles each step's system at an

@@ -152,6 +152,13 @@ def test_chunked_scalar_sweep_matches_list_sweep_bitwise(rng, m):
         system.sub, system.diag, system.sup = (scale * a for a in
                                                (system.sub, system.diag, system.sup))
         systems.append(system)
+    # a -0.0 corner cb, whose column only its last row's update touches,
+    # with that update's factor of either sign, and a zero right-hand side
+    for sign, rhs in ((1.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (-1.0, 0.0)):
+        system = random_scalar_system(rng, m)
+        system.sup[m - 1], system.sub[m - 1] = -0.0, sign
+        system.rhs *= rhs
+        systems.append(system)
     for system in systems:
         want, got = _list_sweep(system), solve_scalar_cyclic(system)
         assert np.array_equal(got, want, equal_nan=True)
@@ -379,6 +386,61 @@ def test_reused_solver_matches_fresh_solver_bitwise(rng, m):
     for x, kept in solutions:
         assert np.array_equal(x, kept)
     assert not np.shares_memory(solutions[0][0], solutions[1][0])
+
+
+def _scratch_spans(m):
+    """The (start, size) spans in an m-block solver's scratch that each
+    reduction level uses: what it reduces in, from (None at the top, the
+    system) and into, then what it back-substitutes in, from and into
+    (None at the top, the solution returned).  A level of n blocks, k of
+    them odd, reduces in 2k + 20(n - k) floats into the 14(n - k) that
+    follow, and back-substitutes in 2n floats from the first 2(n - k)
+    of its reduced system."""
+    n, above = m, None
+    while n > REDUCTION_BASE:
+        k = n // 2
+        reduced = (2 * k + 20 * (n - k), 14 * (n - k))
+        solution = None if above is None else (above[0], 2 * n)
+        yield (((0, reduced[0]), above, reduced),
+               ((0, 2 * n), (reduced[0], 2 * (n - k)), solution))
+        n, above = n - k, reduced
+
+
+def _offset(view, scratch):
+    return (view.__array_interface__["data"][0] - scratch.__array_interface__["data"][0]) // 8
+
+
+@pytest.mark.parametrize("m", [33, 63, 65, 127, 129, 1001, 2047, 5000])
+def test_solver_keeps_its_levels_in_the_scratch_it_is_given(rng, m):
+    # every level's reduced system and solution are views of the scratch,
+    # which each solve writes before it reads: NaN left there, or what the
+    # last solve left, changes no bit
+    grid = example2_grid(m, 50)
+    work = StepWorkspace(grid, example2_params())
+    step = assemble_interior_step(advance(init_state(example2_phi, grid), work), work)
+    for system in (random_block_system(rng, m), step):
+        fresh = CyclicReductionSolver(system).solve()
+        scratch = np.full(CyclicReductionSolver.scratch_size(m), np.nan)
+        solver = CyclicReductionSolver(system, scratch)
+        for _ in range(2):
+            x = solver.solve()
+            assert np.array_equal(x, fresh) and np.array_equal(np.signbit(x), np.signbit(fresh))
+        spans = list(_scratch_spans(m))
+        assert len(spans) == len(solver._levels)
+        for level, ((_, _, reduced), (_, x_in, _)) in zip(solver._levels, spans):
+            assert np.shares_memory(level.reduced, scratch)
+            assert np.shares_memory(level.x_in, scratch)
+            assert (_offset(level.reduced, scratch), _offset(level.x_in, scratch)) == (
+                reduced[0], x_in[0])
+
+
+def test_scratch_spans_of_each_phase_are_apart():
+    for m in [*range(REDUCTION_BASE + 1, 5001), 10 ** 5, 10 ** 6]:
+        size = CyclicReductionSolver.scratch_size(m)
+        for phase in (span for level in _scratch_spans(m) for span in level):
+            spans = sorted(s for s in phase if s is not None)
+            assert all(a + n <= b for (a, n), (b, _) in zip(spans, spans[1:])), (m, spans)
+            assert spans[-1][0] + spans[-1][1] <= size, (m, spans)
 
 
 def test_solver_rejects_other_sizes(rng):

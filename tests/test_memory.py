@@ -90,14 +90,16 @@ def test_march_step_allocates_less_than_two_systems():
 
 
 # At M = 5000 a case's workspace holds its packed step system, one flat
-# scratch array that assembly, the solver's levels and the gate share
-# (13 rows of M floats, 0.93 packed systems, sized by assembly since the
-# levels' shift and product buffers reuse their adj and cols scratch) and
-# the levels' own buffers, whose reduced systems alternate between two
-# flat buffers: 3.74 packed systems in all (5.07 when every level kept
-# its own reduced system and four product buffers, 6.00 when each
-# solver had scratch of its own).
-WORKSPACE_SYSTEMS = 4.0
+# scratch array that assembly, the gate and the solver's levels share
+# (18 rows of M floats, 1.29 packed systems, sized by level 0's reduce
+# buffers and reduced system; each reduced system later holds its
+# solution) and
+# the levels' odd-block factors: 3.21 packed systems in all (3.74 when
+# the reduced systems alternated between two flat buffers of their own
+# and each level owned its solution, 5.07 when every level kept its own
+# reduced system and four product buffers, 6.00 when each solver had
+# scratch of its own).
+WORKSPACE_SYSTEMS = 3.3
 # init_state's curvature solve sweeps its rows in chunks of Python floats
 # and reads its constant coefficients broadcast from one stencil, so its
 # peak is a few arrays of M floats: 0.83 packed systems (1.04 when the
@@ -105,11 +107,12 @@ WORKSPACE_SYSTEMS = 4.0
 # all M rows).
 INIT_PEAK_SYSTEMS = 1.0
 # A run whose steps all refine holds, above its level 0, the workspace,
-# its (u, v) levels and nothing else: 3.88 packed systems at M = 4096
-# (5.20 before the levels shared their reduced-system and product
-# buffers, 6.20 when each refined case's solver kept a copy of the
-# system whose right-hand side was the residual).
-REFINED_HELD_SYSTEMS = 4.2
+# its (u, v) levels and nothing else: 3.36 packed systems at M = 4096
+# (3.89 before the levels' reduced systems and solutions moved into the
+# scratch, 5.20 before the levels shared their reduced-system and
+# product buffers, 6.20 when each refined case's solver kept a copy of
+# the system whose right-hand side was the residual).
+REFINED_HELD_SYSTEMS = 3.5
 
 
 def _traced_bytes(make):
